@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -41,6 +41,7 @@ from .generation import (
     PromptSpec,
     fasta_header,
     generate,
+    generate_candidates,
     write_fasta,
     write_trace,
 )
@@ -110,28 +111,17 @@ def resolve_out_dir(flag_value: str | None, cfg: RunConfig) -> Path:
     return Path(cfg.out_dir)
 
 
-def write_manifest(out_dir: Path, command: str, cfg_snapshot: dict, seed: int) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_manifest(path: Path, command: str, cfg_snapshot: dict, seed: int) -> None:
+    """Reproducibility manifest: ``run_manifest.json`` in an output directory,
+    or a ``<file>.manifest.json`` sidecar for a single-file output."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
         "config": cfg_snapshot,
     }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def write_file_manifest(out_file, command: str, cfg_snapshot: dict, seed: int) -> None:
-    """Sidecar manifest for commands whose output is a single file."""
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "config": cfg_snapshot,
-    }
-    Path(str(out_file) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _collect_model_overrides(args) -> dict:
@@ -170,7 +160,7 @@ def cmd_prepare_data(args) -> int:
     write_jsonl(out_dir / "valid.jsonl", valid)
     write_jsonl(out_dir / "test.jsonl", test)
     write_manifest(
-        out_dir,
+        out_dir / "run_manifest.json",
         "prepare-data",
         {
             "input": str(args.data),
@@ -214,7 +204,7 @@ def cmd_train(args) -> int:
         max_steps=args.max_steps,
     )
     write_manifest(
-        out_dir,
+        out_dir / "run_manifest.json",
         "train",
         {
             "dataset": str(data_path),
@@ -245,24 +235,15 @@ def cmd_generate(args) -> int:
     )
     prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
     provider = params.text_encoder(args.embeddings)
-    entries = []
-    all_steps = []
-    for i in range(args.num):
-        gp_i = GenerationParams(
-            temperature=gp.temperature,
-            top_p=gp.top_p,
-            repetition_penalty=gp.repetition_penalty,
-            max_len=gp.max_len,
-            seed=gp.seed + i,
-        )
-        result = generate(prompt, params, gp_i, text_provider=provider, record_id=args.record_id)
-        entries.append((fasta_header(f"gen-{i:04d}", prompt, gp_i), result.sequence))
-        all_steps.extend(result.steps)
+    results = generate_candidates(prompt, params, gp, args.num, text_provider=provider,
+                                  record_id=args.record_id)
+    entries = [(fasta_header(f"gen-{i:04d}", prompt, replace(gp, seed=gp.seed + i)), r.sequence)
+               for i, r in enumerate(results)]
     if args.out:
         with open(args.out, "w") as fh:
             write_fasta(entries, fh)
-        write_file_manifest(
-            args.out, "generate",
+        write_manifest(
+            Path(args.out + ".manifest.json"), "generate",
             {"ckpt": str(args.ckpt), "mode": prompt.mode, "num": args.num,
              "temperature": gp.temperature, "top_p": gp.top_p,
              "repetition_penalty": gp.repetition_penalty, "max_len": gp.max_len},
@@ -272,7 +253,7 @@ def cmd_generate(args) -> int:
         write_fasta(entries, sys.stdout)
     if args.trace:
         with open(args.trace, "w") as fh:
-            write_trace(all_steps, fh)
+            write_trace([step for r in results for step in r.steps], fh)
     return 0
 
 
@@ -329,8 +310,8 @@ def cmd_sweep(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             write_sweep_csv(cells, fh)
-        write_file_manifest(
-            args.out, "sweep",
+        write_manifest(
+            Path(args.out + ".manifest.json"), "sweep",
             {"ckpt": str(args.ckpt), "data": str(args.data), "limit": args.limit,
              "top_p": args.top_p, "temperature": args.temperature,
              "max_len": gp.max_len, "repetition_penalty": gp.repetition_penalty},
@@ -354,7 +335,7 @@ def cmd_export_attention(args) -> int:
     )
     entries = export_attention_maps(trace, condense_cross=args.condense, out_dir=out_dir)
     write_manifest(
-        out_dir,
+        out_dir / "run_manifest.json",
         "export-attention",
         {"ckpt": str(args.ckpt), "mode": args.mode, "condense": args.condense,
          "generated_length": len(result.sequence)},

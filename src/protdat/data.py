@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tokenizer import AminoVocabulary, MAX_SEQ_TOKENS, MAX_TEXT_TOKENS, TokenizerError
+from .tokenizer import AminoVocabulary, MAX_SEQ_TOKENS, MAX_TEXT_TOKENS, TextEncoding, TokenizerError
 
 SECTION_HEADERS = ("FUNCTION", "SUBCELLULAR LOCATION", "SIMILARITY")
 
@@ -232,21 +232,35 @@ def make_batch(
     pad_seq_to: int | None = None,
     pad_text_to: int | None = None,
 ) -> Batch:
-    """Encode, pad and mask a list of records into one model input.
-
-    The cross-modality slot ids are freshly assembled for every batch
-    (re-embedded from the shared table at forward time, no state carried
-    between batches).
-    """
+    """Encode, pad and mask a list of records into one model input."""
     if not records:
         raise DatasetError("make_batch: empty record list")
     if c_size < 1:
         raise DatasetError("make_batch: c_size must be >= 1")
     encoded = [vocab.encode_sequence(r.sequence, add_cls=True, add_eos=True) for r in records]
     texts = [text_provider.encode(r.text, record_id=r.id) for r in records]
+    return assemble_batch([r.id for r in records], encoded, texts, vocab, c_size, dtype,
+                          pad_seq_to, pad_text_to)
 
-    b = len(records)
-    s_max = max(len(e) for e in encoded)
+
+def assemble_batch(
+    record_ids: list[str],
+    seq_rows: list,
+    texts: list[TextEncoding],
+    vocab: AminoVocabulary,
+    c_size: int,
+    dtype=np.float32,
+    pad_seq_to: int | None = None,
+    pad_text_to: int | None = None,
+) -> Batch:
+    """Pad and mask token-id rows and their text encodings into one model input.
+
+    The cross-modality slot ids are freshly assembled for every batch
+    (re-embedded from the shared table at forward time, no state carried
+    between batches).
+    """
+    b = len(seq_rows)
+    s_max = max(len(e) for e in seq_rows)
     t_max = max(te.n_tokens for te in texts)
     if pad_seq_to is not None:
         s_max = max(s_max, pad_seq_to)
@@ -256,7 +270,7 @@ def make_batch(
         raise DatasetError(f"text length {t_max} exceeds the {MAX_TEXT_TOKENS}-token cap")
 
     seq_ids = np.full((b, s_max), vocab.pad_id, dtype=np.int64)
-    for i, ids in enumerate(encoded):
+    for i, ids in enumerate(seq_rows):
         seq_ids[i, : len(ids)] = ids
 
     text_mask = np.zeros((b, t_max), dtype=bool)
@@ -279,7 +293,7 @@ def make_batch(
     cross_ids = np.full((b, c_size), vocab.cross_id, dtype=np.int64)
     ptm, cim, psm = build_masks(seq_ids, text_mask, c_size, vocab.pad_id)
     return Batch(
-        record_ids=[r.id for r in records],
+        record_ids=record_ids,
         seq_ids=seq_ids,
         text_mask=text_mask,
         cross_ids=cross_ids,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -294,13 +294,8 @@ def parameter_sweep(
             kls: list[float] = []
             idents: list[float] = []
             for j, rec in enumerate(records):
-                cell_gp = GenerationParams(
-                    temperature=temperature,
-                    top_p=top_p,
-                    repetition_penalty=gp.repetition_penalty,
-                    max_len=gp.max_len,
-                    seed=sweep_cell_seed(gp.seed, cell_index, j),
-                )
+                cell_gp = replace(gp, temperature=temperature, top_p=top_p,
+                                  seed=sweep_cell_seed(gp.seed, cell_index, j))
                 result = generate(
                     PromptSpec(mode=MODE_TEXT_ONLY, text=rec.text),
                     params,

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import numerics as nx
-from .data import Batch, build_masks
+from .data import assemble_batch
 from .model import ModelParams, model_forward
 from .numerics import softmax_with_temperature
-from .tokenizer import AminoVocabulary, TextEncoding
+from .tokenizer import AminoVocabulary
 
 MODE_TEXT_ONLY = "text-only"
 MODE_TEXT_FRAGMENT = "text+fragment"
@@ -149,34 +149,6 @@ class GenerationResult:
         return len(self.sequence)
 
 
-def _prompt_batch(
-    seq_ids: list[int], encoding: TextEncoding, c_size: int, vocab: AminoVocabulary, dtype
-) -> Batch:
-    """Single-record inference batch straight from token ids."""
-    ids = np.asarray([seq_ids], dtype=np.int64)
-    t = encoding.n_tokens
-    text_mask = np.ones((1, t), dtype=bool)
-    ptm, cim, psm = build_masks(ids, text_mask, c_size, vocab.pad_id)
-    text_ids = None
-    text_embed = None
-    if encoding.word_ids is not None:
-        text_ids = encoding.word_ids[None, :]
-    else:
-        text_embed = encoding.embeddings[None, :, :].astype(dtype)
-    return Batch(
-        record_ids=["prompt"],
-        seq_ids=ids,
-        text_mask=text_mask,
-        cross_ids=np.full((1, c_size), vocab.cross_id, dtype=np.int64),
-        ptm_mask=ptm,
-        cim_mask=cim,
-        psm_mask=psm,
-        pad_id=vocab.pad_id,
-        text_embed=text_embed,
-        text_ids=text_ids,
-    )
-
-
 def generate(
     prompt: PromptSpec,
     params: ModelParams,
@@ -212,7 +184,7 @@ def generate(
     dtype = config.np_dtype
     with nx.no_grad():
         while len(ids) - 1 < gp.max_len:
-            batch = _prompt_batch(ids, encoding, config.c_size, vocab, dtype)
+            batch = assemble_batch(["prompt"], [ids], [encoding], vocab, config.c_size, dtype)
             logits, _ = model_forward(batch, params)
             last = logits.data[0, len(ids) - 1].astype(np.float64)
             last[never_sampled] = -np.inf
@@ -245,7 +217,7 @@ def generate(
     sequence = vocab.decode_sequence(ids)
     result = GenerationResult(sequence=sequence, steps=steps)
     if trace_attention:
-        final = _prompt_batch(ids, encoding, config.c_size, vocab, dtype)
+        final = assemble_batch(["prompt"], [ids], [encoding], vocab, config.c_size, dtype)
         with nx.no_grad():
             _, trace = model_forward(final, params, trace=True)
         return result, trace
@@ -261,17 +233,11 @@ def generate_candidates(
     record_id: str | None = None,
 ) -> list[GenerationResult]:
     """Draw ``n_samples`` independent candidates, seeds ``gp.seed + i``."""
-    out = []
-    for i in range(n_samples):
-        gp_i = GenerationParams(
-            temperature=gp.temperature,
-            top_p=gp.top_p,
-            repetition_penalty=gp.repetition_penalty,
-            max_len=gp.max_len,
-            seed=gp.seed + i,
-        )
-        out.append(generate(prompt, params, gp_i, text_provider=text_provider, record_id=record_id))
-    return out
+    return [
+        generate(prompt, params, replace(gp, seed=gp.seed + i), text_provider=text_provider,
+                 record_id=record_id)
+        for i in range(n_samples)
+    ]
 
 
 def fasta_header(name: str, prompt: PromptSpec, gp: GenerationParams) -> str:

@@ -22,7 +22,10 @@ branches shape it through the concatenated attention.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -186,41 +189,30 @@ class ModelParams:
         return PrecomputedTextEncoder(embedding_path)
 
 
-def _param(rng: np.random.Generator, shape, dtype, kind: str) -> Tensor:
-    if kind == "normal":
-        data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-    elif kind == "zeros":
-        data = np.zeros(shape, dtype=dtype)
-    elif kind == "ones":
-        data = np.ones(shape, dtype=dtype)
-    else:
-        raise ValueError(kind)
-    return Tensor(data, requires_grad=True)
-
-
-def init_params(
-    config: ModelConfig, seed: int = 0, text_words: list[str] | None = None
-) -> ModelParams:
-    """Fresh parameters: normal(0, 0.02) weights, zero biases, unit norms."""
-    rng = np.random.default_rng(seed)
-    dt = config.np_dtype
+def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> ModelParams:
+    """The parameter tree of ``config``.  ``fill(shape, kind)`` makes each
+    array, ``kind`` being "normal", "zeros" or "ones"; it is called in one
+    fixed order, which fixes the random draws of ``init_params``."""
     d, f = config.d_model, config.ffn
 
+    def param(shape, kind):
+        return Tensor(fill(shape, kind), requires_grad=True)
+
     def lin(n_in, n_out):
-        return LinearParams(w=_param(rng, (n_in, n_out), dt, "normal"), b=_param(rng, (n_out,), dt, "zeros"))
+        return LinearParams(w=param((n_in, n_out), "normal"), b=param((n_out,), "zeros"))
 
     def norm():
-        return NormParams(gamma=_param(rng, (d,), dt, "ones"), beta=_param(rng, (d,), dt, "zeros"))
+        return NormParams(gamma=param((d,), "ones"), beta=param((d,), "zeros"))
 
     def ffn():
         return FfnParams(
-            w1=_param(rng, (d, f), dt, "normal"),
-            b1=_param(rng, (f,), dt, "zeros"),
-            w2=_param(rng, (f, d), dt, "normal"),
-            b2=_param(rng, (d,), dt, "zeros"),
+            w1=param((d, f), "normal"),
+            b1=param((f,), "zeros"),
+            w2=param((f, d), "normal"),
+            b2=param((d,), "zeros"),
         )
 
-    token_embedding = _param(rng, (config.vocab_size, d), dt, "normal")
+    token_embedding = param((config.vocab_size, d), "normal")
     text_projection = None if config.d_text == d else lin(config.d_text, d)
     layers = []
     for _ in range(config.n_layers):
@@ -240,7 +232,7 @@ def init_params(
     if config.text_provider == "trainable":
         if text_words is None:
             raise ModelError("trainable text provider needs the training-split word list")
-        text_word_embedding = _param(rng, (len(text_words) + 1, config.d_text), dt, "normal")
+        text_word_embedding = param((len(text_words) + 1, config.d_text), "normal")
     return ModelParams(
         config=config,
         token_embedding=token_embedding,
@@ -250,6 +242,21 @@ def init_params(
         text_words=list(text_words) if text_words is not None else None,
         text_word_embedding=text_word_embedding,
     )
+
+
+def init_params(
+    config: ModelConfig, seed: int = 0, text_words: list[str] | None = None
+) -> ModelParams:
+    """Fresh parameters: normal(0, 0.02) weights, zero biases, unit norms."""
+    rng = np.random.default_rng(seed)
+    dt = config.np_dtype
+
+    def fill(shape, kind):
+        if kind == "normal":
+            return rng.normal(0.0, 0.02, size=shape).astype(dt)
+        return (np.zeros if kind == "zeros" else np.ones)(shape, dtype=dt)
+
+    return _build_params(config, text_words, fill)
 
 
 def count_parameters(params: ModelParams) -> int:
@@ -277,31 +284,22 @@ def _apply_ffn(x: Tensor, ffn: FfnParams) -> Tensor:
     return nx.linear(nx.gelu(nx.linear(x, ffn.w1, ffn.b1)), ffn.w2, ffn.b2)
 
 
-@dataclass(frozen=True)
-class MaskSet:
-    ptm: np.ndarray
-    cim: np.ndarray
-    psm: np.ndarray
-
-    @classmethod
-    def from_batch(cls, batch: Batch) -> "MaskSet":
-        return cls(ptm=batch.ptm_mask, cim=batch.cim_mask, psm=batch.psm_mask)
-
-
 def mcm_forward(
     e_s: Tensor,
     e_c: Tensor,
     e_t: Tensor,
-    masks: MaskSet,
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray],
     layer: DecoderLayerParams,
     config: ModelConfig,
     trace: bool = False,
 ):
     """The fused attention block on pre-normalized branch inputs.
 
+    ``masks`` holds the (ptm, cim, psm) visibility masks of a Batch.
     Returns pre-residual branch outputs (sequence, slots, text) and,
     when tracing, the per-branch attention weights (head axis intact).
     """
+    ptm, cim, psm = masks
     h = config.n_heads
     hd = config.head_dim
     t_len = e_t.shape[-2]
@@ -316,13 +314,13 @@ def mcm_forward(
     k_t = _apply_linear(e_t, layer.wk_t)
     v_t = _apply_linear(e_t, layer.wv_t)
     ptm_raw, ptm_w = nx.masked_attention(
-        nx.rope_rotate(q_t, text_pos, hd), nx.rope_rotate(k_t, text_pos, hd), v_t, masks.ptm, h
+        nx.rope_rotate(q_t, text_pos, hd), nx.rope_rotate(k_t, text_pos, hd), v_t, ptm, h
     )
     t_out = _apply_linear(ptm_raw, layer.wo_t)
 
     # bottleneck branch: slot queries against unrotated text keys/values
     q_c = _apply_linear(e_c, layer.wq_c)
-    cim_raw, cim_w = nx.masked_attention(q_c, k_t, v_t, masks.cim, h)
+    cim_raw, cim_w = nx.masked_attention(q_c, k_t, v_t, cim, h)
     c_out = _apply_linear(cim_raw, layer.wo_c)
 
     # sequence branch: causal attention over [slot keys | rotated sequence keys]
@@ -334,7 +332,7 @@ def mcm_forward(
     k_cat = nx.concat([k_c, nx.rope_rotate(k_s, seq_pos, hd)], axis=-2)
     v_cat = nx.concat([v_c, v_s], axis=-2)
     psm_raw, cca_w = nx.masked_attention(
-        nx.rope_rotate(q_s, seq_pos, hd), k_cat, v_cat, masks.psm, h
+        nx.rope_rotate(q_s, seq_pos, hd), k_cat, v_cat, psm, h
     )
     s_out = _apply_linear(psm_raw, layer.wo_s)
 
@@ -346,7 +344,7 @@ def decoder_layer_forward(
     e_s: Tensor,
     e_c: Tensor,
     e_t: Tensor,
-    masks: MaskSet,
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray],
     layer: DecoderLayerParams,
     config: ModelConfig,
     trace: bool = False,
@@ -395,7 +393,7 @@ def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
     if params.text_projection is not None:
         e_t = _apply_linear(e_t, params.text_projection)
 
-    masks = MaskSet.from_batch(batch)
+    masks = (batch.ptm_mask, batch.cim_mask, batch.psm_mask)
     collected = AttentionTrace() if trace else None
     for layer in params.layers:
         e_s, e_c, e_t, weights = decoder_layer_forward(e_s, e_c, e_t, masks, layer, config, trace)
@@ -411,6 +409,22 @@ def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
 # -- persistence -------------------------------------------------------------
 
 
+@contextmanager
+def atomic_open(path, mode: str):
+    """Write through a sibling temp file that replaces ``path`` only when the
+    block completes, so a write that fails part-way leaves the previous file
+    intact and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write a checkpoint: format line, JSON manifest, float32 LE blocks."""
     named = params.named_parameters()
@@ -420,7 +434,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "tensors": [{"name": name, "shape": list(p.shape)} for name, p in named],
         "text_words": params.text_words,
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write((CHECKPOINT_FORMAT + "\n").encode("ascii"))
         fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
         for _, p in named:
@@ -438,7 +452,10 @@ def load_checkpoint(path) -> ModelParams:
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ModelError("manifest format mismatch")
     config = ModelConfig.from_dict(manifest["config"])
-    params = init_params(config, seed=0, text_words=manifest.get("text_words"))
+    dt = config.np_dtype
+    # every array is replaced from the blob below, so none is filled here
+    params = _build_params(config, manifest.get("text_words"),
+                           lambda shape, _kind: np.empty(shape, dtype=dt))
     named = params.named_parameters()
     expected = [{"name": name, "shape": list(p.shape)} for name, p in named]
     if expected != manifest["tensors"]:
@@ -449,7 +466,6 @@ def load_checkpoint(path) -> ModelParams:
             f"checkpoint blob has {len(blob)} bytes, expected {4 * total} (corrupt file?)"
         )
     offset = 0
-    dt = config.np_dtype
     for _, p in named:
         n = int(p.data.size)
         block = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)

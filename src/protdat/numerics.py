@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,9 +95,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -168,13 +164,16 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(arr)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None] | None) -> Tensor:
-    track = _grad_enabled and any(p.requires_grad or p._parents for p in parents)
-    if not track:
-        return Tensor(data)
-    out = Tensor(data, _parents=tuple(parents), _backward=None)
-    out._backward = backward
-    return out
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None]) -> Tensor:
+    """The output of an op: it keeps its parents and ``backward`` only when
+    grad mode is on and some parent is tracked.
+
+    ``backward`` is a closure over the op's ``out`` variable; closures bind
+    late, so it reads the tensor returned here once it runs.
+    """
+    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+        return Tensor(data, _parents=tuple(parents), _backward=backward)
+    return Tensor(data)
 
 
 # -- elementwise and structural primitives ---------------------------------
@@ -189,8 +188,7 @@ def add(a, b) -> Tensor:
         a._accumulate(_unbroadcast(g, a.shape))
         b._accumulate(_unbroadcast(g, b.shape))
 
-    out = _make(out_data, (a, b), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (a, b), backward)
     return out
 
 
@@ -203,8 +201,7 @@ def mul(a, b) -> Tensor:
         a._accumulate(_unbroadcast(g * b.data, a.shape))
         b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out = _make(out_data, (a, b), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (a, b), backward)
     return out
 
 
@@ -220,8 +217,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(ga, a.shape))
         b._accumulate(_unbroadcast(gb, b.shape))
 
-    out = _make(out_data, (a, b), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (a, b), backward)
     return out
 
 
@@ -231,8 +227,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward():
         a._accumulate(out.grad.reshape(a.shape))
 
-    out = _make(a.data.reshape(shape), (a,), None)
-    out._backward = backward if out._parents else None
+    out = _make(a.data.reshape(shape), (a,), backward)
     return out
 
 
@@ -242,8 +237,7 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     def backward():
         a._accumulate(np.swapaxes(out.grad, ax1, ax2))
 
-    out = _make(np.swapaxes(a.data, ax1, ax2), (a,), None)
-    out._backward = backward if out._parents else None
+    out = _make(np.swapaxes(a.data, ax1, ax2), (a,), backward)
     return out
 
 
@@ -257,8 +251,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         for t, piece in zip(tensors, pieces):
             t._accumulate(piece)
 
-    out = _make(out_data, tuple(tensors), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, tuple(tensors), backward)
     return out
 
 
@@ -273,8 +266,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         a._accumulate(np.broadcast_to(g, a.shape).copy())
 
-    out = _make(out_data, (a,), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (a,), backward)
     return out
 
 
@@ -292,8 +284,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.shape[1]))
         table._accumulate(g)
 
-    out = _make(out_data, (table,), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (table,), backward)
     return out
 
 
@@ -310,8 +301,7 @@ def gelu(x: Tensor) -> Tensor:
         dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * dinner
         x._accumulate(out.grad * dx)
 
-    out = _make(out_data, (x,), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (x,), backward)
     return out
 
 
@@ -346,8 +336,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
         gamma._accumulate((g * xhat).sum(axis=lead))
         beta._accumulate(g.sum(axis=lead))
 
-    out = _make(out_data, (x, gamma, beta), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (x, gamma, beta), backward)
     return out
 
 
@@ -375,8 +364,7 @@ def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
         dot = (p * g).sum(axis=-1, keepdims=True)
         scores._accumulate(p * (g - dot))
 
-    out = _make(p, (scores,), None)
-    out._backward = backward if out._parents else None
+    out = _make(p, (scores,), backward)
     return out
 
 
@@ -418,26 +406,8 @@ def rope_rotate(x: Tensor, positions: np.ndarray, head_dim: int) -> Tensor:
     def backward():
         x._accumulate(apply(out.grad, -sin))
 
-    out = _make(out_data, (x,), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (x,), backward)
     return out
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """Visibility mask: ``visible[q, k]`` True when query q may attend to key k."""
-
-    visible: np.ndarray
-
-    def __post_init__(self):
-        vis = np.asarray(self.visible, dtype=bool)
-        object.__setattr__(self, "visible", vis)
-        if not vis.any(axis=-1).all():
-            raise NumericsError("AttentionMask: every query row needs >=1 visible key")
-
-    @property
-    def shape(self):
-        return self.visible.shape
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -458,7 +428,7 @@ def masked_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    mask: AttentionMask | np.ndarray | None,
+    mask: np.ndarray | None,
     n_heads: int,
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled-dot-product attention with visibility masking.
@@ -477,7 +447,7 @@ def masked_attention(
         raise NumericsError("masked_attention: k and v must have equal key counts")
     visible = None
     if mask is not None:
-        visible = mask.visible if isinstance(mask, AttentionMask) else np.asarray(mask, dtype=bool)
+        visible = np.asarray(mask, dtype=bool)
         if visible.shape[-2:] != (q.shape[-2], k.shape[-2]):
             raise NumericsError(
                 f"masked_attention: mask shape {visible.shape[-2:]} != "
@@ -550,8 +520,7 @@ def next_token_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int
         p[~keep] = 0.0
         logits._accumulate((g / n_keep) * p.reshape(logits.shape))
 
-    out = _make(out_data, (logits,), None)
-    out._backward = backward if out._parents else None
+    out = _make(out_data, (logits,), backward)
     return out
 
 

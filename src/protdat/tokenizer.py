@@ -203,11 +203,6 @@ class PrecomputedTextEncoder:
         return TextEncoding(embeddings=emb, mask=np.ones(n, dtype=bool))
 
 
-def encode_text(text: str, provider, record_id: str | None = None) -> TextEncoding:
-    """Encode description text through the given provider."""
-    return provider.encode(text, record_id=record_id)
-
-
 def write_embedding_file(path, entries: dict[str, np.ndarray]) -> None:
     """Write the precomputed-embedding container.
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics as nx
 from .data import Batch, ProteinRecord, batches_of, make_batch
-from .model import ModelConfig, ModelParams, init_params, model_forward, save_checkpoint
+from .model import ModelConfig, ModelParams, atomic_open, init_params, model_forward, save_checkpoint
 from .tokenizer import AminoVocabulary, TrainableTextEncoder
 
 
@@ -95,12 +95,18 @@ class OptimizerState:
 
 
 def clip_gradients(params: ModelParams, max_norm: float) -> float:
-    """Global-norm gradient clipping; returns the pre-clip norm."""
+    """Global-norm gradient clipping; returns the pre-clip norm.
+
+    A non-finite norm raises before any gradient is scaled: the scale
+    max_norm/inf is 0, and inf * 0 would spread NaN into the update.
+    """
     total = 0.0
     for _, p in params.named_parameters():
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        raise TrainingError(f"non-finite gradient norm {norm}; step aborted")
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for _, p in params.named_parameters():
@@ -116,16 +122,17 @@ def compute_loss(batch: Batch, params: ModelParams) -> nx.Tensor:
 
 
 def training_step(batch: Batch, params: ModelParams, opt: OptimizerState) -> float:
-    """One forward/backward/update.  A non-finite loss aborts before any
-    parameter or optimizer mutation."""
+    """One forward/backward/update.  A non-finite loss or gradient norm
+    aborts before any parameter or optimizer mutation."""
     params.zero_grad()
     loss = compute_loss(batch, params)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise TrainingError(f"non-finite loss {loss_value}; step aborted")
     loss.backward()
-    if opt.config.clip_norm is not None:
-        clip_gradients(params, opt.config.clip_norm)
+    # without clipping the norm is still taken, for its finiteness check
+    clip_norm = opt.config.clip_norm
+    clip_gradients(params, np.inf if clip_norm is None else clip_norm)
     opt.apply(params)
     return loss_value
 
@@ -150,10 +157,10 @@ class TrainLog:
     def write(self, out_dir) -> None:
         """Loss curve (deterministic fields only) plus a timing sidecar."""
         out_dir = Path(out_dir)
-        with open(out_dir / "train_log.jsonl", "w") as fh:
+        with atomic_open(out_dir / "train_log.jsonl", "w") as fh:
             for e in self.entries:
                 fh.write(json.dumps({"step": e.step, "split": e.split, "loss": e.loss}) + "\n")
-        with open(out_dir / "timing.jsonl", "w") as fh:
+        with atomic_open(out_dir / "timing.jsonl", "w") as fh:
             for e in self.entries:
                 fh.write(json.dumps({"step": e.step, "wall_time": e.wall_time}) + "\n")
 
@@ -184,7 +191,6 @@ def fit(
     seed: int,
     out_dir=None,
     embedding_path=None,
-    init_from: ModelParams | None = None,
     max_steps: int | None = None,
     stop_below_loss: float | None = None,
 ) -> tuple[ModelParams, TrainLog]:
@@ -197,9 +203,7 @@ def fit(
     if not train_records:
         raise TrainingError("empty training set")
     vocab = AminoVocabulary()
-    if init_from is not None:
-        params = init_from
-    elif model_config.text_provider == "trainable":
+    if model_config.text_provider == "trainable":
         words = TrainableTextEncoder.build_vocabulary([r.text for r in train_records])
         params = init_params(model_config, seed=seed, text_words=words)
     else:

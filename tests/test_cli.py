@@ -1,12 +1,23 @@
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from protdat.cli import run_command
 from protdat.data import synthetic_records, write_jsonl
-from protdat.evaluation import global_sequence_identity
-from protdat.generation import write_fasta
+from protdat.evaluation import global_sequence_identity, read_fasta
+from protdat.generation import (
+    MODE_TEXT_ONLY,
+    GenerationParams,
+    PromptSpec,
+    fasta_header,
+    generate_candidates,
+    write_fasta,
+    write_trace,
+)
+from protdat.model import load_checkpoint
 
 TABLE4_TEXT = (
     "FUNCTION: Is involved in the catabolism of quinate. Allows the utilization of "
@@ -95,6 +106,26 @@ def test_generate_trace_file(trained_ckpt, tmp_path, capsys):
     assert rc == 0
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert rows and {"index", "token", "nucleus_size", "nucleus_rank", "penalized_logit"} == set(rows[0])
+
+
+def test_generate_num_matches_generate_candidates(trained_ckpt, tmp_path):
+    fasta, trace = tmp_path / "gen.fasta", tmp_path / "steps.jsonl"
+    rc = run_command(
+        ["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT, "--num", "3",
+         "--max-len", "8", "--seed", "4", "--out", str(fasta), "--trace", str(trace)]
+    )
+    assert rc == 0
+    prompt = PromptSpec(mode=MODE_TEXT_ONLY, text=TABLE4_TEXT)
+    gp = GenerationParams(max_len=8, seed=4)
+    expected = generate_candidates(prompt, load_checkpoint(trained_ckpt), gp, 3)
+    assert read_fasta(fasta) == [
+        (fasta_header(f"gen-{i:04d}", prompt, replace(gp, seed=4 + i)), r.sequence)
+        for i, r in enumerate(expected)
+    ]
+    steps = io.StringIO()
+    write_trace([s for r in expected for s in r.steps], steps)
+    assert all(r.steps for r in expected)
+    assert trace.read_text() == steps.getvalue()
 
 
 def test_eval_identity_matches_library(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from protdat import numerics as nx
 from protdat.data import make_batch
 from protdat.model import (
-    MaskSet,
     ModelConfig,
     ModelError,
     count_parameters,
@@ -44,10 +43,10 @@ def test_mcm_shapes_and_trace_shapes():
     e_s = Tensor(rng.normal(size=(s_len, 8)))
     e_c = Tensor(rng.normal(size=(3, 8)))
     e_t = Tensor(rng.normal(size=(t_len, 8)))
-    masks = MaskSet(
-        ptm=np.ones((t_len, t_len), bool),
-        cim=np.ones((3, t_len), bool),
-        psm=np.concatenate(
+    masks = (  # ptm, cim, psm
+        np.ones((t_len, t_len), bool),
+        np.ones((3, t_len), bool),
+        np.concatenate(
             [np.ones((s_len, 3), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
         ),
     )
@@ -74,10 +73,10 @@ def test_mcm_value_path_zero_map():
         lin.b.data = np.zeros_like(lin.b.data)
     rng = np.random.default_rng(2)
     s_len, t_len = 4, 3
-    masks = MaskSet(
-        ptm=np.ones((t_len, t_len), bool),
-        cim=np.ones((2, t_len), bool),
-        psm=np.concatenate(
+    masks = (  # ptm, cim, psm
+        np.ones((t_len, t_len), bool),
+        np.ones((2, t_len), bool),
+        np.concatenate(
             [np.ones((s_len, 2), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
         ),
     )
@@ -106,10 +105,10 @@ def test_mcm_single_head_matches_straight_line_reference():
     e_s = rng.normal(size=(2, 2))
     e_c = rng.normal(size=(1, 2))
     e_t = rng.normal(size=(2, 2))
-    masks = MaskSet(
-        ptm=np.ones((2, 2), bool),
-        cim=np.ones((1, 2), bool),
-        psm=np.array([[True, True, False], [True, True, True]]),
+    masks = (  # ptm, cim, psm
+        np.ones((2, 2), bool),
+        np.ones((1, 2), bool),
+        np.array([[True, True, False], [True, True, True]]),
     )
 
     def lin(x, p):
@@ -149,7 +148,7 @@ def test_mcm_single_head_matches_straight_line_reference():
     s_rows = []
     for i in range(2):
         scores = q_s_r[i] @ k_cat.T * sc
-        scores[~masks.psm[i]] = -np.inf
+        scores[~masks[2][i]] = -np.inf
         s_rows.append(soft(scores) @ v_cat)
     s_ref = lin(np.stack(s_rows), layer.wo_s)
 
@@ -168,10 +167,10 @@ def test_decoder_layer_preserves_shapes():
     e_s = Tensor(rng.normal(size=(2, 5, cfg.d_model)))
     e_c = Tensor(rng.normal(size=(2, cfg.c_size, cfg.d_model)))
     e_t = Tensor(rng.normal(size=(2, 4, cfg.d_model)))
-    masks = MaskSet(
-        ptm=np.ones((2, 4, 4), bool),
-        cim=np.ones((2, cfg.c_size, 4), bool),
-        psm=np.concatenate(
+    masks = (  # ptm, cim, psm
+        np.ones((2, 4, 4), bool),
+        np.ones((2, cfg.c_size, 4), bool),
+        np.concatenate(
             [np.ones((2, 5, cfg.c_size), bool),
              np.tril(np.ones((5, 5), bool))[None].repeat(2, 0)], axis=2
         ),
@@ -191,7 +190,7 @@ def test_model_forward_equals_manual_layer_composition():
     e_c = nx.embedding(params.token_embedding, batch.cross_ids)
     e_t = nx.embedding(params.text_word_embedding, batch.text_ids)
     e_t = nx.mul(e_t, batch.text_mask[..., None].astype(np.float64))
-    masks = MaskSet.from_batch(batch)
+    masks = (batch.ptm_mask, batch.cim_mask, batch.psm_mask)
     for layer in params.layers:
         e_s, e_c, e_t, _ = decoder_layer_forward(e_s, e_c, e_t, masks, layer, cfg)
     manual = nx.linear(e_s, params.head.w, params.head.b)
@@ -347,3 +346,33 @@ def test_checkpoint_forward_round_trip_bitwise(tmp_path):
     assert loaded.text_words == params.text_words
     logits_after, _ = model_forward(batch, loaded)
     assert np.array_equal(logits_before.data, logits_after.data)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
+    params, _, path = _f32_model(tmp_path)
+    save_checkpoint(params, path)
+    before = path.read_bytes()
+
+    class FailingBlock(np.ndarray):
+        def tobytes(self, order="C"):
+            raise OSError("disk full")
+
+    # the head comes last, so the header and most blocks are written first
+    params.head.w.data = (params.head.w.data * 2).view(FailingBlock)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(params, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    params, _, path = _f32_model(tmp_path)
+    save_checkpoint(params, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = load_checkpoint(path)
+    for (name, p), (_, q) in zip(params.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(p.data, q.data), name

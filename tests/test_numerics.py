@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from protdat import numerics as nx
 from protdat.numerics import (
-    AttentionMask,
     NumericsError,
     Tensor,
     finite_difference_grad_check,
@@ -177,7 +176,7 @@ def test_attention_matches_naive_reference(rng):
     v = rng.normal(size=(5, 8))
     visible = rng.random((3, 5)) > 0.4
     visible[:, 0] = True
-    out, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), AttentionMask(visible), 2)
+    out, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), visible, 2)
     ref_out, ref_w = _naive_attention(q, k, v, visible, 2)
     assert np.abs(out.data - ref_out).max() < 1e-10
     assert np.abs(w - ref_w).max() < 1e-10
@@ -208,8 +207,6 @@ def test_attention_rejects_fully_blocked_row(rng):
     visible[1] = False
     with pytest.raises(NumericsError):
         masked_attention(q, kv, kv, visible, 2)
-    with pytest.raises(NumericsError):
-        AttentionMask(visible)
 
 
 def test_attention_rejects_bad_shapes(rng):
@@ -344,3 +341,37 @@ def test_embedding_rejects_out_of_range():
     table = Tensor(np.zeros((4, 2)))
     with pytest.raises(NumericsError):
         nx.embedding(table, np.array([0, 4]))
+
+
+# Every primitive, applied to a (2, 4) input ``x``; other inputs are constants.
+PRIMITIVES = {
+    "add": lambda x: nx.add(x, 1.0),
+    "mul": lambda x: nx.mul(x, 2.0),
+    "matmul": lambda x: nx.matmul(x, Tensor(np.ones((4, 3)))),
+    "reshape": lambda x: nx.reshape(x, (4, 2)),
+    "swapaxes": lambda x: nx.swapaxes(x, 0, 1),
+    "concat": lambda x: nx.concat([x, Tensor(np.ones((1, 4)))], axis=0),
+    "tsum": lambda x: nx.tsum(x, axis=1),
+    "embedding": lambda x: nx.embedding(x, np.array([1, 0, 1])),
+    "gelu": nx.gelu,
+    "layer_norm": lambda x: layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
+    "masked_softmax": lambda x: nx.masked_softmax(x, None),
+    "rope_rotate": lambda x: rope_rotate(x, np.arange(2), 4),
+    "next_token_cross_entropy": lambda x: next_token_cross_entropy(x, np.array([1, 3]), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_op_output_records_graph_only_for_tracked_inputs_in_grad_mode(name, rng):
+    op = PRIMITIVES[name]
+    data = rng.normal(size=(2, 4))
+    x = Tensor(data, requires_grad=True)
+    out = op(x)
+    assert out._parents and out._backward is not None
+    nx.tsum(out).backward()  # the recorded closure reaches this very output's grad
+    assert x.grad is not None and x.grad.shape == (2, 4)
+    with nx.no_grad():
+        out = op(Tensor(data, requires_grad=True))
+    assert out._parents == () and out._backward is None
+    out = op(Tensor(data))
+    assert out._parents == () and out._backward is None

@@ -175,13 +175,3 @@ def test_precomputed_rejects_bad_magic(tmp_path):
     with pytest.raises(TokenizerError, match="magic"):
         PrecomputedTextEncoder(path)
 
-
-def test_encode_text_dispatches_to_provider(tmp_path):
-    from protdat.tokenizer import encode_text
-
-    enc = _encoder(["alpha beta"])
-    out = encode_text("alpha beta", enc)
-    assert out.embeddings.shape == (2, 16)
-    write_embedding_file(tmp_path / "e.bin", {"r": np.ones((3, 4), dtype=np.float32)})
-    pre = PrecomputedTextEncoder(tmp_path / "e.bin")
-    assert encode_text("whatever", pre, record_id="r").embeddings.shape == (3, 4)

@@ -6,9 +6,12 @@ import pytest
 
 from protdat.data import make_batch, synthetic_records
 from protdat.model import init_params
+from protdat.numerics import Tensor
 from protdat.tokenizer import AminoVocabulary
 from protdat.training import (
+    LogEntry,
     OptimizerState,
+    TrainLog,
     TrainingConfig,
     TrainingError,
     clip_gradients,
@@ -128,6 +131,27 @@ def test_non_finite_loss_aborts_without_mutation():
     assert np.array_equal(embedding_before, params.token_embedding.data)
 
 
+@pytest.mark.parametrize("clip_norm", [1.0, None])
+def test_non_finite_gradient_aborts_without_mutation(clip_norm, monkeypatch):
+    params, _, batch = tiny_model()
+    opt = OptimizerState(params, TrainingConfig(lr=1e-3, clip_norm=clip_norm))
+    before = _snapshot(params)
+    backward = Tensor.backward
+
+    def backward_then_inf(self):
+        backward(self)
+        params.head.w.grad[0, 0] = np.inf
+
+    monkeypatch.setattr(Tensor, "backward", backward_then_inf)
+    with pytest.raises(TrainingError, match="non-finite gradient"):
+        training_step(batch, params, opt)
+    assert opt.step == 0
+    assert all((m == 0).all() for m in opt.m.values())
+    assert all((v == 0).all() for v in opt.v.values())
+    for name, p in params.named_parameters():
+        assert np.array_equal(before[name], p.data), name
+
+
 def test_clip_gradients_scales_to_max_norm():
     params, _, batch = tiny_model()
     params.zero_grad()
@@ -172,6 +196,18 @@ def test_fit_writes_logs_and_checkpoints(tmp_path):
     assert [r for r in loss_rows if r["split"] == "valid"]
     timing_rows = [json.loads(line) for line in (tmp_path / "timing.jsonl").read_text().splitlines()]
     assert len(timing_rows) == len(loss_rows)
+
+
+def test_failed_log_write_keeps_previous_log(tmp_path):
+    TrainLog(seed=0, config={}, entries=[LogEntry(1, "train", 2.5, 0.1)]).write(tmp_path)
+    before = (tmp_path / "train_log.jsonl").read_bytes()
+    # json cannot encode the second loss, so the write fails after one row
+    failing = TrainLog(seed=0, config={}, entries=[LogEntry(1, "train", 1.5, 0.1),
+                                                   LogEntry(2, "train", object(), 0.2)])
+    with pytest.raises(TypeError):
+        failing.write(tmp_path)
+    assert (tmp_path / "train_log.jsonl").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["timing.jsonl", "train_log.jsonl"]
 
 
 def test_fit_memorizes_small_corpus():
