@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -57,16 +57,7 @@ class GenerationParams:
         return cls(temperature=0.0, top_p=1.0, repetition_penalty=1.0, max_len=max_len, seed=seed)
 
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "temperature": self.temperature,
-                "top_p": self.top_p,
-                "repetition_penalty": self.repetition_penalty,
-                "max_len": self.max_len,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:8]
 
 
@@ -255,15 +246,6 @@ def write_fasta(entries: list[tuple[str, str]], fh) -> None:
 def write_trace(steps: list[GenerationStep], fh) -> None:
     """Line-delimited per-step decoding records."""
     for s in steps:
-        fh.write(
-            json.dumps(
-                {
-                    "index": s.index,
-                    "token": s.token,
-                    "nucleus_size": s.nucleus_size,
-                    "nucleus_rank": s.nucleus_rank,
-                    "penalized_logit": s.penalized_logit,
-                }
-            )
-            + "\n"
-        )
+        record = asdict(s)
+        del record["token_id"]
+        fh.write(json.dumps(record) + "\n")

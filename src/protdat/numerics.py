@@ -3,9 +3,17 @@
 Everything the network needs is built from a small set of differentiable
 primitives over numpy arrays: broadcast arithmetic, (batched) matmul,
 masked softmax, layer normalization, rotary position embedding, embedding
-lookup, GELU and next-token cross-entropy.  Each primitive records a
-backward closure on the output tensor; ``Tensor.backward()`` walks the
-graph in reverse topological order.
+lookup, GELU and next-token cross-entropy.
+
+Each primitive records, through ``_make``, a vector-Jacobian product
+``backward(g)``: given the gradient ``g`` of the op's output it returns one
+gradient per parent, in parent order.  A returned gradient may still carry
+the broadcast axes of the output; ``Tensor.backward()`` walks the graph in
+reverse topological order and is the one place that sums each gradient
+down to its parent's shape and accumulates it, skipping parents that are
+not tracked.  A closure reads only its inputs and arrays saved from the
+forward pass, never the output Tensor, so a graph holds no reference
+cycle and is freed as soon as the loss is dropped.
 
 Precision is carried by the underlying arrays: float32 for training
 speed, float64 for gradient checks.  Attention masks are specified
@@ -70,7 +78,7 @@ class Tensor:
         data,
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
-        _backward: Callable[[], None] | None = None,
+        _backward: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
     ):
         self.data = np.asarray(data)
         if not np.issubdtype(self.data.dtype, np.floating):
@@ -128,8 +136,11 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._backward is None or node.grad is None:
+                continue
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if _tracked(parent):
+                    parent._accumulate(_unbroadcast(g, parent.shape))
 
     # -- operator sugar ----------------------------------------------------
 
@@ -146,7 +157,7 @@ class Tensor:
         return mul(self, other)
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return add(self, mul(as_tensor(other, self.dtype), -1.0))
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -164,14 +175,27 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(arr)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None]) -> Tensor:
+def _tracked(t: Tensor) -> bool:
+    """Whether gradients flow into ``t``: a parameter, or an op output that
+    recorded its graph."""
+    return t.requires_grad or bool(t._parents)
+
+
+def _make(
+    data: np.ndarray,
+    parents: Sequence[Tensor],
+    backward: Callable[[np.ndarray], Sequence[np.ndarray]],
+) -> Tensor:
     """The output of an op: it keeps its parents and ``backward`` only when
     grad mode is on and some parent is tracked.
 
-    ``backward`` is a closure over the op's ``out`` variable; closures bind
-    late, so it reads the tensor returned here once it runs.
+    ``backward(g)`` is the op's vector-Jacobian product: it takes the
+    gradient of the output and returns one gradient per parent, in parent
+    order, each of the parent's shape or of the shape the parent was
+    broadcast to.  It must not refer to the output Tensor, which would make
+    the graph a reference cycle, and must not write to ``g``.
     """
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(_tracked(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 
@@ -179,95 +203,62 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], No
 # -- elementwise and structural primitives ---------------------------------
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Wrap a binary op's operands; one that is not a Tensor takes the dtype
+    of the Tensor operand, so a Python float cannot promote float32 data to
+    float64 (NumPy 2 promotes float32 with a 0-d float64 array)."""
+    if isinstance(a, Tensor):
+        return a, as_tensor(b, a.dtype)
+    b = as_tensor(b)
+    return as_tensor(a, b.dtype), b
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward():
-        g = out.grad
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    a, b = _operands(a, b)
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward():
-        g = out.grad
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    a, b = _operands(a, b)
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product ``a @ b`` with numpy broadcasting of batch dims."""
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
 
-    def backward():
-        g = out.grad
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        a._accumulate(_unbroadcast(ga, a.shape))
-        b._accumulate(_unbroadcast(gb, b.shape))
+    def backward(g):
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-
-    def backward():
-        a._accumulate(out.grad.reshape(a.shape))
-
-    out = _make(a.data.reshape(shape), (a,), backward)
-    return out
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
-
-    def backward():
-        a._accumulate(np.swapaxes(out.grad, ax1, ax2))
-
-    out = _make(np.swapaxes(a.data, ax1, ax2), (a,), backward)
-    return out
+    return _make(np.swapaxes(a.data, ax1, ax2), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward():
-        pieces = np.split(out.grad, np.cumsum(sizes)[:-1], axis=axis)
-        for t, piece in zip(tensors, pieces):
-            t._accumulate(piece)
-
-    out = _make(out_data, tuple(tensors), backward)
-    return out
+    return _make(out_data, tensors, lambda g: np.split(g, bounds, axis=axis))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+            g = np.expand_dims(g, (axis,) if isinstance(axis, int) else tuple(axis))
+        return (np.broadcast_to(g, a.shape),)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -277,15 +268,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise NumericsError("embedding table must be 2D")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise NumericsError("embedding ids out of range")
-    out_data = table.data[ids]
 
-    def backward():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.shape[1]))
-        table._accumulate(g)
+    def backward(g):
+        dtable = np.zeros_like(table.data)
+        np.add.at(dtable, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        return (dtable,)
 
-    out = _make(out_data, (table,), backward)
-    return out
+    return _make(table.data[ids], (table,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -294,15 +283,13 @@ def gelu(x: Tensor) -> Tensor:
     c = math.sqrt(2.0 / math.pi)
     inner = c * (x.data + 0.044715 * x.data**3)
     t = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + t)
 
-    def backward():
+    def backward(g):
         dinner = c * (1.0 + 3 * 0.044715 * x.data**2)
         dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * dinner
-        x._accumulate(out.grad * dx)
+        return (g * dx,)
 
-    out = _make(out_data, (x,), backward)
-    return out
+    return _make(0.5 * x.data * (1.0 + t), (x,), backward)
 
 
 # -- normalization, softmax, attention --------------------------------------
@@ -323,21 +310,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out_data = gamma.data * xhat + beta.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dxhat = g * gamma.data
         dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
         dmu = -(dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 / d) * xc.sum(axis=-1, keepdims=True)
         dx = dxhat * inv + dvar * (2.0 / d) * xc + dmu / d
-        x._accumulate(dx)
         lead = tuple(range(g.ndim - 1))
-        gamma._accumulate((g * xhat).sum(axis=lead))
-        beta._accumulate(g.sum(axis=lead))
+        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
-    out = _make(out_data, (x, gamma, beta), backward)
-    return out
+    return _make(gamma.data * xhat + beta.data, (x, gamma, beta), backward)
 
 
 def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
@@ -358,14 +340,7 @@ def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
     m = s.max(axis=-1, keepdims=True)
     e = np.exp(s - m)
     p = e / e.sum(axis=-1, keepdims=True)
-
-    def backward():
-        g = out.grad
-        dot = (p * g).sum(axis=-1, keepdims=True)
-        scores._accumulate(p * (g - dot))
-
-    out = _make(p, (scores,), backward)
-    return out
+    return _make(p, (scores,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
 
 
 def rope_rotate(x: Tensor, positions: np.ndarray, head_dim: int) -> Tensor:
@@ -401,13 +376,7 @@ def rope_rotate(x: Tensor, positions: np.ndarray, head_dim: int) -> Tensor:
         y2 = x1 * sin_ + x2 * cos
         return np.concatenate([y1, y2], axis=-1).reshape(data.shape)
 
-    out_data = apply(x.data, sin)
-
-    def backward():
-        x._accumulate(apply(out.grad, -sin))
-
-    out = _make(out_data, (x,), backward)
-    return out
+    return _make(apply(x.data, sin), (x,), lambda g: (apply(g, -sin),))
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -436,7 +405,8 @@ def masked_attention(
     q: (..., n_q, d), k/v: (..., n_k, d) with d divisible by ``n_heads``;
     mask broadcastable to (..., n_q, n_k).  Returns the re-concatenated
     output (..., n_q, d) and per-head weights (..., H, n_q, n_k) as a
-    plain array for tracing.
+    plain array for tracing.  The weights are the softmax output itself,
+    which its backward pass reads: callers must not write to them.
     """
     d = q.shape[-1]
     if k.shape[-1] != d or v.shape[-1] != d:
@@ -461,8 +431,7 @@ def masked_attention(
     scale = 1.0 / math.sqrt(d // n_heads)
     scores = mul(matmul(qh, swapaxes(kh, -1, -2)), scale)
     weights = masked_softmax(scores, visible)
-    out = merge_heads(matmul(weights, vh))
-    return out, weights.data.copy()
+    return merge_heads(matmul(weights, vh)), weights.data
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -512,16 +481,14 @@ def next_token_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int
     losses = np.where(keep, lse - picked, 0.0)
     out_data = np.asarray(losses.sum() / n_keep, dtype=logits.dtype)
 
-    def backward():
-        g = float(out.grad)
+    def backward(g):
         p = np.exp(flat - m)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(flat.shape[0]), np.where(keep, tgt, 0)] -= 1.0
         p[~keep] = 0.0
-        logits._accumulate((g / n_keep) * p.reshape(logits.shape))
+        return ((float(g) / n_keep) * p.reshape(logits.shape),)
 
-    out = _make(out_data, (logits,), backward)
-    return out
+    return _make(out_data, (logits,), backward)
 
 
 def finite_difference_grad_check(

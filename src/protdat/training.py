@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +38,7 @@ class TrainingConfig:
     clip_norm: float | None = 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "clip_norm": self.clip_norm,
-        }
+        return asdict(self)
 
 
 class OptimizerState:
@@ -169,10 +161,9 @@ def evaluate_loss(records: list[ProteinRecord], params: ModelParams, vocab, prov
                   batch_size: int) -> float:
     """Mean per-token loss over a record list (no gradients)."""
     total, count = 0.0, 0
-    order = np.arange(len(records))
     with nx.no_grad():
         for start in range(0, len(records), batch_size):
-            chunk = [records[i] for i in order[start : start + batch_size]]
+            chunk = records[start : start + batch_size]
             batch = make_batch(chunk, vocab, provider, params.config.c_size,
                                dtype=params.config.np_dtype)
             loss = compute_loss(batch, params)

@@ -330,6 +330,15 @@ def test_unused_parameter_reads_zero_gradient():
     assert np.array_equal(unused.grad_or_zeros(), np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [lambda x: x + 1.0, lambda x: 2.0 * x, lambda x: x - np.ones(3), lambda x: -x],
+    ids=["add", "rmul", "sub", "neg"],
+)
+def test_plain_operands_take_the_tensor_dtype(op):
+    assert op(Tensor(np.ones(3, dtype=np.float32))).dtype == np.float32
+
+
 def test_no_grad_skips_graph(rng):
     t = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with nx.no_grad():
@@ -343,35 +352,43 @@ def test_embedding_rejects_out_of_range():
         nx.embedding(table, np.array([0, 4]))
 
 
-# Every primitive, applied to a (2, 4) input ``x``; other inputs are constants.
+# Every primitive, applied to a (2, 4) input ``x``; ``const`` makes its other
+# inputs, which are constants.
 PRIMITIVES = {
-    "add": lambda x: nx.add(x, 1.0),
-    "mul": lambda x: nx.mul(x, 2.0),
-    "matmul": lambda x: nx.matmul(x, Tensor(np.ones((4, 3)))),
-    "reshape": lambda x: nx.reshape(x, (4, 2)),
-    "swapaxes": lambda x: nx.swapaxes(x, 0, 1),
-    "concat": lambda x: nx.concat([x, Tensor(np.ones((1, 4)))], axis=0),
-    "tsum": lambda x: nx.tsum(x, axis=1),
-    "embedding": lambda x: nx.embedding(x, np.array([1, 0, 1])),
-    "gelu": nx.gelu,
-    "layer_norm": lambda x: layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
-    "masked_softmax": lambda x: nx.masked_softmax(x, None),
-    "rope_rotate": lambda x: rope_rotate(x, np.arange(2), 4),
-    "next_token_cross_entropy": lambda x: next_token_cross_entropy(x, np.array([1, 3]), 0),
+    "add": lambda x, const: nx.add(x, const(1.0)),
+    "mul": lambda x, const: nx.mul(x, const(2.0)),
+    "matmul": lambda x, const: nx.matmul(x, const(np.ones((4, 3)))),
+    "reshape": lambda x, const: nx.reshape(x, (4, 2)),
+    "swapaxes": lambda x, const: nx.swapaxes(x, 0, 1),
+    "concat": lambda x, const: nx.concat([x, const(np.ones((1, 4)))], axis=0),
+    "tsum": lambda x, const: nx.tsum(x, axis=1),
+    "embedding": lambda x, const: nx.embedding(x, np.array([1, 0, 1])),
+    "gelu": lambda x, const: nx.gelu(x),
+    "layer_norm": lambda x, const: layer_norm(x, const(np.ones(4)), const(np.zeros(4))),
+    "masked_softmax": lambda x, const: nx.masked_softmax(x, None),
+    "rope_rotate": lambda x, const: rope_rotate(x, np.arange(2), 4),
+    "next_token_cross_entropy": lambda x, const: next_token_cross_entropy(x, np.array([1, 3]), 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_op_output_records_graph_only_for_tracked_inputs_in_grad_mode(name, rng):
+    constants = []
+
+    def const(value):
+        constants.append(Tensor(np.asarray(value, dtype=np.float64)))
+        return constants[-1]
+
     op = PRIMITIVES[name]
     data = rng.normal(size=(2, 4))
     x = Tensor(data, requires_grad=True)
-    out = op(x)
+    out = op(x, const)
     assert out._parents and out._backward is not None
     nx.tsum(out).backward()  # the recorded closure reaches this very output's grad
     assert x.grad is not None and x.grad.shape == (2, 4)
+    assert all(c.grad is None for c in constants)  # untracked inputs get no gradient
     with nx.no_grad():
-        out = op(Tensor(data, requires_grad=True))
+        out = op(Tensor(data, requires_grad=True), const)
     assert out._parents == () and out._backward is None
-    out = op(Tensor(data))
+    out = op(Tensor(data), const)
     assert out._parents == () and out._backward is None

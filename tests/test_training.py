@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -117,6 +118,32 @@ def test_fresh_model_loss_is_near_log_vocab():
                        dtype=np.float64)
     loss = float(compute_loss(batch, params).data)
     assert abs(loss - math.log(params.config.vocab_size)) < 0.1 * math.log(params.config.vocab_size)
+
+
+def test_training_step_leaves_no_reference_cycles():
+    params, _, batch = tiny_model()
+    opt = OptimizerState(params, TrainingConfig())
+    gc.collect()
+    gc.disable()
+    try:
+        training_step(batch, params, opt)
+        assert gc.collect() == 0  # the graph was freed by reference counting
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_loss_graph_computes_in_model_dtype(dtype):
+    params, _, batch = tiny_model(tiny_config(dtype=dtype))
+    loss = compute_loss(batch, params)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    assert len(nodes) > 100
+    assert {node.dtype.name for node in nodes.values()} == {dtype}
 
 
 def test_non_finite_loss_aborts_without_mutation():
