@@ -20,7 +20,8 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .data import DatasetError, SplitSpec, load_records, read_dataset, split_records, write_jsonl
+from .data import (DatasetError, SplitSpec, accepted_records, load_records, read_dataset,
+                   split_records, write_jsonl)
 from .evaluation import (
     EvaluationError,
     ResidueDistribution,
@@ -146,16 +147,11 @@ def cmd_prepare_data(args) -> int:
     out_dir = resolve_out_dir(args.out, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = read_dataset(args.data, args.format)
-    if report.total_rows == 0:
-        raise DatasetError(f"{args.data}: no rows")
     (out_dir / "errors.txt").write_text(report.error_text + ("\n" if report.errors else ""))
-    if len(report.errors) > 0.10 * report.total_rows:
-        raise DatasetError(
-            f"{args.data}: {len(report.errors)}/{report.total_rows} invalid rows; see errors.txt"
-        )
+    records = accepted_records(report, args.data)
     seed = args.seed if args.seed is not None else cfg.seed
     spec = SplitSpec(train=args.train, valid=args.valid, test=args.test, seed=seed)
-    train, valid, test = split_records(report.records, spec)
+    train, valid, test = split_records(records, spec)
     write_jsonl(out_dir / "train.jsonl", train)
     write_jsonl(out_dir / "valid.jsonl", valid)
     write_jsonl(out_dir / "test.jsonl", test)
@@ -173,7 +169,7 @@ def cmd_prepare_data(args) -> int:
         seed,
     )
     print(
-        f"prepared {len(report.records)} records -> train/valid/test = "
+        f"prepared {len(records)} records -> train/valid/test = "
         f"{len(train)}/{len(valid)}/{len(test)} ({len(report.errors)} invalid rows)"
     )
     return 0

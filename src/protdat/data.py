@@ -82,11 +82,11 @@ def _parse_table_row(line: str, line_no: int) -> ProteinRecord:
     return ProteinRecord(id=f"row-{line_no:06d}", text=text, sequence=sequence)
 
 
-def read_dataset(path, fmt: str = "jsonl", vocab: AminoVocabulary | None = None) -> LoadReport:
+def read_dataset(path, fmt: str = "jsonl") -> LoadReport:
     """Parse and validate every row; keep order; collect line-addressed errors."""
     if fmt not in ("jsonl", "table"):
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    vocab = vocab or AminoVocabulary()
+    vocab = AminoVocabulary()
     records: list[ProteinRecord] = []
     errors: list[str] = []
     total = 0
@@ -104,9 +104,9 @@ def read_dataset(path, fmt: str = "jsonl", vocab: AminoVocabulary | None = None)
     return LoadReport(records=records, errors=errors, total_rows=total)
 
 
-def load_records(path, fmt: str = "jsonl", vocab: AminoVocabulary | None = None) -> list[ProteinRecord]:
-    """Load a dataset file, rejecting it outright when >10% of rows are invalid."""
-    report = read_dataset(path, fmt, vocab)
+def accepted_records(report: LoadReport, path) -> list[ProteinRecord]:
+    """The valid records of the file at ``path``; the file is rejected outright
+    when it has no rows or more than 10% of its rows are invalid."""
     if report.total_rows == 0:
         raise DatasetError(f"{path}: no rows")
     if len(report.errors) > 0.10 * report.total_rows:
@@ -115,6 +115,11 @@ def load_records(path, fmt: str = "jsonl", vocab: AminoVocabulary | None = None)
             + report.error_text
         )
     return report.records
+
+
+def load_records(path) -> list[ProteinRecord]:
+    """Load a jsonl dataset file under the ``accepted_records`` policy."""
+    return accepted_records(read_dataset(path), path)
 
 
 def write_jsonl(path, records: list[ProteinRecord]) -> None:
@@ -173,14 +178,14 @@ class Batch:
     is set.  Mask arrays are boolean with True = visible.
     """
 
-    record_ids: list[str]
+    pad_id = AminoVocabulary.pad_id
+
     seq_ids: np.ndarray  # (B, S) int64
     text_mask: np.ndarray  # (B, T) bool
     cross_ids: np.ndarray  # (B, c_size) int64
     ptm_mask: np.ndarray  # (B, T, T)
     cim_mask: np.ndarray  # (B, c_size, T)
     psm_mask: np.ndarray  # (B, S, c_size + S)
-    pad_id: int
     text_embed: np.ndarray | None = None  # (B, T, d_text)
     text_ids: np.ndarray | None = None  # (B, T) int64, 0 where padded
 
@@ -208,7 +213,7 @@ class Batch:
 
 
 def build_masks(
-    seq_ids: np.ndarray, text_mask: np.ndarray, c_size: int, pad_id: int
+    seq_ids: np.ndarray, text_mask: np.ndarray, c_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three per-record visibility masks from padded ids."""
     b, s = seq_ids.shape
@@ -218,7 +223,7 @@ def build_masks(
     psm = np.zeros((b, s, c_size + s), dtype=bool)
     psm[:, :, :c_size] = True
     causal = np.tril(np.ones((s, s), dtype=bool))
-    key_ok = seq_ids != pad_id
+    key_ok = seq_ids != AminoVocabulary.pad_id
     psm[:, :, c_size:] = causal[None, :, :] & key_ok[:, None, :]
     return ptm, cim, psm
 
@@ -239,12 +244,10 @@ def make_batch(
         raise DatasetError("make_batch: c_size must be >= 1")
     encoded = [vocab.encode_sequence(r.sequence, add_cls=True, add_eos=True) for r in records]
     texts = [text_provider.encode(r.text, record_id=r.id) for r in records]
-    return assemble_batch([r.id for r in records], encoded, texts, vocab, c_size, dtype,
-                          pad_seq_to, pad_text_to)
+    return assemble_batch(encoded, texts, vocab, c_size, dtype, pad_seq_to, pad_text_to)
 
 
 def assemble_batch(
-    record_ids: list[str],
     seq_rows: list,
     texts: list[TextEncoding],
     vocab: AminoVocabulary,
@@ -275,7 +278,7 @@ def assemble_batch(
 
     text_mask = np.zeros((b, t_max), dtype=bool)
     for i, te in enumerate(texts):
-        text_mask[i, : te.n_tokens] = te.mask
+        text_mask[i, : te.n_tokens] = True
 
     trainable = all(te.word_ids is not None for te in texts)
     text_embed = None
@@ -291,16 +294,14 @@ def assemble_batch(
             text_embed[i, : te.n_tokens, :] = te.embeddings.astype(dtype)
 
     cross_ids = np.full((b, c_size), vocab.cross_id, dtype=np.int64)
-    ptm, cim, psm = build_masks(seq_ids, text_mask, c_size, vocab.pad_id)
+    ptm, cim, psm = build_masks(seq_ids, text_mask, c_size)
     return Batch(
-        record_ids=record_ids,
         seq_ids=seq_ids,
         text_mask=text_mask,
         cross_ids=cross_ids,
         ptm_mask=ptm,
         cim_mask=cim,
         psm_mask=psm,
-        pad_id=vocab.pad_id,
         text_embed=text_embed,
         text_ids=text_ids,
     )

@@ -114,12 +114,10 @@ class ResidueDistribution:
         return cls(probs=probs, count=total)
 
 
-def kl_divergence(p: ResidueDistribution, q: ResidueDistribution, smoothing: float = KL_SMOOTHING) -> float:
+def kl_divergence(p: ResidueDistribution, q: ResidueDistribution) -> float:
     """Add-epsilon smoothed KL(p || q); zero bins never produce infinity."""
-    if smoothing <= 0:
-        raise EvaluationError("smoothing must be positive")
-    ps = p.probs + smoothing
-    qs = q.probs + smoothing
+    ps = p.probs + KL_SMOOTHING
+    qs = q.probs + KL_SMOOTHING
     ps = ps / ps.sum()
     qs = qs / qs.sum()
     return float(np.sum(ps * np.log(ps / qs)))

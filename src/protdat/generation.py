@@ -136,9 +136,6 @@ class GenerationResult:
     sequence: str
     steps: list[GenerationStep] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.sequence)
-
 
 def generate(
     prompt: PromptSpec,
@@ -175,7 +172,7 @@ def generate(
     dtype = config.np_dtype
     with nx.no_grad():
         while len(ids) - 1 < gp.max_len:
-            batch = assemble_batch(["prompt"], [ids], [encoding], vocab, config.c_size, dtype)
+            batch = assemble_batch([ids], [encoding], vocab, config.c_size, dtype)
             logits, _ = model_forward(batch, params)
             last = logits.data[0, len(ids) - 1].astype(np.float64)
             last[never_sampled] = -np.inf
@@ -208,7 +205,7 @@ def generate(
     sequence = vocab.decode_sequence(ids)
     result = GenerationResult(sequence=sequence, steps=steps)
     if trace_attention:
-        final = assemble_batch(["prompt"], [ids], [encoding], vocab, config.c_size, dtype)
+        final = assemble_batch([ids], [encoding], vocab, config.c_size, dtype)
         with nx.no_grad():
             _, trace = model_forward(final, params, trace=True)
         return result, trace

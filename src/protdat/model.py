@@ -259,10 +259,6 @@ def init_params(
     return _build_params(config, text_words, fill)
 
 
-def count_parameters(params: ModelParams) -> int:
-    return sum(int(p.data.size) for _, p in params.named_parameters())
-
-
 @dataclass
 class AttentionTrace:
     """Per-layer head-averaged attention weights of a single-record forward."""
@@ -291,13 +287,12 @@ def mcm_forward(
     masks: tuple[np.ndarray, np.ndarray, np.ndarray],
     layer: DecoderLayerParams,
     config: ModelConfig,
-    trace: bool = False,
 ):
     """The fused attention block on pre-normalized branch inputs.
 
     ``masks`` holds the (ptm, cim, psm) visibility masks of a Batch.
-    Returns pre-residual branch outputs (sequence, slots, text) and,
-    when tracing, the per-branch attention weights (head axis intact).
+    Returns pre-residual branch outputs (sequence, slots, text) and the
+    per-branch attention weights (head axis intact).
     """
     ptm, cim, psm = masks
     h = config.n_heads
@@ -336,8 +331,7 @@ def mcm_forward(
     )
     s_out = _apply_linear(psm_raw, layer.wo_s)
 
-    weights = (ptm_w, cim_w, cca_w) if trace else None
-    return s_out, c_out, t_out, weights
+    return s_out, c_out, t_out, (ptm_w, cim_w, cca_w)
 
 
 def decoder_layer_forward(
@@ -347,13 +341,13 @@ def decoder_layer_forward(
     masks: tuple[np.ndarray, np.ndarray, np.ndarray],
     layer: DecoderLayerParams,
     config: ModelConfig,
-    trace: bool = False,
 ):
-    """Pre-norm residual wrapper: x + MCM(norm(x)), then x + FFN(norm(x))."""
+    """Pre-norm residual wrapper: x + MCM(norm(x)), then x + FFN(norm(x)).
+    Also returns the attention weights of ``mcm_forward``."""
     s_n = _apply_norm(e_s, layer.ln_s)
     c_n = _apply_norm(e_c, layer.ln_c)
     t_n = _apply_norm(e_t, layer.ln_t)
-    ds, dc, dt_, weights = mcm_forward(s_n, c_n, t_n, masks, layer, config, trace)
+    ds, dc, dt_, weights = mcm_forward(s_n, c_n, t_n, masks, layer, config)
     e_s = nx.add(e_s, ds)
     e_c = nx.add(e_c, dc)
     e_t = nx.add(e_t, dt_)
@@ -396,7 +390,7 @@ def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
     masks = (batch.ptm_mask, batch.cim_mask, batch.psm_mask)
     collected = AttentionTrace() if trace else None
     for layer in params.layers:
-        e_s, e_c, e_t, weights = decoder_layer_forward(e_s, e_c, e_t, masks, layer, config, trace)
+        e_s, e_c, e_t, weights = decoder_layer_forward(e_s, e_c, e_t, masks, layer, config)
         if trace:
             ptm_w, cim_w, cca_w = weights
             collected.ptm.append(ptm_w.mean(axis=-3)[0])

@@ -7,13 +7,16 @@ lookup, GELU and next-token cross-entropy.
 
 Each primitive records, through ``_make``, a vector-Jacobian product
 ``backward(g)``: given the gradient ``g`` of the op's output it returns one
-gradient per parent, in parent order.  A returned gradient may still carry
-the broadcast axes of the output; ``Tensor.backward()`` walks the graph in
-reverse topological order and is the one place that sums each gradient
-down to its parent's shape and accumulates it, skipping parents that are
-not tracked.  A closure reads only its inputs and arrays saved from the
-forward pass, never the output Tensor, so a graph holds no reference
-cycle and is freed as soon as the loss is dropped.
+gradient per parent, in parent order, or None for a parent that is not
+tracked.  A returned gradient may still carry the broadcast axes of the
+output; ``Tensor.backward()`` walks the graph in reverse topological order
+and is the one place that sums each gradient down to its parent's shape
+and accumulates it, skipping parents that are not tracked.  An op output
+releases its gradient once it has been propagated, so after
+``backward()`` only parameters hold one.  A closure reads only its inputs
+and arrays saved from the forward pass, never the output Tensor, so a
+graph holds no reference cycle and is freed as soon as the loss is
+dropped.
 
 Precision is carried by the underlying arrays: float32 for training
 speed, float64 for gradient checks.  Attention masks are specified
@@ -31,6 +34,7 @@ import numpy as np
 
 ROPE_BASE = 10000.0
 LAYER_NORM_EPS = 1e-5
+GRAD_CHECK_DENOM_FLOOR = 1e-6
 
 
 class NumericsError(ValueError):
@@ -69,6 +73,8 @@ class Tensor:
     ``requires_grad`` marks leaf parameters; interior nodes inherit it
     from their parents.  Gradients accumulate into ``.grad`` (None until
     the first contribution; unused parameters therefore read as zero).
+    An op output's ``.grad`` is dropped again once ``backward()`` has
+    propagated it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -141,29 +147,7 @@ class Tensor:
             for parent, g in zip(node._parents, node._backward(node.grad)):
                 if _tracked(parent):
                     parent._accumulate(_unbroadcast(g, parent.shape))
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(as_tensor(other, self.dtype), -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+            node.grad = None  # nothing reads it once it has been propagated
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -192,8 +176,9 @@ def _make(
     ``backward(g)`` is the op's vector-Jacobian product: it takes the
     gradient of the output and returns one gradient per parent, in parent
     order, each of the parent's shape or of the shape the parent was
-    broadcast to.  It must not refer to the output Tensor, which would make
-    the graph a reference cycle, and must not write to ``g``.
+    broadcast to; it may return None for a parent that is not tracked.  It
+    must not refer to the output Tensor, which would make the graph a
+    reference cycle, and must not write to ``g``.
     """
     if _grad_enabled and any(_tracked(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
@@ -220,7 +205,12 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+    def backward(g):
+        # constants (the attention scale, the text mask) get no gradient
+        return (g * b.data if _tracked(a) else None, g * a.data if _tracked(b) else None)
+
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -248,17 +238,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     return _make(out_data, tensors, lambda g: np.split(g, bounds, axis=axis))
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, (axis,) if isinstance(axis, int) else tuple(axis))
-        return (np.broadcast_to(g, a.shape),)
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -295,7 +274,7 @@ def gelu(x: Tensor) -> Tensor:
 # -- normalization, softmax, attention --------------------------------------
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1] if x.ndim else 0
@@ -303,12 +282,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
         raise NumericsError("layer_norm: empty vector")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise NumericsError("layer_norm: gamma/beta must match the last axis")
-    if eps <= 0:
-        raise NumericsError("layer_norm: eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def backward(g):
@@ -434,11 +411,8 @@ def masked_attention(
     return merge_heads(matmul(weights, vh)), weights.data
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = matmul(x, w)
-    if b is not None:
-        y = add(y, b)
-    return y
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(x, w), b)
 
 
 # -- losses and standalone kernels ------------------------------------------
@@ -498,15 +472,14 @@ def finite_difference_grad_check(
     max_coords_per_param: int = 8,
     seed: int = 0,
     analytic_grads: dict[str, np.ndarray] | None = None,
-    denom_floor: float = 1e-6,
 ) -> float:
     """Compare analytic gradients against central differences.
 
     ``loss_fn`` must be a deterministic function of the current parameter
     values.  Coordinates are sampled per parameter (all of them when the
     tensor is small).  Returns the worst relative error
-    |analytic - numeric| / max(|analytic| + |numeric|, denom_floor); the
-    floor keeps gradients below the difference quotient's own resolution
+    |analytic - numeric| / max(|analytic| + |numeric|, GRAD_CHECK_DENOM_FLOOR);
+    the floor keeps gradients below the difference quotient's own resolution
     from registering as spurious disagreement.
     """
     if not (1e-6 <= eps <= 1e-4):
@@ -541,7 +514,7 @@ def finite_difference_grad_check(
             flat[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             analytic = float(analytic_grads[name].reshape(-1)[idx])
-            denom = max(abs(analytic) + abs(numeric), denom_floor)
+            denom = max(abs(analytic) + abs(numeric), GRAD_CHECK_DENOM_FLOOR)
             err = abs(analytic - numeric) / denom
             if err > worst:
                 worst = err

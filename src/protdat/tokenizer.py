@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,27 +33,15 @@ class TokenizerError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class AminoVocabulary:
     """Per-residue vocabulary with PAD/CLS/EOS/CROSS special ids."""
 
-    pad_id: int = 0
-    cls_id: int = 1
-    eos_id: int = 2
-    cross_id: int = 3
-    _to_id: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        mapping = {ch: 4 + i for i, ch in enumerate(RESIDUES)}
-        object.__setattr__(self, "_to_id", mapping)
-
-    @property
-    def size(self) -> int:
-        return 4 + len(RESIDUES)
-
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset((self.pad_id, self.cls_id, self.eos_id, self.cross_id))
+    pad_id = 0
+    cls_id = 1
+    eos_id = 2
+    cross_id = 3
+    size = 4 + len(RESIDUES)
+    _to_id = {ch: 4 + i for i, ch in enumerate(RESIDUES)}
 
     def residue_id(self, ch: str) -> int:
         try:
@@ -100,10 +88,9 @@ class AminoVocabulary:
 
 @dataclass
 class TextEncoding:
-    """Encoded description text: one embedding row per token plus its mask."""
+    """Encoded description text: one embedding row per real token."""
 
     embeddings: np.ndarray  # (m_tokens, d_text)
-    mask: np.ndarray  # (m_tokens,) bool, True = real token
     word_ids: np.ndarray | None = None  # set by the trainable provider
 
     @property
@@ -164,7 +151,6 @@ class TrainableTextEncoder:
         ids = self.tokenize(text)
         return TextEncoding(
             embeddings=self.table.data[ids].copy(),
-            mask=np.ones(len(ids), dtype=bool),
             word_ids=ids,
         )
 
@@ -200,7 +186,7 @@ class PrecomputedTextEncoder:
         if len(raw) != 4 * n * d:
             raise TokenizerError(f"embedding file truncated for record {record_id!r}")
         emb = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
-        return TextEncoding(embeddings=emb, mask=np.ones(n, dtype=bool))
+        return TextEncoding(embeddings=emb)
 
 
 def write_embedding_file(path, entries: dict[str, np.ndarray]) -> None:

@@ -48,7 +48,7 @@ class OptimizerState:
     PAD row of the token embedding.
     """
 
-    def __init__(self, params: ModelParams, config: TrainingConfig, pad_id: int = 0):
+    def __init__(self, params: ModelParams, config: TrainingConfig):
         self.config = config
         self.step = 0
         self.m: dict[str, np.ndarray] = {}
@@ -61,7 +61,7 @@ class OptimizerState:
                 self.decay_mask[name] = 0.0
             elif name == "token_embedding":
                 mask = np.ones(p.shape[0], dtype=p.data.dtype)
-                mask[pad_id] = 0.0
+                mask[AminoVocabulary.pad_id] = 0.0
                 self.decay_mask[name] = mask[:, None]
             else:
                 self.decay_mask[name] = 1.0
@@ -200,7 +200,7 @@ def fit(
     else:
         params = init_params(model_config, seed=seed)
     provider = params.text_encoder(embedding_path)
-    opt = OptimizerState(params, train_config, pad_id=vocab.pad_id)
+    opt = OptimizerState(params, train_config)
     log = TrainLog(seed=seed, config={"model": params.config.to_dict(), "training": train_config.to_dict()})
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:

@@ -195,6 +195,8 @@ def test_prepare_data_rejects_bad_file(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert json.loads(err)["error"].startswith("DatasetError")
+    # the per-row errors are written before the file is rejected
+    assert len((tmp_path / "o" / "errors.txt").read_text().splitlines()) == 4
 
 
 def test_sweep_writes_csv(trained_ckpt, toy_dataset, tmp_path):

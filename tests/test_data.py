@@ -74,7 +74,9 @@ def test_load_rejects_file_with_many_invalid_rows(tmp_path):
 def test_table_format_round_trips_mgf_entry(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text(f"{MGF_SEQUENCE}\t{MGF_TEXT}\n")
-    records = load_records(path, fmt="table")
+    report = read_dataset(path, "table")
+    assert not report.errors
+    records = report.records
     assert len(records) == 1
     rec = records[0]
     assert rec.sequence == MGF_SEQUENCE

@@ -8,7 +8,6 @@ from protdat.data import make_batch
 from protdat.model import (
     ModelConfig,
     ModelError,
-    count_parameters,
     decoder_layer_forward,
     init_params,
     load_checkpoint,
@@ -50,7 +49,7 @@ def test_mcm_shapes_and_trace_shapes():
             [np.ones((s_len, 3), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
         ),
     )
-    s_out, c_out, t_out, weights = mcm_forward(e_s, e_c, e_t, masks, layer, cfg, trace=True)
+    s_out, c_out, t_out, weights = mcm_forward(e_s, e_c, e_t, masks, layer, cfg)
     assert s_out.shape == (7, 8)
     assert c_out.shape == (3, 8)
     assert t_out.shape == (5, 8)
@@ -257,6 +256,10 @@ def test_batching_invariance():
         assert np.allclose(logits_both.data[i, :n], logits_single.data[0], atol=1e-10)
 
 
+def n_parameters(params) -> int:
+    return sum(p.data.size for _, p in params.named_parameters())
+
+
 def test_count_parameters_closed_form():
     cfg = ModelConfig(
         d_model=8, n_layers=1, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
@@ -268,15 +271,15 @@ def test_count_parameters_closed_form():
     linears = 12 * (d * d + d)
     ffns = 3 * (d * f + f + f * d + d)
     expected = v * d + norms + linears + ffns + (d * v + v)
-    assert count_parameters(params) == expected
+    assert n_parameters(params) == expected
 
 
 def test_count_parameters_layer_additivity():
     base = dict(d_model=8, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
                 vocab_size=29, text_provider="precomputed", dtype="float64")
-    one = count_parameters(init_params(ModelConfig(n_layers=1, **base), seed=0))
-    two = count_parameters(init_params(ModelConfig(n_layers=2, **base), seed=0))
-    three = count_parameters(init_params(ModelConfig(n_layers=3, **base), seed=0))
+    one = n_parameters(init_params(ModelConfig(n_layers=1, **base), seed=0))
+    two = n_parameters(init_params(ModelConfig(n_layers=2, **base), seed=0))
+    three = n_parameters(init_params(ModelConfig(n_layers=3, **base), seed=0))
     assert two - one == three - two  # exactly one layer's worth
 
 

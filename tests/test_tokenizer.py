@@ -20,10 +20,10 @@ from protdat.tokenizer import (
 def test_vocabulary_layout(vocab):
     assert len(RESIDUES) == 25
     assert vocab.size == 29
-    ids = {vocab.pad_id, vocab.cls_id, vocab.eos_id, vocab.cross_id}
-    ids.update(vocab.residue_id(ch) for ch in RESIDUES)
+    specials = {vocab.pad_id, vocab.cls_id, vocab.eos_id, vocab.cross_id}
+    ids = specials | {vocab.residue_id(ch) for ch in RESIDUES}
     assert ids == set(range(vocab.size))
-    for special in vocab.special_ids:
+    for special in specials:
         with pytest.raises(TokenizerError):
             vocab.residue_of(special)
 
@@ -99,7 +99,7 @@ def test_trainable_shapes_and_mask():
     enc = _encoder(["alpha beta gamma delta epsilon"])
     out = enc.encode("alpha beta gamma delta epsilon")
     assert out.embeddings.shape == (5, 16)
-    assert out.mask.all() and out.mask.shape == (5,)
+    assert out.n_tokens == 5 and out.word_ids.shape == (5,)
 
 
 def test_trainable_is_deterministic():

@@ -71,7 +71,7 @@ def test_weight_decay_is_decoupled_and_masked():
     compute_loss(batch, params).backward()
     grads = {name: p.grad_or_zeros().copy() for name, p in params.named_parameters()}
     cfg = TrainingConfig(lr=1e-2, weight_decay=wd, clip_norm=None)
-    opt = OptimizerState(params, cfg, pad_id=vocab.pad_id)
+    opt = OptimizerState(params, cfg)
     training_step(batch, params, opt)
     for name, p in params.named_parameters():
         g = grads[name]
