@@ -37,7 +37,8 @@ class ProteinRecord:
     text: str
     sequence: str
 
-    def validate(self, vocab: AminoVocabulary) -> None:
+    def validate(self) -> None:
+        vocab = AminoVocabulary()
         if not self.sequence:
             raise DatasetError(f"record {self.id!r}: empty sequence")
         for pos, ch in enumerate(self.sequence):
@@ -86,7 +87,6 @@ def read_dataset(path, fmt: str = "jsonl") -> LoadReport:
     """Parse and validate every row; keep order; collect line-addressed errors."""
     if fmt not in ("jsonl", "table"):
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    vocab = AminoVocabulary()
     records: list[ProteinRecord] = []
     errors: list[str] = []
     total = 0
@@ -96,7 +96,7 @@ def read_dataset(path, fmt: str = "jsonl") -> LoadReport:
         total += 1
         try:
             rec = _parse_jsonl_row(line) if fmt == "jsonl" else _parse_table_row(line, line_no)
-            rec.validate(vocab)
+            rec.validate()
         except (DatasetError, TokenizerError, json.JSONDecodeError) as exc:
             errors.append(f"line {line_no}: {exc}")
             continue
@@ -244,13 +244,12 @@ def make_batch(
         raise DatasetError("make_batch: c_size must be >= 1")
     encoded = [vocab.encode_sequence(r.sequence, add_cls=True, add_eos=True) for r in records]
     texts = [text_provider.encode(r.text, record_id=r.id) for r in records]
-    return assemble_batch(encoded, texts, vocab, c_size, dtype, pad_seq_to, pad_text_to)
+    return assemble_batch(encoded, texts, c_size, dtype, pad_seq_to, pad_text_to)
 
 
 def assemble_batch(
     seq_rows: list,
     texts: list[TextEncoding],
-    vocab: AminoVocabulary,
     c_size: int,
     dtype=np.float32,
     pad_seq_to: int | None = None,
@@ -272,7 +271,7 @@ def assemble_batch(
     if t_max > MAX_TEXT_TOKENS:
         raise DatasetError(f"text length {t_max} exceeds the {MAX_TEXT_TOKENS}-token cap")
 
-    seq_ids = np.full((b, s_max), vocab.pad_id, dtype=np.int64)
+    seq_ids = np.full((b, s_max), AminoVocabulary.pad_id, dtype=np.int64)
     for i, ids in enumerate(seq_rows):
         seq_ids[i, : len(ids)] = ids
 
@@ -293,7 +292,7 @@ def assemble_batch(
         for i, te in enumerate(texts):
             text_embed[i, : te.n_tokens, :] = te.embeddings.astype(dtype)
 
-    cross_ids = np.full((b, c_size), vocab.cross_id, dtype=np.int64)
+    cross_ids = np.full((b, c_size), AminoVocabulary.cross_id, dtype=np.int64)
     ptm, cim, psm = build_masks(seq_ids, text_mask, c_size)
     return Batch(
         seq_ids=seq_ids,

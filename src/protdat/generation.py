@@ -1,6 +1,11 @@
 """Autoregressive decoding with temperature, nucleus filtering and a
 repetition penalty.
 
+One prompt pass encodes the text and slots into each layer's (K, V), one
+sequence pass prefills CLS and any fragment, then each new token is one
+query row against the K/V, which grows by that row.  ``trace_attention``
+adds one full ``model_forward`` over the final sequence.
+
 Two prompt modes: text only (the sequence starts from CLS) and text plus
 a leading residue fragment (the fragment is emitted verbatim before new
 tokens).  Sampling order per step: repetition penalty, temperature,
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import numerics as nx
 from .data import assemble_batch
-from .model import ModelParams, model_forward
+from .model import ModelParams, model_forward, prompt_forward, sequence_forward
 from .numerics import softmax_with_temperature
 from .tokenizer import AminoVocabulary
 
@@ -169,12 +174,13 @@ def generate(
 
     rng = np.random.default_rng(gp.seed)
     steps: list[GenerationStep] = []
-    dtype = config.np_dtype
+    batch = assemble_batch([ids], [encoding], config.c_size, config.np_dtype)
     with nx.no_grad():
+        kv, _ = prompt_forward(batch, params)
+        new_ids, psm = batch.seq_ids, batch.psm_mask  # prefill CLS and the fragment
         while len(ids) - 1 < gp.max_len:
-            batch = assemble_batch([ids], [encoding], vocab, config.c_size, dtype)
-            logits, _ = model_forward(batch, params)
-            last = logits.data[0, len(ids) - 1].astype(np.float64)
+            logits, kv, _ = sequence_forward(new_ids, len(ids) - new_ids.shape[1], kv, psm, params)
+            last = logits.data[0, -1].astype(np.float64)
             last[never_sampled] = -np.inf
             history = set(ids[1:])
             penalized = apply_repetition_penalty(last, history, gp.repetition_penalty)
@@ -202,10 +208,11 @@ def generate(
             if token_id == vocab.eos_id:
                 break
             ids.append(token_id)
+            new_ids, psm = np.array([[token_id]]), None  # one row sees every key
     sequence = vocab.decode_sequence(ids)
     result = GenerationResult(sequence=sequence, steps=steps)
     if trace_attention:
-        final = assemble_batch([ids], [encoding], vocab, config.c_size, dtype)
+        final = assemble_batch([ids], [encoding], config.c_size, config.np_dtype)
         with nx.no_grad():
             _, trace = model_forward(final, params, trace=True)
         return result, trace

@@ -16,7 +16,12 @@ keys in the sequence branch; bottleneck queries/keys stay unrotated (the
 slots carry no positional semantics).
 
 Only the sequence branch feeds the output head; the text and bottleneck
-branches shape it through the concatenated attention.
+branches shape it through the concatenated attention.  They never read a
+sequence token, so the forward is two passes: ``prompt_forward`` runs them
+once and gives each layer its (K, V), the slot keys/values; then
+``sequence_forward`` runs new rows at positions start..start+n against
+[layer K/V | their rotated keys and values] and hands that concatenation
+back as the layer's K/V.  ``model_forward`` is the two in turn.
 """
 
 from __future__ import annotations
@@ -276,103 +281,82 @@ def _apply_norm(x: Tensor, norm: NormParams) -> Tensor:
     return nx.layer_norm(x, norm.gamma, norm.beta)
 
 
-def _apply_ffn(x: Tensor, ffn: FfnParams) -> Tensor:
-    return nx.linear(nx.gelu(nx.linear(x, ffn.w1, ffn.b1)), ffn.w2, ffn.b2)
+def _residual_ffn(x: Tensor, delta: Tensor, norm: NormParams, ffn: FfnParams) -> Tensor:
+    """y = x + delta, then y + FFN(norm(y))."""
+    x = nx.add(x, delta)
+    h = nx.gelu(nx.linear(_apply_norm(x, norm), ffn.w1, ffn.b1))
+    return nx.add(x, nx.linear(h, ffn.w2, ffn.b2))
 
 
-def mcm_forward(
-    e_s: Tensor,
-    e_c: Tensor,
-    e_t: Tensor,
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray],
-    layer: DecoderLayerParams,
-    config: ModelConfig,
+def prompt_mcm_forward(
+    c_n: Tensor, t_n: Tensor, masks: tuple, layer: DecoderLayerParams, config: ModelConfig
 ):
-    """The fused attention block on pre-normalized branch inputs.
-
-    ``masks`` holds the (ptm, cim, psm) visibility masks of a Batch.
-    Returns pre-residual branch outputs (sequence, slots, text) and the
-    per-branch attention weights (head axis intact).
+    """The text and slot half of the fused attention block, on pre-normalized
+    inputs under the (ptm, cim) masks of a Batch.  Returns the pre-residual
+    slot and text outputs, the slot keys/values (k_c, v_c) that seed the
+    layer's K/V, and the (ptm, cim) attention weights (head axis intact).
     """
-    ptm, cim, psm = masks
-    h = config.n_heads
-    hd = config.head_dim
-    t_len = e_t.shape[-2]
-    s_len = e_s.shape[-2]
-    if e_c.shape[-2] != config.c_size:
-        raise ModelError(f"slot tensor has {e_c.shape[-2]} rows, expected {config.c_size}")
-    text_pos = np.arange(t_len)
-    seq_pos = np.arange(s_len)
+    ptm, cim = masks
+    h, hd = config.n_heads, config.head_dim
+    if c_n.shape[-2] != config.c_size:
+        raise ModelError(f"slot tensor has {c_n.shape[-2]} rows, expected {config.c_size}")
+    text_pos = np.arange(t_n.shape[-2])
 
     # text branch: rotary self-attention
-    q_t = _apply_linear(e_t, layer.wq_t)
-    k_t = _apply_linear(e_t, layer.wk_t)
-    v_t = _apply_linear(e_t, layer.wv_t)
+    q_t = _apply_linear(t_n, layer.wq_t)
+    k_t = _apply_linear(t_n, layer.wk_t)
+    v_t = _apply_linear(t_n, layer.wv_t)
     ptm_raw, ptm_w = nx.masked_attention(
         nx.rope_rotate(q_t, text_pos, hd), nx.rope_rotate(k_t, text_pos, hd), v_t, ptm, h
     )
     t_out = _apply_linear(ptm_raw, layer.wo_t)
 
     # bottleneck branch: slot queries against unrotated text keys/values
-    q_c = _apply_linear(e_c, layer.wq_c)
+    q_c = _apply_linear(c_n, layer.wq_c)
     cim_raw, cim_w = nx.masked_attention(q_c, k_t, v_t, cim, h)
     c_out = _apply_linear(cim_raw, layer.wo_c)
 
-    # sequence branch: causal attention over [slot keys | rotated sequence keys]
-    k_c = _apply_linear(c_out, layer.w_kc)
-    v_c = _apply_linear(c_out, layer.w_vc)
+    kv = (_apply_linear(c_out, layer.w_kc), _apply_linear(c_out, layer.w_vc))
+    return c_out, t_out, kv, (ptm_w, cim_w)
+
+
+def mcm_forward(
+    e_s: Tensor, start: int, kv: tuple, psm, layer: DecoderLayerParams, config: ModelConfig
+):
+    """The sequence half of the fused attention block: pre-normalized rows at
+    positions ``start..start+n`` attend over [layer K/V | their own rotated
+    keys and values] under ``psm`` (None: every key visible).  Returns the
+    pre-residual output, the grown (K, V) and the weights (head axis intact).
+    """
+    h, hd = config.n_heads, config.head_dim
+    positions = np.arange(start, start + e_s.shape[-2])
     q_s = _apply_linear(e_s, layer.wq_s)
     k_s = _apply_linear(e_s, layer.wk_s)
     v_s = _apply_linear(e_s, layer.wv_s)
-    k_cat = nx.concat([k_c, nx.rope_rotate(k_s, seq_pos, hd)], axis=-2)
-    v_cat = nx.concat([v_c, v_s], axis=-2)
-    psm_raw, cca_w = nx.masked_attention(
-        nx.rope_rotate(q_s, seq_pos, hd), k_cat, v_cat, psm, h
-    )
-    s_out = _apply_linear(psm_raw, layer.wo_s)
-
-    return s_out, c_out, t_out, (ptm_w, cim_w, cca_w)
+    k_cat = nx.concat([kv[0], nx.rope_rotate(k_s, positions, hd)], axis=-2)
+    v_cat = nx.concat([kv[1], v_s], axis=-2)
+    psm_raw, cca_w = nx.masked_attention(nx.rope_rotate(q_s, positions, hd), k_cat, v_cat, psm, h)
+    return _apply_linear(psm_raw, layer.wo_s), (k_cat, v_cat), cca_w
 
 
 def decoder_layer_forward(
-    e_s: Tensor,
-    e_c: Tensor,
-    e_t: Tensor,
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray],
-    layer: DecoderLayerParams,
-    config: ModelConfig,
+    e_s: Tensor, start: int, kv: tuple, psm, layer: DecoderLayerParams, config: ModelConfig
 ):
-    """Pre-norm residual wrapper: x + MCM(norm(x)), then x + FFN(norm(x)).
-    Also returns the attention weights of ``mcm_forward``."""
-    s_n = _apply_norm(e_s, layer.ln_s)
-    c_n = _apply_norm(e_c, layer.ln_c)
-    t_n = _apply_norm(e_t, layer.ln_t)
-    ds, dc, dt_, weights = mcm_forward(s_n, c_n, t_n, masks, layer, config)
-    e_s = nx.add(e_s, ds)
-    e_c = nx.add(e_c, dc)
-    e_t = nx.add(e_t, dt_)
-    e_s = nx.add(e_s, _apply_ffn(_apply_norm(e_s, layer.ln2_s), layer.ffn_s))
-    e_c = nx.add(e_c, _apply_ffn(_apply_norm(e_c, layer.ln2_c), layer.ffn_c))
-    e_t = nx.add(e_t, _apply_ffn(_apply_norm(e_t, layer.ln2_t), layer.ffn_t))
-    return e_s, e_c, e_t, weights
+    """Pre-norm residual wrapper of ``mcm_forward``: x + MCM(norm(x)), then
+    x + FFN(norm(x)).  Also returns the grown (K, V) and the weights."""
+    ds, kv, cca_w = mcm_forward(_apply_norm(e_s, layer.ln_s), start, kv, psm, layer, config)
+    return _residual_ffn(e_s, ds, layer.ln2_s, layer.ffn_s), kv, cca_w
 
 
-def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
-    """Full forward pass: (B, S, vocab) logits, optionally an attention trace.
-
-    Logits at position t depend only on sequence tokens <= t, the full
-    text encoding and the slot tensor; the head emits raw logits.
-    """
+def prompt_forward(batch: Batch, params: ModelParams):
+    """The prompt pass: the text and slot branches of every layer.  Returns
+    the per-layer (K, V), each the layer's slot keys and values (k_c, v_c),
+    and the per-layer (ptm, cim) attention weights."""
     config = params.config
-    if batch.seq_len > config.max_seq:
-        raise ModelError(f"sequence length {batch.seq_len} exceeds max_seq {config.max_seq}")
     if batch.text_len > config.max_text:
         raise ModelError(f"text length {batch.text_len} exceeds max_text {config.max_text}")
-    if trace and batch.size != 1:
-        raise ModelError("attention tracing expects a single-record batch")
     dt = config.np_dtype
 
-    e_s = nx.embedding(params.token_embedding, batch.seq_ids)
     e_c = nx.embedding(params.token_embedding, batch.cross_ids)
     if batch.text_ids is not None:
         if params.text_word_embedding is None:
@@ -387,17 +371,55 @@ def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
     if params.text_projection is not None:
         e_t = _apply_linear(e_t, params.text_projection)
 
-    masks = (batch.ptm_mask, batch.cim_mask, batch.psm_mask)
-    collected = AttentionTrace() if trace else None
+    masks = (batch.ptm_mask, batch.cim_mask)
+    kv, weights = [], []
     for layer in params.layers:
-        e_s, e_c, e_t, weights = decoder_layer_forward(e_s, e_c, e_t, masks, layer, config)
-        if trace:
-            ptm_w, cim_w, cca_w = weights
-            collected.ptm.append(ptm_w.mean(axis=-3)[0])
-            collected.cim.append(cim_w.mean(axis=-3)[0])
-            collected.cca.append(cca_w.mean(axis=-3)[0])
-    logits = _apply_linear(e_s, params.head)
-    return logits, collected
+        c_out, t_out, layer_kv, layer_weights = prompt_mcm_forward(
+            _apply_norm(e_c, layer.ln_c), _apply_norm(e_t, layer.ln_t), masks, layer, config
+        )
+        e_c = _residual_ffn(e_c, c_out, layer.ln2_c, layer.ffn_c)
+        e_t = _residual_ffn(e_t, t_out, layer.ln2_t, layer.ffn_t)
+        kv.append(layer_kv)
+        weights.append(layer_weights)
+    return kv, weights
+
+
+def sequence_forward(seq_ids: np.ndarray, start: int, kv: list, psm, params: ModelParams):
+    """The sequence pass: token rows ``seq_ids`` (B, n) at positions
+    ``start..start+n`` against each layer's (K, V).  Returns (B, n, vocab)
+    raw logits, the grown per-layer (K, V) and the per-layer weights."""
+    config = params.config
+    end = start + seq_ids.shape[1]
+    if end > config.max_seq:
+        raise ModelError(f"sequence length {end} exceeds max_seq {config.max_seq}")
+    e_s = nx.embedding(params.token_embedding, seq_ids)
+    grown, weights = [], []
+    for layer, layer_kv in zip(params.layers, kv):
+        e_s, layer_kv, cca_w = decoder_layer_forward(e_s, start, layer_kv, psm, layer, config)
+        grown.append(layer_kv)
+        weights.append(cca_w)
+    return _apply_linear(e_s, params.head), grown, weights
+
+
+def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
+    """Full forward pass: the prompt pass, then one sequence pass over the
+    whole batch under its psm mask; (B, S, vocab) logits and, when
+    ``trace`` is set, an AttentionTrace.
+
+    Logits at position t depend only on sequence tokens <= t, the full
+    text encoding and the slot tensor; the head emits raw logits.
+    """
+    if trace and batch.size != 1:
+        raise ModelError("attention tracing expects a single-record batch")
+    kv, prompt_weights = prompt_forward(batch, params)
+    logits, _, cca = sequence_forward(batch.seq_ids, 0, kv, batch.psm_mask, params)
+    if not trace:
+        return logits, None
+    return logits, AttentionTrace(
+        ptm=[ptm_w.mean(axis=-3)[0] for ptm_w, _ in prompt_weights],
+        cim=[cim_w.mean(axis=-3)[0] for _, cim_w in prompt_weights],
+        cca=[cca_w.mean(axis=-3)[0] for cca_w in cca],
+    )
 
 
 # -- persistence -------------------------------------------------------------

@@ -218,7 +218,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+        # a constant operand (the precomputed text embedding) gets no gradient
+        return (g @ np.swapaxes(b.data, -1, -2) if _tracked(a) else None,
+                np.swapaxes(a.data, -1, -2) @ g if _tracked(b) else None)
 
     return _make(a.data @ b.data, (a, b), backward)
 

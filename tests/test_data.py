@@ -87,7 +87,7 @@ def test_table_format_round_trips_mgf_entry(tmp_path):
 def test_record_requires_annotation_header():
     rec = ProteinRecord("x", "no headers here", "MAV")
     with pytest.raises(DatasetError, match="lacks"):
-        rec.validate(AminoVocabulary())
+        rec.validate()
 
 
 def test_jsonl_requires_fields(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protdat.data import synthetic_records
+from protdat import generation
+from protdat import numerics as nx
+from protdat.data import assemble_batch, synthetic_records
 from protdat.generation import (
     MODE_TEXT_FRAGMENT,
     MODE_TEXT_ONLY,
@@ -20,11 +22,12 @@ from protdat.generation import (
     nucleus_sample,
     write_fasta,
 )
+from protdat.model import model_forward
 from protdat.numerics import softmax_with_temperature
 from protdat.tokenizer import AminoVocabulary
 from protdat.training import TrainingConfig, fit
 
-from conftest import tiny_config, tiny_model
+from conftest import scale_weights, tiny_config, tiny_model
 
 
 # -- repetition penalty -----------------------------------------------------------
@@ -253,3 +256,124 @@ def test_fasta_writer_wraps_lines():
     lines = fh.getvalue().splitlines()
     assert lines[0].startswith(">gen-0000 mode=text-only digest=")
     assert [len(x) for x in lines[1:]] == [60, 60, 5]
+
+
+# -- cached decoding against the full forward ---------------------------------------
+
+TOLERANCES = {"float32": dict(rtol=1e-4, atol=1e-5), "float64": dict(rtol=1e-10, atol=1e-12)}
+PROMPTS = {
+    MODE_TEXT_ONLY: "",
+    MODE_TEXT_FRAGMENT: "MKVLAAGIW",
+}
+
+
+def decoding_model(dtype):
+    params, records, _ = tiny_model(config=tiny_config(dtype=dtype))
+    scale_weights(params, 8.0)  # so that positions and the text move the logits
+    params.head.b.data[AminoVocabulary.eos_id] = -1e4  # every sample runs to max_len
+    return params, records
+
+
+def prompt_for(mode, records):
+    return PromptSpec(mode=mode, text=records[0].text, fragment=PROMPTS[mode])
+
+
+def full_forward_logits(prompt, params, ids):
+    """Last-position logits of a full ``model_forward`` over the prefix ``ids``."""
+    encoding = params.text_encoder().encode(prompt.text)
+    batch = assemble_batch([ids], [encoding], params.config.c_size, params.config.np_dtype)
+    with nx.no_grad():
+        logits, _ = model_forward(batch, params)
+    return logits.data[0, -1]
+
+
+def prompt_ids(prompt):
+    vocab = AminoVocabulary()
+    return [vocab.cls_id] + [vocab.residue_id(ch) for ch in prompt.fragment]
+
+
+def cached_run(monkeypatch, prompt, params, gp):
+    """``generate`` with its two passes observed: (result, prompt passes,
+    rows of each sequence pass, last-position logits of each sequence pass)."""
+    prompt_passes, rows, logits = [], [], []
+    real_prompt, real_sequence = generation.prompt_forward, generation.sequence_forward
+
+    def counted_prompt(*args):
+        prompt_passes.append(1)
+        return real_prompt(*args)
+
+    def recorded_sequence(seq_ids, *args):
+        out = real_sequence(seq_ids, *args)
+        rows.append(seq_ids.shape[1])
+        logits.append(out[0].data[0, -1].copy())
+        return out
+
+    monkeypatch.setattr(generation, "prompt_forward", counted_prompt)
+    monkeypatch.setattr(generation, "sequence_forward", recorded_sequence)
+    result = generate(prompt, params, gp)
+    return result, len(prompt_passes), rows, logits
+
+
+@pytest.mark.parametrize("dtype", sorted(TOLERANCES))
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_cached_logits_equal_full_forward_at_every_step(mode, dtype, monkeypatch):
+    params, records = decoding_model(dtype)
+    prompt = prompt_for(mode, records)
+    result, _, _, cached = cached_run(monkeypatch, prompt, params,
+                                      GenerationParams(max_len=24, seed=5))
+    ids = prompt_ids(prompt)
+    assert len(cached) == len(result.steps) == 24 - len(prompt.fragment)
+    for step, logits in zip(result.steps, cached):
+        reference = full_forward_logits(prompt, params, ids)
+        np.testing.assert_allclose(logits, reference, **TOLERANCES[dtype])
+        ids.append(step.token_id)
+
+
+@pytest.mark.parametrize("dtype", sorted(TOLERANCES))
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_cached_argmax_decoding_is_token_identical_to_full_forward(mode, dtype):
+    params, records = decoding_model(dtype)
+    prompt = prompt_for(mode, records)
+    vocab = AminoVocabulary()
+    ids = prompt_ids(prompt)
+    reference = []
+    while len(ids) - 1 < 24:
+        last = full_forward_logits(prompt, params, ids).astype(np.float64)
+        last[[vocab.pad_id, vocab.cls_id, vocab.cross_id]] = -np.inf
+        # the penalty keeps argmax from settling on one residue
+        reference.append(int(np.argmax(apply_repetition_penalty(last, set(ids[1:]), 1.5))))
+        if reference[-1] == vocab.eos_id:
+            break
+        ids.append(reference[-1])
+    gp = GenerationParams(temperature=0.0, repetition_penalty=1.5, max_len=24)
+    result = generate(prompt, params, gp)
+    assert [s.token_id for s in result.steps] == reference
+
+
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_sampled_fasta_rerun_is_byte_identical(mode):
+    params, records = decoding_model("float32")
+    prompt = prompt_for(mode, records)
+    gp = GenerationParams(max_len=30, seed=11)
+
+    def fasta():
+        fh = io.StringIO()
+        samples = generate_candidates(prompt, params, gp, n_samples=2)
+        write_fasta([(fasta_header(f"gen-{i}", prompt, gp), r.sequence)
+                     for i, r in enumerate(samples)], fh)
+        return fh.getvalue().encode()
+
+    first = fasta()
+    assert first == fasta()
+    assert first.count(b">") == 2
+
+
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_generate_runs_the_prompt_pass_once_then_one_row_per_token(mode, monkeypatch):
+    params, records = decoding_model("float64")
+    prompt = prompt_for(mode, records)
+    result, prompt_passes, rows, _ = cached_run(monkeypatch, prompt, params,
+                                                GenerationParams(max_len=20, seed=2))
+    assert prompt_passes == 1
+    assert len(rows) == len(result.steps)
+    assert rows == [1 + len(prompt.fragment)] + [1] * (len(rows) - 1)

@@ -13,6 +13,8 @@ from protdat.model import (
     load_checkpoint,
     mcm_forward,
     model_forward,
+    prompt_forward,
+    prompt_mcm_forward,
     save_checkpoint,
 )
 from protdat.numerics import Tensor
@@ -42,18 +44,17 @@ def test_mcm_shapes_and_trace_shapes():
     e_s = Tensor(rng.normal(size=(s_len, 8)))
     e_c = Tensor(rng.normal(size=(3, 8)))
     e_t = Tensor(rng.normal(size=(t_len, 8)))
-    masks = (  # ptm, cim, psm
-        np.ones((t_len, t_len), bool),
-        np.ones((3, t_len), bool),
-        np.concatenate(
-            [np.ones((s_len, 3), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
-        ),
+    ptm, cim = np.ones((t_len, t_len), bool), np.ones((3, t_len), bool)
+    psm = np.concatenate(
+        [np.ones((s_len, 3), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
     )
-    s_out, c_out, t_out, weights = mcm_forward(e_s, e_c, e_t, masks, layer, cfg)
+    c_out, t_out, kv, (ptm_w, cim_w) = prompt_mcm_forward(e_c, e_t, (ptm, cim), layer, cfg)
+    s_out, (k_cat, v_cat), cca_w = mcm_forward(e_s, 0, kv, psm, layer, cfg)
     assert s_out.shape == (7, 8)
     assert c_out.shape == (3, 8)
     assert t_out.shape == (5, 8)
-    ptm_w, cim_w, cca_w = weights
+    assert kv[0].shape == kv[1].shape == (3, 8)
+    assert k_cat.shape == v_cat.shape == (10, 8)
     assert ptm_w.shape == (2, 5, 5)
     assert cim_w.shape == (2, 3, 5)
     assert cca_w.shape == (2, 7, 10)
@@ -72,21 +73,18 @@ def test_mcm_value_path_zero_map():
         lin.b.data = np.zeros_like(lin.b.data)
     rng = np.random.default_rng(2)
     s_len, t_len = 4, 3
-    masks = (  # ptm, cim, psm
-        np.ones((t_len, t_len), bool),
-        np.ones((2, t_len), bool),
-        np.concatenate(
-            [np.ones((s_len, 2), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
-        ),
+    ptm, cim = np.ones((t_len, t_len), bool), np.ones((2, t_len), bool)
+    psm = np.concatenate(
+        [np.ones((s_len, 2), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
     )
-    s_out, c_out, t_out, _ = mcm_forward(
-        Tensor(rng.normal(size=(s_len, 8))),
+    c_out, t_out, kv, _ = prompt_mcm_forward(
         Tensor(rng.normal(size=(2, 8))),
         Tensor(rng.normal(size=(t_len, 8))),
-        masks,
+        (ptm, cim),
         layer,
         cfg,
     )
+    s_out, _, _ = mcm_forward(Tensor(rng.normal(size=(s_len, 8))), 0, kv, psm, layer, cfg)
     assert np.allclose(s_out.data, 0.0)
     assert np.allclose(c_out.data, 0.0)
     assert np.allclose(t_out.data, 0.0)
@@ -151,12 +149,18 @@ def test_mcm_single_head_matches_straight_line_reference():
         s_rows.append(soft(scores) @ v_cat)
     s_ref = lin(np.stack(s_rows), layer.wo_s)
 
-    s_out, c_out, t_out, _ = mcm_forward(
-        Tensor(e_s), Tensor(e_c), Tensor(e_t), masks, layer, cfg
-    )
+    c_out, t_out, kv, _ = prompt_mcm_forward(Tensor(e_c), Tensor(e_t), masks[:2], layer, cfg)
+    s_out, (k_out, v_out), _ = mcm_forward(Tensor(e_s), 0, kv, masks[2], layer, cfg)
     assert np.abs(t_out.data - t_ref).max() < 1e-12
     assert np.abs(c_out.data - c_ref).max() < 1e-12
     assert np.abs(s_out.data - s_ref).max() < 1e-12
+    assert np.abs(k_out.data - k_cat).max() < 1e-12
+    assert np.abs(v_out.data - v_cat).max() < 1e-12
+    # one row at a time, each against the K/V the rows before it grew
+    for i in range(2):
+        row_out, kv, _ = mcm_forward(Tensor(e_s[i : i + 1]), i, kv, None, layer, cfg)
+        assert np.abs(row_out.data[0] - s_ref[i]).max() < 1e-12
+    assert np.abs(kv[0].data - k_cat).max() < 1e-12
 
 
 def test_decoder_layer_preserves_shapes():
@@ -164,20 +168,21 @@ def test_decoder_layer_preserves_shapes():
     cfg = params.config
     rng = np.random.default_rng(0)
     e_s = Tensor(rng.normal(size=(2, 5, cfg.d_model)))
-    e_c = Tensor(rng.normal(size=(2, cfg.c_size, cfg.d_model)))
-    e_t = Tensor(rng.normal(size=(2, 4, cfg.d_model)))
-    masks = (  # ptm, cim, psm
-        np.ones((2, 4, 4), bool),
-        np.ones((2, cfg.c_size, 4), bool),
-        np.concatenate(
-            [np.ones((2, 5, cfg.c_size), bool),
-             np.tril(np.ones((5, 5), bool))[None].repeat(2, 0)], axis=2
-        ),
+    kv = tuple(Tensor(rng.normal(size=(2, cfg.c_size, cfg.d_model))) for _ in range(2))
+    psm = np.concatenate(
+        [np.ones((2, 5, cfg.c_size), bool),
+         np.tril(np.ones((5, 5), bool))[None].repeat(2, 0)], axis=2
     )
-    outs = decoder_layer_forward(e_s, e_c, e_t, masks, params.layers[0], cfg)
-    assert outs[0].shape == e_s.shape
-    assert outs[1].shape == e_c.shape
-    assert outs[2].shape == e_t.shape
+    out, (k, v), _ = decoder_layer_forward(e_s, 0, kv, psm, params.layers[0], cfg)
+    assert out.shape == e_s.shape
+    assert k.shape == v.shape == (2, cfg.c_size + 5, cfg.d_model)
+
+
+def residual_ffn(x, delta, norm, ffn):
+    """Reference for the residual + feedforward sublayer: y = x + delta, y + FFN(norm(y))."""
+    x = nx.add(x, delta)
+    h = nx.gelu(nx.linear(nx.layer_norm(x, norm.gamma, norm.beta), ffn.w1, ffn.b1))
+    return nx.add(x, nx.linear(h, ffn.w2, ffn.b2))
 
 
 def test_model_forward_equals_manual_layer_composition():
@@ -185,13 +190,27 @@ def test_model_forward_equals_manual_layer_composition():
     cfg = params.config
     logits, _ = model_forward(batch, params)
 
-    e_s = nx.embedding(params.token_embedding, batch.seq_ids)
+    # prompt pass
     e_c = nx.embedding(params.token_embedding, batch.cross_ids)
     e_t = nx.embedding(params.text_word_embedding, batch.text_ids)
     e_t = nx.mul(e_t, batch.text_mask[..., None].astype(np.float64))
-    masks = (batch.ptm_mask, batch.cim_mask, batch.psm_mask)
+    kv = []
     for layer in params.layers:
-        e_s, e_c, e_t, _ = decoder_layer_forward(e_s, e_c, e_t, masks, layer, cfg)
+        c_n = nx.layer_norm(e_c, layer.ln_c.gamma, layer.ln_c.beta)
+        t_n = nx.layer_norm(e_t, layer.ln_t.gamma, layer.ln_t.beta)
+        c_out, t_out, layer_kv, _ = prompt_mcm_forward(
+            c_n, t_n, (batch.ptm_mask, batch.cim_mask), layer, cfg
+        )
+        e_c = residual_ffn(e_c, c_out, layer.ln2_c, layer.ffn_c)
+        e_t = residual_ffn(e_t, t_out, layer.ln2_t, layer.ffn_t)
+        kv.append(layer_kv)
+    for (k, v), (k_ref, v_ref) in zip(prompt_forward(batch, params)[0], kv, strict=True):
+        assert np.array_equal(k.data, k_ref.data) and np.array_equal(v.data, v_ref.data)
+
+    # sequence pass
+    e_s = nx.embedding(params.token_embedding, batch.seq_ids)
+    for layer, layer_kv in zip(params.layers, kv):
+        e_s, _, _ = decoder_layer_forward(e_s, 0, layer_kv, batch.psm_mask, layer, cfg)
     manual = nx.linear(e_s, params.head.w, params.head.b)
     assert np.array_equal(logits.data, manual.data)
 

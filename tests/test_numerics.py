@@ -408,6 +408,21 @@ def test_mul_computes_no_gradient_for_a_constant(rng):
     assert np.array_equal(dx, np.full((2, 4), 2.0))
 
 
+def test_matmul_computes_no_gradient_for_a_constant(rng):
+    def const(value):
+        return Tensor(np.asarray(value, dtype=np.float64))
+
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    out = nx.matmul(const(np.ones((2, 4))), w)
+    dconst, dw = out._backward(np.ones((2, 3)))
+    assert dconst is None
+    assert np.array_equal(dw, np.full((4, 3), 2.0))
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    dx, dconst = PRIMITIVES["matmul"](x, const)._backward(np.ones((2, 3)))
+    assert dconst is None
+    assert np.array_equal(dx, np.full((2, 4), 3.0))
+
+
 def test_backward_keeps_gradients_only_on_parameters():
     from protdat.model import model_forward
 
