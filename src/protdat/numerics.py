@@ -11,17 +11,19 @@ gradient per parent, in parent order, or None for a parent that is not
 tracked.  A returned gradient may still carry the broadcast axes of the
 output; ``Tensor.backward()`` walks the graph in reverse topological order
 and is the one place that sums each gradient down to its parent's shape
-and accumulates it, skipping parents that are not tracked.  An op output
-releases its gradient once it has been propagated, so after
-``backward()`` only parameters hold one.  A closure reads only its inputs
-and arrays saved from the forward pass, never the output Tensor, so a
-graph holds no reference cycle and is freed as soon as the loss is
-dropped.
+and accumulates it, out of place, skipping parents that are not tracked.
+No gradient array is ever written in place, so one array may reach several
+parents (``add`` returns ``g`` twice).  An op output releases its gradient
+once it has been propagated, so after ``backward()`` only parameters hold
+one.  A closure reads only its inputs and arrays saved from the forward
+pass, never the output Tensor, so a graph holds no reference cycle and is
+freed as soon as the loss is dropped.
 
-Precision is carried by the underlying arrays: float32 for training
-speed, float64 for gradient checks.  Attention masks are specified
-behaviorally (blocked entries have exactly-zero post-softmax weight) and
-realized additively with -inf logits.
+Precision is carried by the underlying arrays: float32 for training speed,
+float64 for gradient checks.  Integer powers of float32 arrays are written
+as products; numpy's generic ``pow`` is far slower.  Attention masks are
+specified behaviorally (blocked entries have exactly-zero post-softmax
+weight) and realized additively with -inf logits.
 """
 
 from __future__ import annotations
@@ -116,10 +118,8 @@ class Tensor:
         return self.grad if self.grad is not None else np.zeros_like(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
+        g = g.astype(self.data.dtype, copy=False)
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph."""
@@ -178,7 +178,7 @@ def _make(
     order, each of the parent's shape or of the shape the parent was
     broadcast to; it may return None for a parent that is not tracked.  It
     must not refer to the output Tensor, which would make the graph a
-    reference cycle, and must not write to ``g``.
+    reference cycle, and must not write to ``g``, which it may pass on as is.
     """
     if _grad_enabled and any(_tracked(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
@@ -262,12 +262,12 @@ def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (as in GPT-style stacks)."""
     x = as_tensor(x)
     c = math.sqrt(2.0 / math.pi)
-    inner = c * (x.data + 0.044715 * x.data**3)
+    inner = c * (x.data + 0.044715 * (x.data * x.data * x.data))
     t = np.tanh(inner)
 
     def backward(g):
-        dinner = c * (1.0 + 3 * 0.044715 * x.data**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * dinner
+        dinner = c * (1.0 + 3 * 0.044715 * (x.data * x.data))
+        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * dinner
         return (g * dx,)
 
     return _make(0.5 * x.data * (1.0 + t), (x,), backward)
@@ -292,7 +292,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def backward(g):
         dxhat = g * gamma.data
-        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * (inv * inv * inv)
         dmu = -(dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 / d) * xc.sum(axis=-1, keepdims=True)
         dx = dxhat * inv + dvar * (2.0 / d) * xc + dmu / d
         lead = tuple(range(g.ndim - 1))

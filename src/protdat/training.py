@@ -103,7 +103,7 @@ def clip_gradients(params: ModelParams, max_norm: float) -> float:
         scale = max_norm / norm
         for _, p in params.named_parameters():
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale  # out of place: a gradient array may be shared
     return norm
 
 

@@ -225,6 +225,34 @@ def test_attention_rejects_bad_shapes(rng):
         masked_attention(q, k, k, None, 3)
 
 
+# -- GELU -----------------------------------------------------------------------
+
+
+def _gelu_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tanh-approximation GELU and its derivative, in closed form."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+
+
+def test_gelu_float32_matches_float64_closed_form(rng):
+    x = np.concatenate([np.linspace(-4.0, 4.0, 401), np.clip(rng.normal(scale=1.5, size=2000), -4, 4)])
+    x = x.astype(np.float32)
+    out = nx.gelu(Tensor(x, requires_grad=True))
+    (dx,) = out._backward(np.ones_like(x))
+    assert out.dtype == np.float32 and dx.dtype == np.float32
+    want_out, want_dx = _gelu_reference(x.astype(np.float64))
+    # atol: a few float32 ulps of the O(1) terms that cancel where tanh nears -1
+    np.testing.assert_allclose(out.data, want_out, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(dx, want_dx, rtol=1e-6, atol=1e-6)
+
+
+def test_gelu_grad_check():
+    x = Tensor(np.linspace(-3.0, 3.0, 13), requires_grad=True)
+    err = finite_difference_grad_check(lambda: total(nx.gelu(x)), {"x": x}, eps=1e-5, max_coords_per_param=13)
+    assert err < 1e-6
+
+
 # -- cross entropy ------------------------------------------------------------
 
 
@@ -335,6 +363,22 @@ def test_unused_parameter_reads_zero_gradient():
     loss.backward()
     assert unused.grad is None
     assert np.array_equal(unused.grad_or_zeros(), np.zeros(3))
+
+
+def test_gradient_array_shared_by_two_parents_is_never_written_through():
+    p = Tensor(np.ones(3), requires_grad=True)
+    q = Tensor(np.ones(3), requires_grad=True)
+    # the outer add hands one array to p and to the inner add, which hands it on to p and q
+    total(nx.add(nx.add(p, q), p)).backward()
+    assert np.array_equal(p.grad, np.full(3, 2.0))
+    assert np.array_equal(q.grad, np.ones(3))
+    p.zero_grad()
+    q.zero_grad()
+    total(nx.add(p, q)).backward()
+    assert np.shares_memory(p.grad, q.grad)  # the case under test: one array, two parameters
+    total(nx.add(p, q)).backward()  # a second contribution to both
+    assert np.array_equal(p.grad, np.full(3, 2.0))
+    assert np.array_equal(q.grad, np.full(3, 2.0))
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import gc
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from protdat import numerics as nx
 from protdat.data import make_batch, synthetic_records
 from protdat.model import init_params
 from protdat.numerics import Tensor
@@ -188,6 +190,18 @@ def test_clip_gradients_scales_to_max_norm():
     total = sum(float((p.grad.astype(np.float64) ** 2).sum())
                 for _, p in params.named_parameters() if p.grad is not None)
     assert math.sqrt(total) == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_clip_gradients_scales_a_shared_gradient_array_once():
+    p = Tensor(np.ones(4), requires_grad=True)
+    q = Tensor(np.ones(4), requires_grad=True)
+    nx.matmul(nx.reshape(nx.add(p, q), (1, 4)), Tensor(np.ones((4, 1)))).backward()
+    assert np.shares_memory(p.grad, q.grad)  # add handed both parameters one array
+    params = SimpleNamespace(named_parameters=lambda: [("p", p), ("q", q)])
+    norm = clip_gradients(params, 1.0)
+    assert norm == pytest.approx(math.sqrt(8.0), rel=1e-12)
+    for t in (p, q):
+        np.testing.assert_allclose(t.grad, np.full(4, 1.0 / math.sqrt(8.0)), rtol=1e-12)
 
 
 def test_fit_epochs_zero_returns_initialized_params():
