@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -37,7 +37,6 @@ from .evaluation import (
 from .generation import (
     MODE_TEXT_FRAGMENT,
     MODE_TEXT_ONLY,
-    GenerationError,
     GenerationParams,
     PromptSpec,
     fasta_header,
@@ -46,22 +45,11 @@ from .generation import (
     write_fasta,
     write_trace,
 )
-from .model import ModelConfig, ModelError, load_checkpoint
-from .numerics import NumericsError
-from .tokenizer import TokenizerError
+from .model import ModelConfig, load_checkpoint
 from .training import TrainingConfig, TrainingError, fit
 
-KNOWN_ERRORS = (
-    DatasetError,
-    EvaluationError,
-    GenerationError,
-    ModelError,
-    NumericsError,
-    TokenizerError,
-    TrainingError,
-    FileNotFoundError,
-    ValueError,
-)
+# every other protdat error subclasses ValueError
+KNOWN_ERRORS = (ValueError, TrainingError, FileNotFoundError)
 
 
 @dataclass
@@ -125,14 +113,11 @@ def write_manifest(path: Path, command: str, cfg_snapshot: dict, seed: int) -> N
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _collect_model_overrides(args) -> dict:
-    keys = ("d_model", "n_layers", "n_heads", "c_size", "d_text", "ffn_dim", "dtype")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-def _collect_training_overrides(args) -> dict:
-    keys = ("batch_size", "lr", "weight_decay", "clip_norm")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+def _overrides(args, config_cls) -> dict:
+    """The fields of ``config_cls`` that a flag set: the parser's flags are
+    the one list of overridable keys."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(config_cls)}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _floats(text: str) -> list[float]:
@@ -177,8 +162,8 @@ def cmd_prepare_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    cfg.model.update(_collect_model_overrides(args))
-    cfg.training.update(_collect_training_overrides(args))
+    cfg.model.update(_overrides(args, ModelConfig))
+    cfg.training.update(_overrides(args, TrainingConfig))
     seed = args.seed if args.seed is not None else cfg.seed
     out_dir = resolve_out_dir(args.out, cfg)
     data_path = args.data or cfg.dataset
@@ -274,11 +259,9 @@ def cmd_eval(args) -> int:
             mean, values = plddt_from_pdb(pdb)
             lines.append(f"{pdb},{mean:.4f},{len(values)}")
         output = "\n".join(lines) + "\n"
-    elif args.metric == "tmalign":
+    else:  # tmalign; argparse restricts the choices
         tm, rmsd = parse_tmalign_output(Path(args.input).read_text())
         output = f"tm_score,rmsd\n{tm},{rmsd}\n"
-    else:  # pragma: no cover - argparse restricts choices
-        raise EvaluationError(f"unknown metric {args.metric!r}")
     if args.out:
         Path(args.out).write_text(output)
     else:
@@ -356,6 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config file (flags override file values)")
         p.add_argument("--seed", type=int, default=None)
 
+    def add_prompt(p):
+        p.add_argument("--ckpt", required=True)
+        p.add_argument("--text", required=True)
+        p.add_argument("--fragment", default=None)
+        p.add_argument("--mode", choices=(MODE_TEXT_ONLY, MODE_TEXT_FRAGMENT), default=MODE_TEXT_ONLY)
+        p.add_argument("--record-id", default=None, dest="record_id")
+        p.add_argument("--embeddings", default=None)
+
     p = sub.add_parser("prepare-data", help="validate, split and write canonical jsonl")
     add_common(p)
     p.add_argument("--data", required=True)
@@ -389,17 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample sequences from a checkpoint")
     add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--text", required=True)
-    p.add_argument("--fragment", default=None)
-    p.add_argument("--mode", choices=(MODE_TEXT_ONLY, MODE_TEXT_FRAGMENT), default=MODE_TEXT_ONLY)
+    add_prompt(p)
     p.add_argument("--num", type=int, default=1)
     p.add_argument("--top-p", type=float, dest="top_p")
     p.add_argument("--temperature", type=float)
     p.add_argument("--repetition-penalty", type=float, dest="repetition_penalty")
     p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--record-id", default=None, dest="record_id")
-    p.add_argument("--embeddings", default=None)
     p.add_argument("--out", default=None, help="FASTA path (default: stdout)")
     p.add_argument("--trace", default=None, help="per-step decoding trace (jsonl)")
     p.set_defaults(func=cmd_generate)
@@ -428,14 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-attention", help="write attention-weight matrices for a prompt")
     add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--text", required=True)
-    p.add_argument("--fragment", default=None)
-    p.add_argument("--mode", choices=(MODE_TEXT_ONLY, MODE_TEXT_FRAGMENT), default=MODE_TEXT_ONLY)
+    add_prompt(p)
     p.add_argument("--max-len", type=int, dest="max_len", default=64)
     p.add_argument("--condense", action="store_true")
-    p.add_argument("--record-id", default=None, dest="record_id")
-    p.add_argument("--embeddings", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_attention)
     return parser

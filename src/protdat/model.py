@@ -119,6 +119,9 @@ class DecoderLayerParams:
     ln_t: NormParams
     ln_c: NormParams
     ln_s: NormParams
+    ln2_t: NormParams
+    ln2_c: NormParams
+    ln2_s: NormParams
     wq_t: LinearParams
     wk_t: LinearParams
     wv_t: LinearParams
@@ -131,54 +134,45 @@ class DecoderLayerParams:
     wk_s: LinearParams
     wv_s: LinearParams
     wo_s: LinearParams
-    ln2_t: NormParams
-    ln2_c: NormParams
-    ln2_s: NormParams
     ffn_t: FfnParams
     ffn_c: FfnParams
     ffn_s: FfnParams
 
 
+def _collect_parameters(node, prefix: str, out: list) -> None:
+    """Append ``(dotted name, Tensor)`` for every Tensor under the dataclass
+    ``node``, depth first in field order: the generated ``__init__`` fills
+    ``vars(node)`` in that order.  A list element is named by its index;
+    ``config`` and ``text_words`` hold no parameters."""
+    for key, value in vars(node).items():
+        if value is None or key in ("config", "text_words"):
+            continue
+        name = prefix + key
+        if isinstance(value, Tensor):
+            out.append((name, value))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                _collect_parameters(item, f"{name}.{i}.", out)
+        else:
+            _collect_parameters(value, name + ".", out)
+
+
 @dataclass
 class ModelParams:
+    """The parameter tree.  Its field order, depth first, is the order of
+    the checkpoint's tensor directory."""
+
     config: ModelConfig
     token_embedding: Tensor  # (vocab_size, d_model), shared by sequence and slot ids
+    text_word_embedding: Tensor | None  # (n_words + 1, d_text), row 0 = UNK
     text_projection: LinearParams | None  # None when d_text == d_model (identity)
     layers: list[DecoderLayerParams]
     head: LinearParams  # (d_model, vocab_size)
     text_words: list[str] | None = None
-    text_word_embedding: Tensor | None = None  # (n_words + 1, d_text), row 0 = UNK
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = [("token_embedding", self.token_embedding)]
-        if self.text_word_embedding is not None:
-            out.append(("text_word_embedding", self.text_word_embedding))
-        if self.text_projection is not None:
-            out.append(("text_projection.w", self.text_projection.w))
-            out.append(("text_projection.b", self.text_projection.b))
-        for i, layer in enumerate(self.layers):
-            prefix = f"layers.{i}"
-            for fname in (
-                "ln_t", "ln_c", "ln_s", "ln2_t", "ln2_c", "ln2_s",
-            ):
-                norm: NormParams = getattr(layer, fname)
-                out.append((f"{prefix}.{fname}.gamma", norm.gamma))
-                out.append((f"{prefix}.{fname}.beta", norm.beta))
-            for fname in (
-                "wq_t", "wk_t", "wv_t", "wo_t", "wq_c", "wo_c",
-                "w_kc", "w_vc", "wq_s", "wk_s", "wv_s", "wo_s",
-            ):
-                lin: LinearParams = getattr(layer, fname)
-                out.append((f"{prefix}.{fname}.w", lin.w))
-                out.append((f"{prefix}.{fname}.b", lin.b))
-            for fname in ("ffn_t", "ffn_c", "ffn_s"):
-                ffn: FfnParams = getattr(layer, fname)
-                out.append((f"{prefix}.{fname}.w1", ffn.w1))
-                out.append((f"{prefix}.{fname}.b1", ffn.b1))
-                out.append((f"{prefix}.{fname}.w2", ffn.w2))
-                out.append((f"{prefix}.{fname}.b2", ffn.b2))
-        out.append(("head.w", self.head.w))
-        out.append(("head.b", self.head.b))
+        out: list[tuple[str, Tensor]] = []
+        _collect_parameters(self, "", out)
         return out
 
     def zero_grad(self) -> None:
@@ -355,19 +349,16 @@ def prompt_forward(batch: Batch, params: ModelParams):
     config = params.config
     if batch.text_len > config.max_text:
         raise ModelError(f"text length {batch.text_len} exceeds max_text {config.max_text}")
-    dt = config.np_dtype
 
     e_c = nx.embedding(params.token_embedding, batch.cross_ids)
     if batch.text_ids is not None:
         if params.text_word_embedding is None:
             raise ModelError("batch carries text ids but the model has no word table")
         e_t = nx.embedding(params.text_word_embedding, batch.text_ids)
-        # zero padded rows so they stay inert even as values
-        e_t = nx.mul(e_t, batch.text_mask[..., None].astype(dt))
     else:
         if batch.text_embed is None:
             raise ModelError("batch carries neither text ids nor text embeddings")
-        e_t = Tensor(batch.text_embed.astype(dt))
+        e_t = Tensor(batch.text_embed.astype(config.np_dtype))
     if params.text_projection is not None:
         e_t = _apply_linear(e_t, params.text_projection)
 

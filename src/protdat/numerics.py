@@ -89,7 +89,7 @@ class Tensor:
         _backward: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
     ):
         self.data = np.asarray(data)
-        if not np.issubdtype(self.data.dtype, np.floating):
+        if self.data.dtype.kind != "f":
             self.data = self.data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -151,12 +151,7 @@ class Tensor:
 
 
 def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype)
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(np.float64 if dtype is None else dtype)
-    return Tensor(arr)
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _tracked(t: Tensor) -> bool:
@@ -473,7 +468,6 @@ def finite_difference_grad_check(
     eps: float = 1e-5,
     max_coords_per_param: int = 8,
     seed: int = 0,
-    analytic_grads: dict[str, np.ndarray] | None = None,
 ) -> float:
     """Compare analytic gradients against central differences.
 
@@ -489,14 +483,12 @@ def finite_difference_grad_check(
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise NumericsError(f"grad check requires float64 parameters ({name} is {p.data.dtype})")
-    if analytic_grads is None:
-        for p in params.values():
-            p.zero_grad()
-        loss = loss_fn()
-        loss.backward()
-        analytic_grads = {name: p.grad_or_zeros().copy() for name, p in params.items()}
-        for p in params.values():
-            p.zero_grad()
+    for p in params.values():
+        p.zero_grad()
+    loss_fn().backward()
+    analytic_grads = {name: p.grad_or_zeros().copy() for name, p in params.items()}
+    for p in params.values():
+        p.zero_grad()
 
     rng = np.random.default_rng(seed)
     worst = 0.0

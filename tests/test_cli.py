@@ -62,6 +62,32 @@ def test_train_epochs_zero_writes_checkpoint(tmp_path, toy_dataset):
     assert manifest["config"]["model"]["d_model"] == 16
 
 
+@pytest.mark.parametrize(
+    "flag, section, key, value",
+    [
+        ("--d-model", "model", "d_model", 8),
+        ("--n-layers", "model", "n_layers", 2),
+        ("--n-heads", "model", "n_heads", 4),
+        ("--c-size", "model", "c_size", 3),
+        ("--d-text", "model", "d_text", 12),
+        ("--ffn-dim", "model", "ffn_dim", 48),
+        ("--dtype", "model", "dtype", "float64"),
+        ("--batch-size", "training", "batch_size", 3),
+        ("--lr", "training", "lr", 0.25),
+        ("--weight-decay", "training", "weight_decay", 0.5),
+        ("--clip-norm", "training", "clip_norm", 2.5),
+    ],
+)
+def test_train_config_flag_lands_in_manifest(tmp_path, toy_dataset, flag, section, key, value):
+    rc = run_command(
+        ["train", "--data", str(toy_dataset), "--out", str(tmp_path), "--epochs", "0",
+         *TINY_FLAGS, flag, str(value)]
+    )
+    assert rc == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["config"][section][key] == value
+
+
 def test_generate_writes_fasta_to_stdout(trained_ckpt, capsys):
     rc = run_command(
         ["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT,

@@ -310,6 +310,26 @@ def test_shared_embedding_counted_once():
     assert names.count("token_embedding") == 1
 
 
+def test_named_parameters_follow_the_checkpoint_order():
+    params, _, _ = tiny_model(config=tiny_config(n_layers=1, d_text=8))
+    layer = (
+        [f"{n}.{k}" for n in ("ln_t", "ln_c", "ln_s", "ln2_t", "ln2_c", "ln2_s")
+         for k in ("gamma", "beta")]
+        + [f"{n}.{k}" for n in ("wq_t", "wk_t", "wv_t", "wo_t", "wq_c", "wo_c",
+                                "w_kc", "w_vc", "wq_s", "wk_s", "wv_s", "wo_s")
+           for k in ("w", "b")]
+        + [f"{n}.{k}" for n in ("ffn_t", "ffn_c", "ffn_s") for k in ("w1", "b1", "w2", "b2")]
+    )
+    expected = (
+        ["token_embedding", "text_word_embedding", "text_projection.w", "text_projection.b"]
+        + [f"layers.0.{n}" for n in layer]
+        + ["head.w", "head.b"]
+    )
+    named = params.named_parameters()
+    assert [n for n, _ in named] == expected
+    assert len({id(p) for _, p in named}) == len(named)
+
+
 def test_trace_requires_single_record_batch():
     params, _, batch = tiny_model()
     with pytest.raises(ModelError):
