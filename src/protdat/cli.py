@@ -82,11 +82,16 @@ def load_run_config(path: str | None) -> RunConfig:
         for key in ("seed", "out_dir", "dataset"):
             if key in raw:
                 setattr(cfg, key, raw[key])
-        for key in ("model", "training", "generation"):
+        for key, config_cls in (("model", ModelConfig), ("training", TrainingConfig),
+                                ("generation", GenerationParams)):
             if key in raw:
                 section = raw[key]
                 if not isinstance(section, dict):
                     raise DatasetError(f"config section {key!r} must be a mapping")
+                names = {f.name for f in fields(config_cls)}
+                unknown = [k for k in section if k not in names]
+                if unknown:
+                    raise DatasetError(f"config section {key!r}: unknown key {unknown[0]!r}")
                 getattr(cfg, key).update(section)
     return cfg
 

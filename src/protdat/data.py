@@ -234,17 +234,15 @@ def make_batch(
     text_provider,
     c_size: int,
     dtype=np.float32,
-    pad_seq_to: int | None = None,
-    pad_text_to: int | None = None,
 ) -> Batch:
     """Encode, pad and mask a list of records into one model input."""
     if not records:
         raise DatasetError("make_batch: empty record list")
     if c_size < 1:
         raise DatasetError("make_batch: c_size must be >= 1")
-    encoded = [vocab.encode_sequence(r.sequence, add_cls=True, add_eos=True) for r in records]
+    encoded = [vocab.encode_sequence(r.sequence) for r in records]
     texts = [text_provider.encode(r.text, record_id=r.id) for r in records]
-    return assemble_batch(encoded, texts, c_size, dtype, pad_seq_to, pad_text_to)
+    return assemble_batch(encoded, texts, c_size, dtype)
 
 
 def assemble_batch(
@@ -252,8 +250,6 @@ def assemble_batch(
     texts: list[TextEncoding],
     c_size: int,
     dtype=np.float32,
-    pad_seq_to: int | None = None,
-    pad_text_to: int | None = None,
 ) -> Batch:
     """Pad and mask token-id rows and their text encodings into one model input.
 
@@ -264,10 +260,6 @@ def assemble_batch(
     b = len(seq_rows)
     s_max = max(len(e) for e in seq_rows)
     t_max = max(te.n_tokens for te in texts)
-    if pad_seq_to is not None:
-        s_max = max(s_max, pad_seq_to)
-    if pad_text_to is not None:
-        t_max = max(t_max, pad_text_to)
     if t_max > MAX_TEXT_TOKENS:
         raise DatasetError(f"text length {t_max} exceeds the {MAX_TEXT_TOKENS}-token cap")
 

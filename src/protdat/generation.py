@@ -162,11 +162,9 @@ def generate(
     provider = text_provider if text_provider is not None else params.text_encoder()
     encoding = provider.encode(prompt.text, record_id=record_id)
 
-    ids: list[int] = [vocab.cls_id]
-    if prompt.mode == MODE_TEXT_FRAGMENT:
-        if len(prompt.fragment) > gp.max_len:
-            raise GenerationError("fragment longer than max_len")
-        ids.extend(int(vocab.residue_id(ch)) for ch in prompt.fragment)
+    if len(prompt.fragment) > gp.max_len:
+        raise GenerationError("fragment longer than max_len")
+    ids: list[int] = vocab.encode_sequence(prompt.fragment, add_eos=False).tolist()
 
     never_sampled = np.zeros(config.vocab_size, dtype=bool)
     for special in (vocab.pad_id, vocab.cls_id, vocab.cross_id):

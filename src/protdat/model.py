@@ -22,6 +22,10 @@ once and gives each layer its (K, V), the slot keys/values; then
 ``sequence_forward`` runs new rows at positions start..start+n against
 [layer K/V | their rotated keys and values] and hands that concatenation
 back as the layer's K/V.  ``model_forward`` is the two in turn.
+
+Nothing reads the text or slot stream after the final layer's K/V, so that
+layer has no text output projection and no text or slot residual FFN; its
+``wq_t`` serves only the ``ptm`` attention trace.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .data import Batch
 from .numerics import Tensor
 from .tokenizer import PrecomputedTextEncoder, TrainableTextEncoder
 
-CHECKPOINT_FORMAT = "protdat-ckpt-1"
+CHECKPOINT_FORMAT = "protdat-ckpt-2"
 
 
 class ModelError(ValueError):
@@ -119,13 +123,13 @@ class DecoderLayerParams:
     ln_t: NormParams
     ln_c: NormParams
     ln_s: NormParams
-    ln2_t: NormParams
-    ln2_c: NormParams
+    ln2_t: NormParams | None
+    ln2_c: NormParams | None
     ln2_s: NormParams
     wq_t: LinearParams
     wk_t: LinearParams
     wv_t: LinearParams
-    wo_t: LinearParams
+    wo_t: LinearParams | None
     wq_c: LinearParams
     wo_c: LinearParams
     w_kc: LinearParams
@@ -134,8 +138,8 @@ class DecoderLayerParams:
     wk_s: LinearParams
     wv_s: LinearParams
     wo_s: LinearParams
-    ffn_t: FfnParams
-    ffn_c: FfnParams
+    ffn_t: FfnParams | None
+    ffn_c: FfnParams | None
     ffn_s: FfnParams
 
 
@@ -191,7 +195,8 @@ class ModelParams:
 def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> ModelParams:
     """The parameter tree of ``config``.  ``fill(shape, kind)`` makes each
     array, ``kind`` being "normal", "zeros" or "ones"; it is called in one
-    fixed order, which fixes the random draws of ``init_params``."""
+    fixed order, which fixes the random draws of ``init_params``.  The final
+    layer's text and slot tensors past its K/V are made, then dropped."""
     d, f = config.d_model, config.ffn
 
     def param(shape, kind):
@@ -226,6 +231,8 @@ def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> Mo
                 ffn_t=ffn(), ffn_c=ffn(), ffn_s=ffn(),
             )
         )
+    for last in layers[-1:]:
+        last.wo_t = last.ln2_t = last.ffn_t = last.ln2_c = last.ffn_c = None
     head = lin(d, config.vocab_size)
     text_word_embedding = None
     if config.text_provider == "trainable":
@@ -287,8 +294,9 @@ def prompt_mcm_forward(
 ):
     """The text and slot half of the fused attention block, on pre-normalized
     inputs under the (ptm, cim) masks of a Batch.  Returns the pre-residual
-    slot and text outputs, the slot keys/values (k_c, v_c) that seed the
-    layer's K/V, and the (ptm, cim) attention weights (head axis intact).
+    slot and text outputs (text None in the final layer), the slot
+    keys/values (k_c, v_c) that seed the layer's K/V, and the (ptm, cim)
+    attention weights (head axis intact).
     """
     ptm, cim = masks
     h, hd = config.n_heads, config.head_dim
@@ -303,7 +311,7 @@ def prompt_mcm_forward(
     ptm_raw, ptm_w = nx.masked_attention(
         nx.rope_rotate(q_t, text_pos, hd), nx.rope_rotate(k_t, text_pos, hd), v_t, ptm, h
     )
-    t_out = _apply_linear(ptm_raw, layer.wo_t)
+    t_out = None if layer.wo_t is None else _apply_linear(ptm_raw, layer.wo_t)
 
     # bottleneck branch: slot queries against unrotated text keys/values
     q_c = _apply_linear(c_n, layer.wq_c)
@@ -368,8 +376,9 @@ def prompt_forward(batch: Batch, params: ModelParams):
         c_out, t_out, layer_kv, layer_weights = prompt_mcm_forward(
             _apply_norm(e_c, layer.ln_c), _apply_norm(e_t, layer.ln_t), masks, layer, config
         )
-        e_c = _residual_ffn(e_c, c_out, layer.ln2_c, layer.ffn_c)
-        e_t = _residual_ffn(e_t, t_out, layer.ln2_t, layer.ffn_t)
+        if t_out is not None:
+            e_c = _residual_ffn(e_c, c_out, layer.ln2_c, layer.ffn_c)
+            e_t = _residual_ffn(e_t, t_out, layer.ln2_t, layer.ffn_t)
         kv.append(layer_kv)
         weights.append(layer_weights)
     return kv, weights

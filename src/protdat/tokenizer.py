@@ -43,12 +43,6 @@ class AminoVocabulary:
     size = 4 + len(RESIDUES)
     _to_id = {ch: 4 + i for i, ch in enumerate(RESIDUES)}
 
-    def residue_id(self, ch: str) -> int:
-        try:
-            return self._to_id[ch]
-        except KeyError:
-            raise TokenizerError(f"unknown residue {ch!r}") from None
-
     def residue_of(self, token_id: int) -> str:
         if not (4 <= token_id < self.size):
             raise TokenizerError(f"id {token_id} is not a residue id")
@@ -57,11 +51,9 @@ class AminoVocabulary:
     def is_valid_sequence(self, seq: str) -> bool:
         return all(ch in self._to_id for ch in seq)
 
-    def encode_sequence(self, seq: str, add_cls: bool = True, add_eos: bool = True) -> np.ndarray:
-        """Encode a residue string, optionally bracketed by CLS/EOS."""
-        ids = []
-        if add_cls:
-            ids.append(self.cls_id)
+    def encode_sequence(self, seq: str, add_eos: bool = True) -> np.ndarray:
+        """Encode a residue string as CLS, its residues and, optionally, EOS."""
+        ids = [self.cls_id]
         for pos, ch in enumerate(seq):
             if ch not in self._to_id:
                 raise TokenizerError(f"invalid residue {ch!r} at position {pos}")

@@ -297,3 +297,17 @@ def test_config_file_with_flag_precedence(tmp_path, toy_dataset):
     assert manifest["config"]["model"]["n_layers"] == 1  # flag overrides file
     assert manifest["config"]["model"]["d_model"] == 16  # from file
     assert manifest["config"]["training"]["lr"] == 0.001
+
+
+@pytest.mark.parametrize("section", ["model", "training", "generation"])
+def test_unknown_config_key_is_a_one_line_error(tmp_path, toy_dataset, trained_ckpt, capsys,
+                                                section):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"{section}:\n  d_modle: 16\n")
+    if section == "generation":
+        args = ["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT]
+    else:
+        args = ["train", "--data", str(toy_dataset), "--out", str(tmp_path), "--epochs", "0"]
+    assert run_command([*args, "--config", str(cfg)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"DatasetError: config section {section!r}: unknown key 'd_modle'"

@@ -288,8 +288,7 @@ def full_forward_logits(prompt, params, ids):
 
 
 def prompt_ids(prompt):
-    vocab = AminoVocabulary()
-    return [vocab.cls_id] + [vocab.residue_id(ch) for ch in prompt.fragment]
+    return AminoVocabulary().encode_sequence(prompt.fragment, add_eos=False).tolist()
 
 
 def cached_run(monkeypatch, prompt, params, gp):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protdat import numerics as nx
-from protdat.data import make_batch
+from protdat.data import ProteinRecord, make_batch
 from protdat.model import (
     ModelConfig,
     ModelError,
@@ -36,7 +36,7 @@ def test_config_validation():
 
 
 def test_mcm_shapes_and_trace_shapes():
-    cfg = tiny_config(d_model=8, n_heads=2, c_size=3, ffn_dim=16, n_layers=1)
+    cfg = tiny_config(d_model=8, n_heads=2, c_size=3, ffn_dim=16, n_layers=2)
     params = init_params(cfg, seed=0, text_words=["a", "b"])
     layer = params.layers[0]
     s_len, t_len = 7, 5
@@ -59,45 +59,54 @@ def test_mcm_shapes_and_trace_shapes():
     assert cim_w.shape == (2, 3, 5)
     assert cca_w.shape == (2, 7, 10)
     assert np.allclose(cca_w.sum(axis=-1), 1.0, atol=1e-9)
+    # the final layer ends at its K/V: no text output, but the ptm weights remain
+    c_out, t_out, kv, (ptm_w, _) = prompt_mcm_forward(e_c, e_t, (ptm, cim), params.layers[1], cfg)
+    assert t_out is None
+    assert c_out.shape == (3, 8)
+    assert kv[0].shape == kv[1].shape == (3, 8)
+    assert ptm_w.shape == (2, 5, 5)
 
 
 def test_mcm_value_path_zero_map():
-    cfg = tiny_config(d_model=8, n_heads=2, c_size=2, ffn_dim=16, n_layers=1)
+    cfg = tiny_config(d_model=8, n_heads=2, c_size=2, ffn_dim=16, n_layers=2)
     params = init_params(cfg, seed=0, text_words=["a"])
-    layer = params.layers[0]
-    layer.wv_t.w.data = np.zeros_like(layer.wv_t.w.data)
-    layer.wv_s.w.data = np.zeros_like(layer.wv_s.w.data)
-    # biases are zero at init already; make it explicit for the contract
-    for lin in (layer.wv_t, layer.wv_s, layer.wo_t, layer.wo_c, layer.wo_s,
-                layer.w_kc, layer.w_vc):
-        lin.b.data = np.zeros_like(lin.b.data)
     rng = np.random.default_rng(2)
     s_len, t_len = 4, 3
     ptm, cim = np.ones((t_len, t_len), bool), np.ones((2, t_len), bool)
     psm = np.concatenate(
         [np.ones((s_len, 2), bool), np.tril(np.ones((s_len, s_len), bool))], axis=1
     )
-    c_out, t_out, kv, _ = prompt_mcm_forward(
-        Tensor(rng.normal(size=(2, 8))),
-        Tensor(rng.normal(size=(t_len, 8))),
-        (ptm, cim),
-        layer,
-        cfg,
-    )
-    s_out, _, _ = mcm_forward(Tensor(rng.normal(size=(s_len, 8))), 0, kv, psm, layer, cfg)
-    assert np.allclose(s_out.data, 0.0)
-    assert np.allclose(c_out.data, 0.0)
-    assert np.allclose(t_out.data, 0.0)
+    for i, layer in enumerate(params.layers):
+        layer.wv_t.w.data = np.zeros_like(layer.wv_t.w.data)
+        layer.wv_s.w.data = np.zeros_like(layer.wv_s.w.data)
+        # biases are zero at init already; make it explicit for the contract
+        for lin in (layer.wv_t, layer.wv_s, layer.wo_t, layer.wo_c, layer.wo_s,
+                    layer.w_kc, layer.w_vc):
+            if lin is not None:
+                lin.b.data = np.zeros_like(lin.b.data)
+        c_out, t_out, kv, _ = prompt_mcm_forward(
+            Tensor(rng.normal(size=(2, 8))),
+            Tensor(rng.normal(size=(t_len, 8))),
+            (ptm, cim),
+            layer,
+            cfg,
+        )
+        s_out, _, _ = mcm_forward(Tensor(rng.normal(size=(s_len, 8))), 0, kv, psm, layer, cfg)
+        assert np.allclose(s_out.data, 0.0)
+        assert np.allclose(c_out.data, 0.0)
+        if i < cfg.n_layers - 1:
+            assert np.allclose(t_out.data, 0.0)
+        else:
+            assert t_out is None
 
 
 def test_mcm_single_head_matches_straight_line_reference():
     """Independent straight-line recomputation of the fused block, single head."""
     cfg = ModelConfig(
-        d_model=2, n_layers=1, n_heads=1, c_size=1, d_text=2, ffn_dim=4,
+        d_model=2, n_layers=2, n_heads=1, c_size=1, d_text=2, ffn_dim=4,
         vocab_size=29, dtype="float64",
     )
     params = init_params(cfg, seed=3, text_words=["w"])
-    layer = params.layers[0]
     rng = np.random.default_rng(4)
     e_s = rng.normal(size=(2, 2))
     e_c = rng.normal(size=(1, 2))
@@ -121,46 +130,49 @@ def test_mcm_single_head_matches_straight_line_reference():
         return e / e.sum()
 
     sc = 1.0 / math.sqrt(2)
-    q_t = lin(e_t, layer.wq_t)
-    k_t = lin(e_t, layer.wk_t)
-    v_t = lin(e_t, layer.wv_t)
-    q_t_r = np.stack([rope1(q_t[i], i) for i in range(2)])
-    k_t_r = np.stack([rope1(k_t[i], i) for i in range(2)])
-    ptm = np.stack([soft(q_t_r[i] @ k_t_r.T * sc) @ v_t for i in range(2)])
-    t_ref = lin(ptm, layer.wo_t)
+    for n, layer in enumerate(params.layers):
+        q_t = lin(e_t, layer.wq_t)
+        k_t = lin(e_t, layer.wk_t)
+        v_t = lin(e_t, layer.wv_t)
+        q_t_r = np.stack([rope1(q_t[i], i) for i in range(2)])
+        k_t_r = np.stack([rope1(k_t[i], i) for i in range(2)])
+        ptm = np.stack([soft(q_t_r[i] @ k_t_r.T * sc) @ v_t for i in range(2)])
 
-    q_c = lin(e_c, layer.wq_c)
-    cim = soft(q_c[0] @ k_t.T * sc) @ v_t  # unrotated keys
-    c_ref = lin(cim[None, :], layer.wo_c)
+        q_c = lin(e_c, layer.wq_c)
+        cim = soft(q_c[0] @ k_t.T * sc) @ v_t  # unrotated keys
+        c_ref = lin(cim[None, :], layer.wo_c)
 
-    k_c = lin(c_ref, layer.w_kc)
-    v_c = lin(c_ref, layer.w_vc)
-    q_s = lin(e_s, layer.wq_s)
-    k_s = lin(e_s, layer.wk_s)
-    v_s = lin(e_s, layer.wv_s)
-    q_s_r = np.stack([rope1(q_s[i], i) for i in range(2)])
-    k_s_r = np.stack([rope1(k_s[i], i) for i in range(2)])
-    k_cat = np.concatenate([k_c, k_s_r], axis=0)
-    v_cat = np.concatenate([v_c, v_s], axis=0)
-    s_rows = []
-    for i in range(2):
-        scores = q_s_r[i] @ k_cat.T * sc
-        scores[~masks[2][i]] = -np.inf
-        s_rows.append(soft(scores) @ v_cat)
-    s_ref = lin(np.stack(s_rows), layer.wo_s)
+        k_c = lin(c_ref, layer.w_kc)
+        v_c = lin(c_ref, layer.w_vc)
+        q_s = lin(e_s, layer.wq_s)
+        k_s = lin(e_s, layer.wk_s)
+        v_s = lin(e_s, layer.wv_s)
+        q_s_r = np.stack([rope1(q_s[i], i) for i in range(2)])
+        k_s_r = np.stack([rope1(k_s[i], i) for i in range(2)])
+        k_cat = np.concatenate([k_c, k_s_r], axis=0)
+        v_cat = np.concatenate([v_c, v_s], axis=0)
+        s_rows = []
+        for i in range(2):
+            scores = q_s_r[i] @ k_cat.T * sc
+            scores[~masks[2][i]] = -np.inf
+            s_rows.append(soft(scores) @ v_cat)
+        s_ref = lin(np.stack(s_rows), layer.wo_s)
 
-    c_out, t_out, kv, _ = prompt_mcm_forward(Tensor(e_c), Tensor(e_t), masks[:2], layer, cfg)
-    s_out, (k_out, v_out), _ = mcm_forward(Tensor(e_s), 0, kv, masks[2], layer, cfg)
-    assert np.abs(t_out.data - t_ref).max() < 1e-12
-    assert np.abs(c_out.data - c_ref).max() < 1e-12
-    assert np.abs(s_out.data - s_ref).max() < 1e-12
-    assert np.abs(k_out.data - k_cat).max() < 1e-12
-    assert np.abs(v_out.data - v_cat).max() < 1e-12
-    # one row at a time, each against the K/V the rows before it grew
-    for i in range(2):
-        row_out, kv, _ = mcm_forward(Tensor(e_s[i : i + 1]), i, kv, None, layer, cfg)
-        assert np.abs(row_out.data[0] - s_ref[i]).max() < 1e-12
-    assert np.abs(kv[0].data - k_cat).max() < 1e-12
+        c_out, t_out, kv, _ = prompt_mcm_forward(Tensor(e_c), Tensor(e_t), masks[:2], layer, cfg)
+        s_out, (k_out, v_out), _ = mcm_forward(Tensor(e_s), 0, kv, masks[2], layer, cfg)
+        if n < cfg.n_layers - 1:
+            assert np.abs(t_out.data - lin(ptm, layer.wo_t)).max() < 1e-12
+        else:  # the final layer ends at its K/V
+            assert t_out is None
+        assert np.abs(c_out.data - c_ref).max() < 1e-12
+        assert np.abs(s_out.data - s_ref).max() < 1e-12
+        assert np.abs(k_out.data - k_cat).max() < 1e-12
+        assert np.abs(v_out.data - v_cat).max() < 1e-12
+        # one row at a time, each against the K/V the rows before it grew
+        for i in range(2):
+            row_out, kv, _ = mcm_forward(Tensor(e_s[i : i + 1]), i, kv, None, layer, cfg)
+            assert np.abs(row_out.data[0] - s_ref[i]).max() < 1e-12
+        assert np.abs(kv[0].data - k_cat).max() < 1e-12
 
 
 def test_decoder_layer_preserves_shapes():
@@ -193,17 +205,19 @@ def test_model_forward_equals_manual_layer_composition():
     # prompt pass
     e_c = nx.embedding(params.token_embedding, batch.cross_ids)
     e_t = nx.embedding(params.text_word_embedding, batch.text_ids)
-    e_t = nx.mul(e_t, batch.text_mask[..., None].astype(np.float64))
     kv = []
-    for layer in params.layers:
+    for n, layer in enumerate(params.layers):
         c_n = nx.layer_norm(e_c, layer.ln_c.gamma, layer.ln_c.beta)
         t_n = nx.layer_norm(e_t, layer.ln_t.gamma, layer.ln_t.beta)
         c_out, t_out, layer_kv, _ = prompt_mcm_forward(
             c_n, t_n, (batch.ptm_mask, batch.cim_mask), layer, cfg
         )
+        kv.append(layer_kv)
+        if n == cfg.n_layers - 1:  # the text and slot streams end at the final K/V
+            assert t_out is None
+            break
         e_c = residual_ffn(e_c, c_out, layer.ln2_c, layer.ffn_c)
         e_t = residual_ffn(e_t, t_out, layer.ln2_t, layer.ffn_t)
-        kv.append(layer_kv)
     for (k, v), (k_ref, v_ref) in zip(prompt_forward(batch, params)[0], kv, strict=True):
         assert np.array_equal(k.data, k_ref.data) and np.array_equal(v.data, v_ref.data)
 
@@ -260,19 +274,23 @@ def test_batching_invariance():
     vocab = AminoVocabulary()
     provider = params.text_encoder()
     cfg = params.config
-    both = make_batch(records, vocab, provider, cfg.c_size, dtype=np.float64)
-    logits_both, _ = model_forward(both, params)
-    for i, rec in enumerate(records):
-        # same padded shape: bitwise equality
-        padded = make_batch([rec], vocab, provider, cfg.c_size, dtype=np.float64,
-                            pad_seq_to=both.seq_len, pad_text_to=both.text_len)
-        logits_padded, _ = model_forward(padded, params)
-        assert np.array_equal(logits_both.data[i], logits_padded.data[0])
-        # natural length: equal to tight tolerance on the real positions
-        single = make_batch([rec], vocab, provider, cfg.c_size, dtype=np.float64)
-        logits_single, _ = model_forward(single, params)
-        n = single.seq_len
-        assert np.allclose(logits_both.data[i, :n], logits_single.data[0], atol=1e-10)
+    rec, text = records[1], records[0].text
+    # two different batch-mates of equal sequence and text lengths, both
+    # longer than rec, so rec's row is padded along both axes
+    mates = [ProteinRecord("m1", text, "MKVLAAGW"),
+             ProteinRecord("m2", " ".join(reversed(text.split())), "WYPTSEQH")]
+    rows = []
+    for mate in mates:
+        both = make_batch([rec, mate], vocab, provider, cfg.c_size, dtype=np.float64)
+        assert both.seq_len > len(rec.sequence) + 2
+        assert both.text_len > provider.encode(rec.text).n_tokens
+        logits, _ = model_forward(both, params)
+        rows.append(logits.data[0])
+    assert np.array_equal(rows[0], rows[1])
+    # alone, at its natural length: equal to tight tolerance on the real positions
+    single = make_batch([rec], vocab, provider, cfg.c_size, dtype=np.float64)
+    logits_single, _ = model_forward(single, params)
+    assert np.allclose(rows[0][: single.seq_len], logits_single.data[0], atol=1e-10)
 
 
 def n_parameters(params) -> int:
@@ -281,15 +299,17 @@ def n_parameters(params) -> int:
 
 def test_count_parameters_closed_form():
     cfg = ModelConfig(
-        d_model=8, n_layers=1, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
+        d_model=8, n_layers=2, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
         vocab_size=29, text_provider="precomputed", dtype="float64",
     )
     params = init_params(cfg, seed=0)
     d, f, v = 8, 16, 29
-    norms = 6 * 2 * d
-    linears = 12 * (d * d + d)
-    ffns = 3 * (d * f + f + f * d + d)
-    expected = v * d + norms + linears + ffns + (d * v + v)
+
+    def layer(n_norms, n_linears, n_ffns):
+        return n_norms * 2 * d + n_linears * (d * d + d) + n_ffns * (d * f + f + f * d + d)
+
+    # the final layer has no ln2_t, ln2_c, wo_t, ffn_t or ffn_c
+    expected = v * d + layer(6, 12, 3) + layer(4, 11, 1) + (d * v + v)
     assert n_parameters(params) == expected
 
 
@@ -311,7 +331,7 @@ def test_shared_embedding_counted_once():
 
 
 def test_named_parameters_follow_the_checkpoint_order():
-    params, _, _ = tiny_model(config=tiny_config(n_layers=1, d_text=8))
+    params, _, _ = tiny_model(config=tiny_config(n_layers=2, d_text=8))
     layer = (
         [f"{n}.{k}" for n in ("ln_t", "ln_c", "ln_s", "ln2_t", "ln2_c", "ln2_s")
          for k in ("gamma", "beta")]
@@ -320,9 +340,17 @@ def test_named_parameters_follow_the_checkpoint_order():
            for k in ("w", "b")]
         + [f"{n}.{k}" for n in ("ffn_t", "ffn_c", "ffn_s") for k in ("w1", "b1", "w2", "b2")]
     )
+    final = (
+        [f"{n}.{k}" for n in ("ln_t", "ln_c", "ln_s", "ln2_s") for k in ("gamma", "beta")]
+        + [f"{n}.{k}" for n in ("wq_t", "wk_t", "wv_t", "wq_c", "wo_c",
+                                "w_kc", "w_vc", "wq_s", "wk_s", "wv_s", "wo_s")
+           for k in ("w", "b")]
+        + [f"ffn_s.{k}" for k in ("w1", "b1", "w2", "b2")]
+    )
     expected = (
         ["token_embedding", "text_word_embedding", "text_projection.w", "text_projection.b"]
         + [f"layers.0.{n}" for n in layer]
+        + [f"layers.1.{n}" for n in final]
         + ["head.w", "head.b"]
     )
     named = params.named_parameters()
@@ -374,9 +402,13 @@ def test_checkpoint_truncation_is_rejected(tmp_path):
 def test_checkpoint_version_mismatch_is_rejected(tmp_path):
     params, _, path = _f32_model(tmp_path)
     save_checkpoint(params, path)
-    raw = path.read_bytes().replace(b"protdat-ckpt-1", b"protdat-ckpt-9", 1)
-    path.write_bytes(raw)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"protdat-ckpt-2", b"protdat-ckpt-9", 1))
     with pytest.raises(ModelError, match="format"):
+        load_checkpoint(path)
+    # a v1 file, header and manifest alike, is rejected rather than read
+    path.write_bytes(raw.replace(b"protdat-ckpt-2", b"protdat-ckpt-1"))
+    with pytest.raises(ModelError, match="format 'protdat-ckpt-1'"):
         load_checkpoint(path)
 
 

@@ -21,7 +21,7 @@ def test_vocabulary_layout(vocab):
     assert len(RESIDUES) == 25
     assert vocab.size == 29
     specials = {vocab.pad_id, vocab.cls_id, vocab.eos_id, vocab.cross_id}
-    ids = specials | {vocab.residue_id(ch) for ch in RESIDUES}
+    ids = specials | set(vocab.encode_sequence(RESIDUES, add_eos=False)[1:].tolist())
     assert ids == set(range(vocab.size))
     for special in specials:
         with pytest.raises(TokenizerError):
@@ -29,33 +29,35 @@ def test_vocabulary_layout(vocab):
 
 
 def test_encode_empty_sequence(vocab):
-    assert vocab.encode_sequence("", add_cls=True, add_eos=True).tolist() == [
+    assert vocab.encode_sequence("").tolist() == [
         vocab.cls_id,
         vocab.eos_id,
     ]
 
 
 def test_encode_round_trip(vocab):
-    ids = vocab.encode_sequence("MAV", add_cls=False, add_eos=False)
-    assert ids.tolist() == [vocab.residue_id("M"), vocab.residue_id("A"), vocab.residue_id("V")]
+    ids = vocab.encode_sequence("MAV", add_eos=False)
+    assert ids[0] == vocab.cls_id
+    assert [vocab.residue_of(i) for i in ids[1:].tolist()] == ["M", "A", "V"]
     assert vocab.decode_sequence(ids) == "MAV"
 
 
 def test_encode_table4_prompt_fragment(vocab):
     fragment = "MAARILLIN"
-    bare = vocab.encode_sequence(fragment, add_cls=False, add_eos=False)
-    assert len(bare) == 9
-    full = vocab.encode_sequence(fragment, add_cls=True, add_eos=True)
+    prompt = vocab.encode_sequence(fragment, add_eos=False)
+    assert len(prompt) == 10 and prompt[0] == vocab.cls_id
+    full = vocab.encode_sequence(fragment)
     assert len(full) == 11
     assert full[0] == vocab.cls_id and full[-1] == vocab.eos_id
     assert vocab.decode_sequence(full) == fragment
 
 
 def test_decode_strips_specials_and_stops_at_eos(vocab):
-    ids = [vocab.cls_id, vocab.residue_id("M"), vocab.residue_id("K"), vocab.eos_id]
+    m, k, w = vocab.encode_sequence("MKW", add_eos=False)[1:].tolist()
+    ids = [vocab.cls_id, m, k, vocab.eos_id]
     assert vocab.decode_sequence(ids) == "MK"
     assert vocab.decode_sequence([vocab.cls_id, vocab.eos_id]) == ""
-    after_eos = ids + [vocab.residue_id("W")]
+    after_eos = ids + [w]
     assert vocab.decode_sequence(after_eos) == "MK"
 
 
@@ -71,9 +73,9 @@ def test_encode_rejects_unknown_character_with_position(vocab):
 
 def test_encode_rejects_over_length(vocab):
     with pytest.raises(TokenizerError):
-        vocab.encode_sequence("A" * (MAX_SEQ_TOKENS - 1), add_cls=True, add_eos=True)
+        vocab.encode_sequence("A" * (MAX_SEQ_TOKENS - 1))
     # exactly at the cap is fine
-    ids = vocab.encode_sequence("A" * (MAX_SEQ_TOKENS - 2), add_cls=True, add_eos=True)
+    ids = vocab.encode_sequence("A" * (MAX_SEQ_TOKENS - 2))
     assert len(ids) == MAX_SEQ_TOKENS
 
 

@@ -92,12 +92,19 @@ def test_pad_positions_contribute_no_loss():
     params, records, _ = tiny_model()
     vocab = AminoVocabulary()
     provider = params.text_encoder()
-    tight = make_batch(records, vocab, provider, params.config.c_size, dtype=np.float64)
-    padded = make_batch(records, vocab, provider, params.config.c_size, dtype=np.float64,
-                        pad_seq_to=tight.seq_len + 4, pad_text_to=tight.text_len + 3)
-    loss_tight = float(compute_loss(tight, params).data)
-    loss_padded = float(compute_loss(padded, params).data)
-    assert loss_tight == pytest.approx(loss_padded, abs=1e-12)
+    c_size = params.config.c_size
+
+    def loss_and_tokens(recs):
+        batch = make_batch(recs, vocab, provider, c_size, dtype=np.float64)
+        n_tokens = int((batch.targets() != batch.pad_id).sum())
+        return float(compute_loss(batch, params).data), n_tokens, batch
+
+    # each record is the longer one on one axis: r2 pads r1's sequence, r1 pads r2's text
+    pair_loss, _, pair = loss_and_tokens(records)
+    assert (pair.seq_ids == vocab.pad_id).any() and not pair.text_mask.all()
+    singles = [loss_and_tokens([r])[:2] for r in records]
+    weighted = sum(loss * n for loss, n in singles) / sum(n for _, n in singles)
+    assert pair_loss == pytest.approx(weighted, abs=1e-12)
 
 
 def test_gradients_flow_to_text_and_slot_branches():
@@ -110,6 +117,9 @@ def test_gradients_flow_to_text_and_slot_branches():
                  "layers.1.wq_c.w", "layers.1.wk_t.w"):
         p = dict(params.named_parameters())[name]
         assert np.abs(p.grad_or_zeros()).sum() > 0, name
+    # the final layer's text query feeds only the ptm trace; every other tensor is read
+    no_grad = [name for name, p in params.named_parameters() if p.grad is None]
+    assert no_grad == ["layers.1.wq_t.w", "layers.1.wq_t.b"]
 
 
 def test_fresh_model_loss_is_near_log_vocab():
