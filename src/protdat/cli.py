@@ -239,7 +239,7 @@ def cmd_generate(args) -> int:
         write_fasta(entries, sys.stdout)
     if args.trace:
         with open(args.trace, "w") as fh:
-            write_trace([step for r in results for step in r.steps], fh)
+            write_trace(results, fh)
     return 0
 
 

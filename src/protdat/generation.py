@@ -1,10 +1,12 @@
 """Autoregressive decoding with temperature, nucleus filtering and a
 repetition penalty.
 
-One prompt pass encodes the text and slots into each layer's (K, V), one
-sequence pass prefills CLS and any fragment, then each new token is one
-query row against the K/V, which grows by that row.  ``trace_attention``
-adds one full ``model_forward`` over the final sequence.
+One prompt pass encodes the text and slots into each layer's (K, V) and
+one sequence pass prefills CLS and any fragment, once for all samples of
+a prompt; the samples then decode as the rows of one batch, each new
+token one query row per sample against its K/V, which grows by that row.
+A sample that emits EOS leaves the batch.  ``trace_attention`` adds one
+full ``model_forward`` over the final sequence.
 
 Two prompt modes: text only (the sequence starts from CLS) and text plus
 a leading residue fragment (the fragment is emitted verbatim before new
@@ -17,14 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import numerics as nx
 from .data import assemble_batch
 from .model import ModelParams, model_forward, prompt_forward, sequence_forward
-from .numerics import softmax_with_temperature
+from .numerics import Tensor, softmax_with_temperature
 from .tokenizer import AminoVocabulary
 
 MODE_TEXT_ONLY = "text-only"
@@ -128,7 +130,6 @@ def nucleus_sample(probs: np.ndarray, top_p: float, rng: np.random.Generator) ->
 
 @dataclass
 class GenerationStep:
-    index: int
     token_id: int
     token: str
     nucleus_size: int
@@ -155,66 +156,14 @@ def generate(
     Returns a GenerationResult, or (result, AttentionTrace) when
     ``trace_attention`` is set (the trace is from the final forward).
     """
-    config = params.config
-    vocab = AminoVocabulary()
-    if gp.max_len > config.max_seq - 2:
-        raise GenerationError(f"max_len {gp.max_len} exceeds the model cap {config.max_seq - 2}")
-    provider = text_provider if text_provider is not None else params.text_encoder()
-    encoding = provider.encode(prompt.text, record_id=record_id)
-
-    if len(prompt.fragment) > gp.max_len:
-        raise GenerationError("fragment longer than max_len")
-    ids: list[int] = vocab.encode_sequence(prompt.fragment, add_eos=False).tolist()
-
-    never_sampled = np.zeros(config.vocab_size, dtype=bool)
-    for special in (vocab.pad_id, vocab.cls_id, vocab.cross_id):
-        never_sampled[special] = True
-
-    rng = np.random.default_rng(gp.seed)
-    steps: list[GenerationStep] = []
-    batch = assemble_batch([ids], [encoding], config.c_size, config.np_dtype)
+    result = generate_candidates(prompt, params, gp, 1, text_provider, record_id)[0]
+    if not trace_attention:
+        return result
+    encoding = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
+    ids = AminoVocabulary().encode_sequence(result.sequence, add_eos=False).tolist()
+    final = assemble_batch([ids], [encoding], params.config.c_size, params.config.np_dtype)
     with nx.no_grad():
-        kv, _ = prompt_forward(batch, params)
-        new_ids, psm = batch.seq_ids, batch.psm_mask  # prefill CLS and the fragment
-        while len(ids) - 1 < gp.max_len:
-            logits, kv, _ = sequence_forward(new_ids, len(ids) - new_ids.shape[1], kv, psm, params)
-            last = logits.data[0, -1].astype(np.float64)
-            last[never_sampled] = -np.inf
-            history = set(ids[1:])
-            penalized = apply_repetition_penalty(last, history, gp.repetition_penalty)
-            if gp.argmax_mode:
-                token_id = int(np.argmax(penalized))
-                nucleus_size, rank = 1, 0
-            else:
-                probs = softmax_with_temperature(
-                    np.where(np.isfinite(penalized), penalized, -1e30), gp.temperature
-                )
-                kept, kept_probs = nucleus_filter(probs, gp.top_p)
-                token_id = int(rng.choice(kept, p=kept_probs))
-                nucleus_size = len(kept)
-                rank = int(np.nonzero(kept == token_id)[0][0])
-            steps.append(
-                GenerationStep(
-                    index=len(steps),
-                    token_id=token_id,
-                    token="<EOS>" if token_id == vocab.eos_id else vocab.residue_of(token_id),
-                    nucleus_size=nucleus_size,
-                    nucleus_rank=rank,
-                    penalized_logit=float(penalized[token_id]),
-                )
-            )
-            if token_id == vocab.eos_id:
-                break
-            ids.append(token_id)
-            new_ids, psm = np.array([[token_id]]), None  # one row sees every key
-    sequence = vocab.decode_sequence(ids)
-    result = GenerationResult(sequence=sequence, steps=steps)
-    if trace_attention:
-        final = assemble_batch([ids], [encoding], config.c_size, config.np_dtype)
-        with nx.no_grad():
-            _, trace = model_forward(final, params, trace=True)
-        return result, trace
-    return result
+        return result, model_forward(final, params, trace=True)[1]
 
 
 def generate_candidates(
@@ -225,12 +174,58 @@ def generate_candidates(
     text_provider=None,
     record_id: str | None = None,
 ) -> list[GenerationResult]:
-    """Draw ``n_samples`` independent candidates, seeds ``gp.seed + i``."""
-    return [
-        generate(prompt, params, replace(gp, seed=gp.seed + i), text_provider=text_provider,
-                 record_id=record_id)
-        for i in range(n_samples)
-    ]
+    """Draw ``n_samples`` candidates as the rows of one batch; rows never
+    attend to each other, so sample i is what ``generate`` draws with seed
+    ``gp.seed + i``."""
+    if n_samples < 1:
+        raise GenerationError("n_samples must be >= 1")
+    config = params.config
+    vocab = AminoVocabulary()
+    if gp.max_len > config.max_seq - 2:
+        raise GenerationError(f"max_len {gp.max_len} exceeds the model cap {config.max_seq - 2}")
+    encoding = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
+
+    if len(prompt.fragment) > gp.max_len:
+        raise GenerationError("fragment longer than max_len")
+    prefix: list[int] = vocab.encode_sequence(prompt.fragment, add_eos=False).tolist()
+
+    rngs = [np.random.default_rng(gp.seed + i) for i in range(n_samples)]
+    steps: list[list[GenerationStep]] = [[] for _ in range(n_samples)]
+    live = list(range(n_samples))  # the sample each batch row decodes
+    rows = np.zeros(n_samples, dtype=np.intp)  # each live sample's row of the last pass
+    length = len(prefix)  # every live sample has this many ids
+    batch = assemble_batch([prefix], [encoding], config.c_size, config.np_dtype)
+    with nx.no_grad():
+        kv, _ = prompt_forward(batch, params)
+        new_ids, psm = batch.seq_ids, batch.psm_mask  # prefill CLS and the fragment once
+        while live and length - 1 < gp.max_len:
+            logits, kv, _ = sequence_forward(new_ids, length - new_ids.shape[1], kv, psm, params)
+            last = logits.data[rows, -1].astype(np.float64)
+            last[:, [vocab.pad_id, vocab.cls_id, vocab.cross_id]] = -np.inf  # never sampled
+            for sample, row_logits in zip(live, last):
+                history = set(prefix[1:] + [s.token_id for s in steps[sample]])
+                penalized = apply_repetition_penalty(row_logits, history, gp.repetition_penalty)
+                if gp.argmax_mode:
+                    token_id = int(np.argmax(penalized))
+                    nucleus_size, rank = 1, 0
+                else:
+                    probs = softmax_with_temperature(
+                        np.where(np.isfinite(penalized), penalized, -1e30), gp.temperature)
+                    kept, kept_probs = nucleus_filter(probs, gp.top_p)
+                    token_id = int(rngs[sample].choice(kept, p=kept_probs))
+                    nucleus_size = len(kept)
+                    rank = int(np.nonzero(kept == token_id)[0][0])
+                token = "<EOS>" if token_id == vocab.eos_id else vocab.residue_of(token_id)
+                steps[sample].append(GenerationStep(
+                    token_id, token, nucleus_size, rank, float(penalized[token_id])))
+            keep = [i for i, sample in enumerate(live) if steps[sample][-1].token != "<EOS>"]
+            if len(keep) != kv[0][0].shape[0]:  # the prefill row fans out, or rows left
+                kv = [(Tensor(k.data[rows[keep]]), Tensor(v.data[rows[keep]])) for k, v in kv]
+            live, rows, length = [live[i] for i in keep], np.arange(len(keep)), length + 1
+            # one new row per sample, and each sees every key
+            new_ids, psm = np.array([[steps[s][-1].token_id] for s in live]), None
+    return [GenerationResult(vocab.decode_sequence(prefix + [s.token_id for s in sample_steps]),
+                             sample_steps) for sample_steps in steps]
 
 
 def fasta_header(name: str, prompt: PromptSpec, gp: GenerationParams) -> str:
@@ -245,9 +240,11 @@ def write_fasta(entries: list[tuple[str, str]], fh) -> None:
             fh.write(seq[start : start + 60] + "\n")
 
 
-def write_trace(steps: list[GenerationStep], fh) -> None:
-    """Line-delimited per-step decoding records."""
-    for s in steps:
-        record = asdict(s)
-        del record["token_id"]
-        fh.write(json.dumps(record) + "\n")
+def write_trace(results: list[GenerationResult], fh) -> None:
+    """Line-delimited per-step decoding records; ``sample`` is the result's
+    position in ``results`` and ``index`` the step within that sample."""
+    for sample, result in enumerate(results):
+        for index, s in enumerate(result.steps):
+            record = {"sample": sample, "index": index, **asdict(s)}
+            del record["token_id"]
+            fh.write(json.dumps(record) + "\n")

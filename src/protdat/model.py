@@ -302,14 +302,13 @@ def prompt_mcm_forward(
     h, hd = config.n_heads, config.head_dim
     if c_n.shape[-2] != config.c_size:
         raise ModelError(f"slot tensor has {c_n.shape[-2]} rows, expected {config.c_size}")
-    text_pos = np.arange(t_n.shape[-2])
 
     # text branch: rotary self-attention
     q_t = _apply_linear(t_n, layer.wq_t)
     k_t = _apply_linear(t_n, layer.wk_t)
     v_t = _apply_linear(t_n, layer.wv_t)
     ptm_raw, ptm_w = nx.masked_attention(
-        nx.rope_rotate(q_t, text_pos, hd), nx.rope_rotate(k_t, text_pos, hd), v_t, ptm, h
+        nx.rope_rotate(q_t, 0, hd), nx.rope_rotate(k_t, 0, hd), v_t, ptm, h
     )
     t_out = None if layer.wo_t is None else _apply_linear(ptm_raw, layer.wo_t)
 
@@ -331,13 +330,12 @@ def mcm_forward(
     pre-residual output, the grown (K, V) and the weights (head axis intact).
     """
     h, hd = config.n_heads, config.head_dim
-    positions = np.arange(start, start + e_s.shape[-2])
     q_s = _apply_linear(e_s, layer.wq_s)
     k_s = _apply_linear(e_s, layer.wk_s)
     v_s = _apply_linear(e_s, layer.wv_s)
-    k_cat = nx.concat([kv[0], nx.rope_rotate(k_s, positions, hd)], axis=-2)
+    k_cat = nx.concat([kv[0], nx.rope_rotate(k_s, start, hd)], axis=-2)
     v_cat = nx.concat([kv[1], v_s], axis=-2)
-    psm_raw, cca_w = nx.masked_attention(nx.rope_rotate(q_s, positions, hd), k_cat, v_cat, psm, h)
+    psm_raw, cca_w = nx.masked_attention(nx.rope_rotate(q_s, start, hd), k_cat, v_cat, psm, h)
     return _apply_linear(psm_raw, layer.wo_s), (k_cat, v_cat), cca_w
 
 

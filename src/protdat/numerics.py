@@ -28,6 +28,7 @@ weight) and realized additively with -inf logits.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -317,11 +318,22 @@ def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
     return _make(p, (scores,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
 
 
-def rope_rotate(x: Tensor, positions: np.ndarray, head_dim: int) -> Tensor:
+@functools.lru_cache(maxsize=16)
+def _rope_tables(head_dim: int, n_positions: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rotary (cos, sin) of shape (n_positions, 1, head_dim) in ``dtype``,
+    each angle once per chunk half; axis 1 broadcasts over head chunks."""
+    freqs = ROPE_BASE ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
+    ang = np.arange(n_positions, dtype=np.float64)[:, None, None] * np.tile(freqs, 2)
+    cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+def rope_rotate(x: Tensor, start: int, head_dim: int) -> Tensor:
     """Rotary position embedding over the last axis, per head-sized chunk.
 
-    Pairs dimension i with i + head_dim/2 inside each chunk and rotates
-    the pair by ``position * base**(-2i/head_dim)``.  Row norms are
+    Pairs dimension i with i + head_dim/2 inside each chunk and rotates the
+    pair in row r by ``(start + r) * base**(-2i/head_dim)``.  Row norms are
     preserved; query/key products depend only on position differences.
     """
     x = as_tensor(x)
@@ -330,25 +342,18 @@ def rope_rotate(x: Tensor, positions: np.ndarray, head_dim: int) -> Tensor:
     d = x.shape[-1]
     if d % head_dim != 0:
         raise NumericsError("rope_rotate: last axis must be a multiple of head_dim")
-    positions = np.asarray(positions)
-    if positions.ndim != 1 or positions.shape[0] != x.shape[-2]:
-        raise NumericsError("rope_rotate: positions must be 1D matching the row count")
-    if positions.size and positions.min() < 0:
+    if start < 0:
         raise NumericsError("rope_rotate: positions must be nonnegative")
-    half = head_dim // 2
-    freqs = ROPE_BASE ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
-    ang = positions[:, None].astype(np.float64) * freqs[None, :]
-    # (n, 1, half): broadcasts over leading batch axes and the chunk axis
-    cos = np.cos(ang).astype(x.dtype)[:, None, :]
-    sin = np.sin(ang).astype(x.dtype)[:, None, :]
+    half, end = head_dim // 2, start + x.shape[-2]
+    # a power-of-two table length, so that decoding one row at a time reuses few tables
+    tables = _rope_tables(head_dim, 1 << int(end).bit_length(), x.dtype)
+    cos, sin = (t[start:end] for t in tables)
 
     def apply(data: np.ndarray, sin_: np.ndarray) -> np.ndarray:
+        """(x1, x2) -> (x1 cos - x2 sin, x2 cos + x1 sin) in each chunk."""
         chunked = data.reshape(data.shape[:-1] + (d // head_dim, head_dim))
-        x1 = chunked[..., :half]
-        x2 = chunked[..., half:]
-        y1 = x1 * cos - x2 * sin_
-        y2 = x1 * sin_ + x2 * cos
-        return np.concatenate([y1, y2], axis=-1).reshape(data.shape)
+        swapped = np.concatenate([-chunked[..., half:], chunked[..., :half]], axis=-1)
+        return (chunked * cos + swapped * sin_).reshape(data.shape)
 
     return _make(apply(x.data, sin), (x,), lambda g: (apply(g, -sin),))
 

@@ -131,7 +131,10 @@ def test_generate_trace_file(trained_ckpt, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert rows and {"index", "token", "nucleus_size", "nucleus_rank", "penalized_logit"} == set(rows[0])
+    assert rows and {"sample", "index", "token", "nucleus_size", "nucleus_rank",
+                     "penalized_logit"} == set(rows[0])
+    assert [r["sample"] for r in rows] == [0] * len(rows)
+    assert [r["index"] for r in rows] == list(range(len(rows)))
 
 
 def test_generate_num_matches_generate_candidates(trained_ckpt, tmp_path):
@@ -149,9 +152,24 @@ def test_generate_num_matches_generate_candidates(trained_ckpt, tmp_path):
         for i, r in enumerate(expected)
     ]
     steps = io.StringIO()
-    write_trace([s for r in expected for s in r.steps], steps)
+    write_trace(expected, steps)
     assert all(r.steps for r in expected)
     assert trace.read_text() == steps.getvalue()
+    rows = [json.loads(line) for line in steps.getvalue().splitlines()]
+    assert [(r["sample"], r["index"]) for r in rows] == [
+        (i, j) for i, r in enumerate(expected) for j in range(len(r.steps))
+    ]
+
+
+@pytest.mark.parametrize("num", ["0", "-1"])
+def test_generate_num_below_one_is_a_one_line_error(num, trained_ckpt, tmp_path, capsys):
+    fasta = tmp_path / "gen.fasta"
+    rc = run_command(["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT,
+                      "--num", num, "--out", str(fasta)])
+    assert rc == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "GenerationError: n_samples must be >= 1"
+    assert not fasta.exists()
 
 
 def test_eval_identity_matches_library(tmp_path, capsys):

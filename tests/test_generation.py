@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,10 +292,11 @@ def prompt_ids(prompt):
     return AminoVocabulary().encode_sequence(prompt.fragment, add_eos=False).tolist()
 
 
-def cached_run(monkeypatch, prompt, params, gp):
-    """``generate`` with its two passes observed: (result, prompt passes,
-    rows of each sequence pass, last-position logits of each sequence pass)."""
-    prompt_passes, rows, logits = [], [], []
+def cached_run(monkeypatch, prompt, params, gp, n_samples=1):
+    """``generate_candidates`` with its two passes observed: (results, prompt
+    passes, token-row shape of each sequence pass, each sample's
+    last-position logits at each of its steps)."""
+    prompt_passes, shapes, logits = [], [], []
     real_prompt, real_sequence = generation.prompt_forward, generation.sequence_forward
 
     def counted_prompt(*args):
@@ -303,14 +305,38 @@ def cached_run(monkeypatch, prompt, params, gp):
 
     def recorded_sequence(seq_ids, *args):
         out = real_sequence(seq_ids, *args)
-        rows.append(seq_ids.shape[1])
-        logits.append(out[0].data[0, -1].copy())
+        shapes.append(seq_ids.shape)
+        logits.append(out[0].data[:, -1].copy())
         return out
 
     monkeypatch.setattr(generation, "prompt_forward", counted_prompt)
     monkeypatch.setattr(generation, "sequence_forward", recorded_sequence)
-    result = generate(prompt, params, gp)
-    return result, len(prompt_passes), rows, logits
+    results = generate_candidates(prompt, params, gp, n_samples)
+    # the prefill row serves every sample; then the live samples keep their order
+    per_sample = [[logits[0][0]] for _ in results]
+    for step_logits in logits[1:]:
+        live = [i for i, r in enumerate(results) if len(r.steps) > len(per_sample[i])]
+        for i, row in zip(live, step_logits):
+            per_sample[i].append(row)
+    return results, len(prompt_passes), shapes, per_sample
+
+
+def assert_full_forward_logits(prompt, params, results, cached, tolerance):
+    """Each sample's logits at each step match a full forward over its prefix."""
+    for result, sample_logits in zip(results, cached):
+        ids = prompt_ids(prompt)
+        for step, logits in zip(result.steps, sample_logits):
+            reference = full_forward_logits(prompt, params, ids)
+            np.testing.assert_allclose(logits, reference, **tolerance)
+            ids.append(step.token_id)
+
+
+def live_rows(results, n_fragment):
+    """The token-row shape of each sequence pass: the single-row prefill of
+    CLS and the fragment, then one row per sample still decoding."""
+    n_passes = max(len(r.steps) for r in results)
+    return [(1, 1 + n_fragment)] + [(sum(len(r.steps) > t for r in results), 1)
+                                    for t in range(1, n_passes)]
 
 
 @pytest.mark.parametrize("dtype", sorted(TOLERANCES))
@@ -318,14 +344,38 @@ def cached_run(monkeypatch, prompt, params, gp):
 def test_cached_logits_equal_full_forward_at_every_step(mode, dtype, monkeypatch):
     params, records = decoding_model(dtype)
     prompt = prompt_for(mode, records)
-    result, _, _, cached = cached_run(monkeypatch, prompt, params,
-                                      GenerationParams(max_len=24, seed=5))
-    ids = prompt_ids(prompt)
-    assert len(cached) == len(result.steps) == 24 - len(prompt.fragment)
-    for step, logits in zip(result.steps, cached):
-        reference = full_forward_logits(prompt, params, ids)
-        np.testing.assert_allclose(logits, reference, **TOLERANCES[dtype])
-        ids.append(step.token_id)
+    results, _, _, cached = cached_run(monkeypatch, prompt, params,
+                                       GenerationParams(max_len=24, seed=5), n_samples=3)
+    n_steps = 24 - len(prompt.fragment)
+    assert [len(c) for c in cached] == [len(r.steps) for r in results] == [n_steps] * 3
+    assert_full_forward_logits(prompt, params, results, cached, TOLERANCES[dtype])
+
+
+@pytest.mark.parametrize("dtype", sorted(TOLERANCES))
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_candidate_rows_equal_lone_decodes(mode, dtype):
+    params, records = decoding_model(dtype)
+    prompt = prompt_for(mode, records)
+    gp = GenerationParams(max_len=20, seed=8)
+    rows = generate_candidates(prompt, params, gp, n_samples=3)
+    lone = [generate(prompt, params, replace(gp, seed=8 + i)) for i in range(3)]
+    assert rows == lone  # every GenerationStep field, penalized_logit included
+    assert len({r.sequence for r in rows}) == 3
+
+
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_rows_that_finish_early_leave_the_batch(mode, monkeypatch):
+    # no EOS bias: at seed 0 each sample stops at a different step
+    params, records, _ = tiny_model()
+    prompt = prompt_for(mode, records)
+    gp = GenerationParams(max_len=30, seed=0)
+    results, _, shapes, cached = cached_run(monkeypatch, prompt, params, gp, n_samples=4)
+    assert len({len(r.steps) for r in results}) == 4
+    assert [r.steps[-1].token == "<EOS>" for r in results].count(True) >= 2
+    assert shapes == live_rows(results, len(prompt.fragment))
+    monkeypatch.undo()
+    assert_full_forward_logits(prompt, params, results, cached, TOLERANCES["float64"])
+    assert results == [generate(prompt, params, replace(gp, seed=i)) for i in range(4)]
 
 
 @pytest.mark.parametrize("dtype", sorted(TOLERANCES))
@@ -371,8 +421,10 @@ def test_sampled_fasta_rerun_is_byte_identical(mode):
 def test_generate_runs_the_prompt_pass_once_then_one_row_per_token(mode, monkeypatch):
     params, records = decoding_model("float64")
     prompt = prompt_for(mode, records)
-    result, prompt_passes, rows, _ = cached_run(monkeypatch, prompt, params,
-                                                GenerationParams(max_len=20, seed=2))
-    assert prompt_passes == 1
-    assert len(rows) == len(result.steps)
-    assert rows == [1 + len(prompt.fragment)] + [1] * (len(rows) - 1)
+    for n_samples in (1, 3):
+        _, prompt_passes, shapes, _ = cached_run(
+            monkeypatch, prompt, params, GenerationParams(max_len=20, seed=2), n_samples)
+        assert prompt_passes == 1
+        n_decode = 20 - len(prompt.fragment) - 1
+        assert shapes == [(1, 1 + len(prompt.fragment))] + [(n_samples, 1)] * n_decode
+        monkeypatch.undo()

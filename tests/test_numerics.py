@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protdat import numerics as nx
+from protdat.model import ModelConfig
 from protdat.numerics import (
+    ROPE_BASE,
     NumericsError,
     Tensor,
     finite_difference_grad_check,
@@ -104,13 +106,13 @@ def test_layer_norm_rejects_empty():
 
 def test_rope_position_zero_is_identity(rng):
     x = rng.normal(size=(1, 8))
-    out = rope_rotate(Tensor(x), np.array([0]), 8).data
+    out = rope_rotate(Tensor(x), 0, 8).data
     assert np.array_equal(out, x)
 
 
 def test_rope_preserves_row_norms(rng):
     x = rng.normal(size=(6, 16))
-    out = rope_rotate(Tensor(x), np.arange(6), 8).data
+    out = rope_rotate(Tensor(x), 0, 8).data
     assert np.allclose(np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-6)
 
 
@@ -123,7 +125,7 @@ def test_rope_relative_position_property(m, n, shift):
     k = rng.normal(size=(1, 8))
 
     def rot(v, pos):
-        return rope_rotate(Tensor(v), np.array([pos]), 8).data[0]
+        return rope_rotate(Tensor(v), pos, 8).data[0]
 
     d1 = float(rot(q, m) @ rot(k, n))
     d2 = float(rot(q, m + shift) @ rot(k, n + shift))
@@ -132,7 +134,29 @@ def test_rope_relative_position_property(m, n, shift):
 
 def test_rope_rejects_odd_head_dim(rng):
     with pytest.raises(NumericsError):
-        rope_rotate(Tensor(rng.normal(size=(2, 6))), np.arange(2), 3)
+        rope_rotate(Tensor(rng.normal(size=(2, 6))), 0, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("head_dim", [8, 64])
+def test_rope_tables_equal_the_per_call_formula(head_dim, dtype):
+    """Rotating [1, .., 1, 0, .., 0] gives [cos, sin]: the cached tables match
+    the angles computed from the positions alone, bit for bit, at every
+    position a model sees, one row at a time and all at once."""
+    half = head_dim // 2
+    freqs = ROPE_BASE ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
+
+    def reference(positions):
+        ang = positions[:, None].astype(np.float64) * freqs[None, :]
+        return np.concatenate([np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)], axis=-1)
+
+    unit = np.concatenate([np.ones(half), np.zeros(half)]).astype(dtype)
+    positions = np.arange(ModelConfig().max_seq + 1)
+    out = rope_rotate(Tensor(np.tile(unit, (positions.size, 1))), 0, head_dim).data
+    assert np.array_equal(out, reference(positions))
+    for p in positions:
+        row = rope_rotate(Tensor(unit[None]), int(p), head_dim).data
+        assert np.array_equal(row, reference(np.array([p])))
 
 
 # -- masked attention ------------------------------------------------------------
@@ -420,7 +444,7 @@ PRIMITIVES = {
     "gelu": lambda x, const: nx.gelu(x),
     "layer_norm": lambda x, const: layer_norm(x, const(np.ones(4)), const(np.zeros(4))),
     "masked_softmax": lambda x, const: nx.masked_softmax(x, None),
-    "rope_rotate": lambda x, const: rope_rotate(x, np.arange(2), 4),
+    "rope_rotate": lambda x, const: rope_rotate(x, 0, 4),
     "next_token_cross_entropy": lambda x, const: next_token_cross_entropy(x, np.array([1, 3]), 0),
 }
 
