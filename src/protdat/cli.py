@@ -79,6 +79,9 @@ def load_run_config(path: str | None) -> RunConfig:
         raw = yaml.safe_load(Path(path).read_text()) or {}
         if not isinstance(raw, dict):
             raise DatasetError(f"config file {path} must be a key-value tree")
+        unknown = [k for k in raw if k not in {f.name for f in fields(RunConfig)}]
+        if unknown:
+            raise DatasetError(f"config file: unknown key {unknown[0]!r}")
         for key in ("seed", "out_dir", "dataset"):
             if key in raw:
                 setattr(cfg, key, raw[key])
@@ -275,12 +278,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise DatasetError("sweep: --limit must be >= 1")
     cfg = load_run_config(args.config)
     params = load_checkpoint(args.ckpt)
     seed = args.seed if args.seed is not None else cfg.seed
-    records = load_records(args.data)
-    if args.limit:
-        records = records[: args.limit]
+    records = load_records(args.data)[: args.limit]
     gp = cfg.generation_params(max_len=args.max_len, seed=seed)
     provider = params.text_encoder(args.embeddings)
     cells = parameter_sweep(

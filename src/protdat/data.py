@@ -279,8 +279,7 @@ def assemble_batch(
         for i, te in enumerate(texts):
             text_ids[i, : te.n_tokens] = te.word_ids
     else:
-        d_text = texts[0].d_text
-        text_embed = np.zeros((b, t_max, d_text), dtype=dtype)
+        text_embed = np.zeros((b, t_max, texts[0].embeddings.shape[1]), dtype=dtype)
         for i, te in enumerate(texts):
             text_embed[i, : te.n_tokens, :] = te.embeddings.astype(dtype)
 

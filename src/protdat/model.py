@@ -24,8 +24,9 @@ once and gives each layer its (K, V), the slot keys/values; then
 back as the layer's K/V.  ``model_forward`` is the two in turn.
 
 Nothing reads the text or slot stream after the final layer's K/V, so that
-layer has no text output projection and no text or slot residual FFN; its
-``wq_t`` serves only the ``ptm`` attention trace.
+layer has no text output projection and no text or slot residual FFN, and
+its text self-attention, which feeds only the ``ptm`` trace, runs only when
+``model_forward`` traces.
 """
 
 from __future__ import annotations
@@ -290,13 +291,15 @@ def _residual_ffn(x: Tensor, delta: Tensor, norm: NormParams, ffn: FfnParams) ->
 
 
 def prompt_mcm_forward(
-    c_n: Tensor, t_n: Tensor, masks: tuple, layer: DecoderLayerParams, config: ModelConfig
+    c_n: Tensor, t_n: Tensor, masks: tuple, layer: DecoderLayerParams, config: ModelConfig,
+    trace: bool = False,
 ):
     """The text and slot half of the fused attention block, on pre-normalized
     inputs under the (ptm, cim) masks of a Batch.  Returns the pre-residual
     slot and text outputs (text None in the final layer), the slot
     keys/values (k_c, v_c) that seed the layer's K/V, and the (ptm, cim)
-    attention weights (head axis intact).
+    attention weights (head axis intact; the final layer's ptm weights only
+    under ``trace``, else None).
     """
     ptm, cim = masks
     h, hd = config.n_heads, config.head_dim
@@ -304,12 +307,14 @@ def prompt_mcm_forward(
         raise ModelError(f"slot tensor has {c_n.shape[-2]} rows, expected {config.c_size}")
 
     # text branch: rotary self-attention
-    q_t = _apply_linear(t_n, layer.wq_t)
     k_t = _apply_linear(t_n, layer.wk_t)
     v_t = _apply_linear(t_n, layer.wv_t)
-    ptm_raw, ptm_w = nx.masked_attention(
-        nx.rope_rotate(q_t, 0, hd), nx.rope_rotate(k_t, 0, hd), v_t, ptm, h
-    )
+    ptm_raw = ptm_w = None
+    if layer.wo_t is not None or trace:
+        q_t = _apply_linear(t_n, layer.wq_t)
+        ptm_raw, ptm_w = nx.masked_attention(
+            nx.rope_rotate(q_t, 0, hd), nx.rope_rotate(k_t, 0, hd), v_t, ptm, h
+        )
     t_out = None if layer.wo_t is None else _apply_linear(ptm_raw, layer.wo_t)
 
     # bottleneck branch: slot queries against unrotated text keys/values
@@ -348,7 +353,7 @@ def decoder_layer_forward(
     return _residual_ffn(e_s, ds, layer.ln2_s, layer.ffn_s), kv, cca_w
 
 
-def prompt_forward(batch: Batch, params: ModelParams):
+def prompt_forward(batch: Batch, params: ModelParams, trace: bool = False):
     """The prompt pass: the text and slot branches of every layer.  Returns
     the per-layer (K, V), each the layer's slot keys and values (k_c, v_c),
     and the per-layer (ptm, cim) attention weights."""
@@ -372,7 +377,8 @@ def prompt_forward(batch: Batch, params: ModelParams):
     kv, weights = [], []
     for layer in params.layers:
         c_out, t_out, layer_kv, layer_weights = prompt_mcm_forward(
-            _apply_norm(e_c, layer.ln_c), _apply_norm(e_t, layer.ln_t), masks, layer, config
+            _apply_norm(e_c, layer.ln_c), _apply_norm(e_t, layer.ln_t), masks, layer, config,
+            trace,
         )
         if t_out is not None:
             e_c = _residual_ffn(e_c, c_out, layer.ln2_c, layer.ffn_c)
@@ -409,7 +415,7 @@ def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
     """
     if trace and batch.size != 1:
         raise ModelError("attention tracing expects a single-record batch")
-    kv, prompt_weights = prompt_forward(batch, params)
+    kv, prompt_weights = prompt_forward(batch, params, trace)
     logits, _, cca = sequence_forward(batch.seq_ids, 0, kv, batch.psm_mask, params)
     if not trace:
         return logits, None
@@ -463,16 +469,19 @@ def load_checkpoint(path) -> ModelParams:
             raise ModelError(f"checkpoint format {magic!r} != {CHECKPOINT_FORMAT!r}")
         manifest = json.loads(fh.readline().decode("utf-8"))
         blob = fh.read()
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ModelError("manifest format mismatch")
-    config = ModelConfig.from_dict(manifest["config"])
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError) as exc:
+        raise ModelError(f"checkpoint manifest has no valid model config: {exc!r}") from exc
     dt = config.np_dtype
     # every array is replaced from the blob below, so none is filled here
     params = _build_params(config, manifest.get("text_words"),
                            lambda shape, _kind: np.empty(shape, dtype=dt))
     named = params.named_parameters()
     expected = [{"name": name, "shape": list(p.shape)} for name, p in named]
-    if expected != manifest["tensors"]:
+    if expected != manifest.get("tensors"):
         raise ModelError("checkpoint tensor directory does not match the config")
     total = sum(int(np.prod(t["shape"])) for t in manifest["tensors"])
     if len(blob) != 4 * total:

@@ -382,9 +382,10 @@ def masked_attention(
     """Multi-head scaled-dot-product attention with visibility masking.
 
     q: (..., n_q, d), k/v: (..., n_k, d) with d divisible by ``n_heads``;
-    mask broadcastable to (..., n_q, n_k).  Returns the re-concatenated
-    output (..., n_q, d) and per-head weights (..., H, n_q, n_k) as a
-    plain array for tracing.  The weights are the softmax output itself,
+    mask None (every key visible) or a boolean array whose last two dims
+    are (n_q, n_k) and whose leading dims broadcast against q's.  Returns
+    the re-concatenated output (..., n_q, d) and per-head weights
+    (..., H, n_q, n_k) as a plain array for tracing.  The weights are the softmax output itself,
     which its backward pass reads: callers must not write to them.
     """
     d = q.shape[-1]

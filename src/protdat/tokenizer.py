@@ -80,18 +80,16 @@ class AminoVocabulary:
 
 @dataclass
 class TextEncoding:
-    """Encoded description text: one embedding row per real token."""
+    """Encoded description text, one entry per real token: word ids from the
+    trainable provider (the model embeds them from its live table), or
+    embedding rows from the precomputed one."""
 
-    embeddings: np.ndarray  # (m_tokens, d_text)
-    word_ids: np.ndarray | None = None  # set by the trainable provider
+    embeddings: np.ndarray | None = None  # (m_tokens, d_text), precomputed provider
+    word_ids: np.ndarray | None = None  # (m_tokens,), trainable provider
 
     @property
     def n_tokens(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
-    def d_text(self) -> int:
-        return self.embeddings.shape[1]
+        return len(self.word_ids if self.word_ids is not None else self.embeddings)
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -140,11 +138,7 @@ class TrainableTextEncoder:
     def encode(self, text: str, record_id: str | None = None) -> TextEncoding:
         if not text:
             raise TokenizerError("empty text")
-        ids = self.tokenize(text)
-        return TextEncoding(
-            embeddings=self.table.data[ids].copy(),
-            word_ids=ids,
-        )
+        return TextEncoding(word_ids=self.tokenize(text))
 
 
 class PrecomputedTextEncoder:

@@ -256,6 +256,20 @@ def test_sweep_writes_csv(trained_ckpt, toy_dataset, tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_sweep_limit_below_one_is_a_one_line_error(limit, trained_ckpt, toy_dataset, tmp_path,
+                                                   capsys):
+    out = tmp_path / "sweep.csv"
+    rc = run_command(
+        ["sweep", "--ckpt", str(trained_ckpt), "--data", str(toy_dataset), "--limit", limit,
+         "--top-p", "0.85", "--temperature", "1.0", "--max-len", "8", "--out", str(out)]
+    )
+    assert rc == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "DatasetError: sweep: --limit must be >= 1"
+    assert not out.exists()
+
+
 def test_export_attention_command(trained_ckpt, tmp_path, capsys):
     out = tmp_path / "maps"
     rc = run_command(
@@ -317,15 +331,44 @@ def test_config_file_with_flag_precedence(tmp_path, toy_dataset):
     assert manifest["config"]["training"]["lr"] == 0.001
 
 
-@pytest.mark.parametrize("section", ["model", "training", "generation"])
+@pytest.mark.parametrize(
+    "section", ["model", "training", "generation", pytest.param(None, id="top-level")]
+)
 def test_unknown_config_key_is_a_one_line_error(tmp_path, toy_dataset, trained_ckpt, capsys,
                                                 section):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(f"{section}:\n  d_modle: 16\n")
+    cfg.write_text(f"{section}:\n  d_modle: 16\n" if section else "sed: 5\n")
     if section == "generation":
         args = ["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT]
     else:
         args = ["train", "--data", str(toy_dataset), "--out", str(tmp_path), "--epochs", "0"]
     assert run_command([*args, "--config", str(cfg)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == f"DatasetError: config section {section!r}: unknown key 'd_modle'"
+    if section:
+        assert error == f"DatasetError: config section {section!r}: unknown key 'd_modle'"
+    else:
+        assert error == "DatasetError: config file: unknown key 'sed'"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("case", ["unknown-key", "missing", "not-a-mapping"])
+def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, tmp_path, capsys):
+    magic, manifest, blob = trained_ckpt.read_bytes().split(b"\n", 2)
+    manifest = json.loads(manifest)
+    if case == "unknown-key":
+        manifest["config"]["d_modle"] = 16
+    elif case == "missing":
+        del manifest["config"]
+    else:
+        manifest = list(manifest)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"\n".join([magic, json.dumps(manifest).encode(), blob]))
+    rc = run_command(["generate", "--ckpt", str(bad), "--text", TABLE4_TEXT])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    if case == "not-a-mapping":
+        assert error == "ModelError: manifest format mismatch"
+    else:
+        assert error.startswith("ModelError: checkpoint manifest has no valid model config")

@@ -59,12 +59,18 @@ def test_mcm_shapes_and_trace_shapes():
     assert cim_w.shape == (2, 3, 5)
     assert cca_w.shape == (2, 7, 10)
     assert np.allclose(cca_w.sum(axis=-1), 1.0, atol=1e-9)
-    # the final layer ends at its K/V: no text output, but the ptm weights remain
-    c_out, t_out, kv, (ptm_w, _) = prompt_mcm_forward(e_c, e_t, (ptm, cim), params.layers[1], cfg)
-    assert t_out is None
+    # the final layer ends at its K/V: no text output, and its text attention
+    # runs only for a trace
+    final = params.layers[1]
+    c_out, t_out, kv, (ptm_w, _) = prompt_mcm_forward(e_c, e_t, (ptm, cim), final, cfg)
+    assert t_out is None and ptm_w is None
     assert c_out.shape == (3, 8)
     assert kv[0].shape == kv[1].shape == (3, 8)
+    c_tr, t_tr, kv_tr, (ptm_w, _) = prompt_mcm_forward(e_c, e_t, (ptm, cim), final, cfg, True)
+    assert t_tr is None
     assert ptm_w.shape == (2, 5, 5)
+    assert np.array_equal(c_tr.data, c_out.data)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(kv_tr, kv))
 
 
 def test_mcm_value_path_zero_map():
@@ -136,7 +142,8 @@ def test_mcm_single_head_matches_straight_line_reference():
         v_t = lin(e_t, layer.wv_t)
         q_t_r = np.stack([rope1(q_t[i], i) for i in range(2)])
         k_t_r = np.stack([rope1(k_t[i], i) for i in range(2)])
-        ptm = np.stack([soft(q_t_r[i] @ k_t_r.T * sc) @ v_t for i in range(2)])
+        ptm_w_ref = np.stack([soft(q_t_r[i] @ k_t_r.T * sc) for i in range(2)])
+        ptm = ptm_w_ref @ v_t
 
         q_c = lin(e_c, layer.wq_c)
         cim = soft(q_c[0] @ k_t.T * sc) @ v_t  # unrotated keys
@@ -158,7 +165,10 @@ def test_mcm_single_head_matches_straight_line_reference():
             s_rows.append(soft(scores) @ v_cat)
         s_ref = lin(np.stack(s_rows), layer.wo_s)
 
-        c_out, t_out, kv, _ = prompt_mcm_forward(Tensor(e_c), Tensor(e_t), masks[:2], layer, cfg)
+        c_out, t_out, kv, (ptm_w, _) = prompt_mcm_forward(
+            Tensor(e_c), Tensor(e_t), masks[:2], layer, cfg, trace=True
+        )
+        assert np.abs(ptm_w[0] - ptm_w_ref).max() < 1e-12  # the final layer's too
         s_out, (k_out, v_out), _ = mcm_forward(Tensor(e_s), 0, kv, masks[2], layer, cfg)
         if n < cfg.n_layers - 1:
             assert np.abs(t_out.data - lin(ptm, layer.wo_t)).max() < 1e-12
@@ -227,6 +237,43 @@ def test_model_forward_equals_manual_layer_composition():
         e_s, _, _ = decoder_layer_forward(e_s, 0, layer_kv, batch.psm_mask, layer, cfg)
     manual = nx.linear(e_s, params.head.w, params.head.b)
     assert np.array_equal(logits.data, manual.data)
+
+
+def test_final_text_attention_runs_only_under_trace(monkeypatch):
+    params, records, _ = tiny_model()
+    cfg = params.config
+    single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(), cfg.c_size,
+                        dtype=np.float64)
+    calls = []
+    real = nx.masked_attention
+    monkeypatch.setattr(nx, "masked_attention", lambda *a, **k: calls.append(1) or real(*a, **k))
+    n = cfg.n_layers
+    # text and slot attention in every layer, but the final layer's text
+    # attention only under a trace
+    for trace, prompt_calls in ((False, 2 * n - 1), (True, 2 * n)):
+        calls.clear()
+        model_forward(single, params, trace=trace)
+        assert len(calls) == prompt_calls + n  # then one sequence attention per layer
+
+
+def test_traced_forward_equals_untraced_bitwise():
+    params, records, _ = tiny_model(config=tiny_config(n_layers=3))
+    cfg = params.config
+    single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(), cfg.c_size,
+                        dtype=np.float64)
+    logits, none = model_forward(single, params)
+    logits_tr, trace = model_forward(single, params, trace=True)
+    assert none is None
+    assert np.array_equal(logits.data, logits_tr.data)
+    kv, weights = prompt_forward(single, params)
+    kv_tr, weights_tr = prompt_forward(single, params, trace=True)
+    for (k, v), (k_tr, v_tr) in zip(kv, kv_tr, strict=True):
+        assert np.array_equal(k.data, k_tr.data) and np.array_equal(v.data, v_tr.data)
+    assert [w is None for w, _ in weights] == [False, False, True]
+    assert all(w is not None for w, _ in weights_tr)
+    assert len(trace.ptm) == len(trace.cim) == len(trace.cca) == cfg.n_layers
+    t = single.text_len
+    assert trace.ptm[-1].shape == (t, t)
 
 
 def test_causality_is_bitwise():

@@ -100,24 +100,24 @@ def _encoder(texts, d_text=16, seed=0):
 def test_trainable_shapes_and_mask():
     enc = _encoder(["alpha beta gamma delta epsilon"])
     out = enc.encode("alpha beta gamma delta epsilon")
-    assert out.embeddings.shape == (5, 16)
+    assert out.embeddings is None  # the model embeds the ids from its live table
     assert out.n_tokens == 5 and out.word_ids.shape == (5,)
+    assert (out.word_ids > 0).all() and out.word_ids.max() < enc.table.shape[0]
 
 
 def test_trainable_is_deterministic():
     enc = _encoder(["one two three"])
     a = enc.encode("one two three")
     b = enc.encode("one two three")
-    assert np.array_equal(a.embeddings, b.embeddings)
     assert np.array_equal(a.word_ids, b.word_ids)
+    assert a.word_ids.dtype == np.int64
 
 
 def test_trainable_oov_maps_to_shared_unk():
     enc = _encoder(["known words only"])
     out = enc.encode("known unseen1 unseen2")
     assert out.word_ids[0] != 0
-    assert out.word_ids[1] == 0 and out.word_ids[2] == 0
-    assert np.array_equal(out.embeddings[1], out.embeddings[2])
+    assert out.word_ids[1] == 0 and out.word_ids[2] == 0  # one shared UNK row
 
 
 def test_trainable_truncates_long_text_with_warning():
