@@ -32,7 +32,7 @@ def main():
     records = synthetic_records(args.n, seed=args.seed, min_len=16, max_len=64)
     cfg = ModelConfig(
         d_model=args.d_model, n_layers=args.n_layers, n_heads=4, c_size=4,
-        d_text=args.d_model, ffn_dim=2 * args.d_model, vocab_size=29, dtype="float32",
+        d_text=args.d_model, ffn_dim=2 * args.d_model, dtype="float32",
     )
     tcfg = TrainingConfig(batch_size=10, lr=args.lr, weight_decay=0.0, clip_norm=5.0)
 

@@ -3,9 +3,11 @@
 Subcommands: prepare-data, train, generate, eval, sweep,
 export-attention.  Values resolve as flags > config file (YAML) >
 defaults; the output directory may also come from the PROTDAT_OUT_DIR
-environment variable.  Every run writes a reproducibility manifest
-(config snapshot, seed, version) next to its outputs, and all randomness
-flows from the single root seed recorded there.
+environment variable.  The seed is set only at the top level (``--seed``
+or the file's ``seed``), and generation takes it from there.  Every run
+writes a reproducibility manifest (config snapshot, seed, version) next
+to its outputs, and all randomness flows from the single root seed
+recorded there.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -68,12 +70,14 @@ class RunConfig:
         return TrainingConfig(**self.training)
 
     def generation_params(self, **overrides) -> GenerationParams:
-        merged = dict(self.generation)
+        merged = {"seed": self.seed, **self.generation}
         merged.update({k: v for k, v in overrides.items() if v is not None})
         return GenerationParams(**merged)
 
 
-def load_run_config(path: str | None) -> RunConfig:
+def load_run_config(path: str | None, seed: int | None) -> RunConfig:
+    """The run configuration: defaults, then the YAML file at ``path``,
+    then the ``--seed`` flag."""
     cfg = RunConfig()
     if path:
         raw = yaml.safe_load(Path(path).read_text()) or {}
@@ -82,20 +86,26 @@ def load_run_config(path: str | None) -> RunConfig:
         unknown = [k for k in raw if k not in {f.name for f in fields(RunConfig)}]
         if unknown:
             raise DatasetError(f"config file: unknown key {unknown[0]!r}")
-        for key in ("seed", "out_dir", "dataset"):
+        for key, kind in (("seed", int), ("out_dir", str), ("dataset", str)):
             if key in raw:
-                setattr(cfg, key, raw[key])
+                value = raw[key]
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise DatasetError(
+                        f"config file: {key!r} must be {kind.__name__}, not {type(value).__name__}")
+                setattr(cfg, key, value)
         for key, config_cls in (("model", ModelConfig), ("training", TrainingConfig),
                                 ("generation", GenerationParams)):
             if key in raw:
                 section = raw[key]
                 if not isinstance(section, dict):
                     raise DatasetError(f"config section {key!r} must be a mapping")
-                names = {f.name for f in fields(config_cls)}
+                names = {f.name for f in fields(config_cls)} - {"seed"}  # top-level only
                 unknown = [k for k in section if k not in names]
                 if unknown:
                     raise DatasetError(f"config section {key!r}: unknown key {unknown[0]!r}")
                 getattr(cfg, key).update(section)
+    if seed is not None:
+        cfg.seed = seed
     return cfg
 
 
@@ -136,14 +146,13 @@ def _floats(text: str) -> list[float]:
 
 
 def cmd_prepare_data(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, args.seed)
     out_dir = resolve_out_dir(args.out, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = read_dataset(args.data, args.format)
     (out_dir / "errors.txt").write_text(report.error_text + ("\n" if report.errors else ""))
     records = accepted_records(report, args.data)
-    seed = args.seed if args.seed is not None else cfg.seed
-    spec = SplitSpec(train=args.train, valid=args.valid, test=args.test, seed=seed)
+    spec = SplitSpec(train=args.train, valid=args.valid, test=args.test, seed=cfg.seed)
     train, valid, test = split_records(records, spec)
     write_jsonl(out_dir / "train.jsonl", train)
     write_jsonl(out_dir / "valid.jsonl", valid)
@@ -159,7 +168,7 @@ def cmd_prepare_data(args) -> int:
             "invalid": len(report.errors),
             "sizes": [len(train), len(valid), len(test)],
         },
-        seed,
+        cfg.seed,
     )
     print(
         f"prepared {len(records)} records -> train/valid/test = "
@@ -169,10 +178,9 @@ def cmd_prepare_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, args.seed)
     cfg.model.update(_overrides(args, ModelConfig))
     cfg.training.update(_overrides(args, TrainingConfig))
-    seed = args.seed if args.seed is not None else cfg.seed
     out_dir = resolve_out_dir(args.out, cfg)
     data_path = args.data or cfg.dataset
     if not data_path:
@@ -187,7 +195,7 @@ def cmd_train(args) -> int:
         model_config,
         train_config,
         epochs=args.epochs,
-        seed=seed,
+        seed=cfg.seed,
         out_dir=out_dir,
         embedding_path=args.embeddings,
         max_steps=args.max_steps,
@@ -200,10 +208,10 @@ def cmd_train(args) -> int:
             "valid": str(args.valid) if args.valid else None,
             "epochs": args.epochs,
             "max_steps": args.max_steps,
-            "model": model_config.to_dict(),
-            "training": train_config.to_dict(),
+            "model": asdict(model_config),
+            "training": asdict(train_config),
         },
-        seed,
+        cfg.seed,
     )
     train_losses = log.losses("train")
     last = f"{train_losses[-1]:.4f}" if train_losses else "n/a"
@@ -212,15 +220,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, args.seed)
     params = load_checkpoint(args.ckpt)
-    seed = args.seed if args.seed is not None else cfg.seed
     gp = cfg.generation_params(
         temperature=args.temperature,
         top_p=args.top_p,
         repetition_penalty=args.repetition_penalty,
         max_len=args.max_len,
-        seed=seed,
     )
     prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
     provider = params.text_encoder(args.embeddings)
@@ -236,7 +242,7 @@ def cmd_generate(args) -> int:
             {"ckpt": str(args.ckpt), "mode": prompt.mode, "num": args.num,
              "temperature": gp.temperature, "top_p": gp.top_p,
              "repetition_penalty": gp.repetition_penalty, "max_len": gp.max_len},
-            seed,
+            cfg.seed,
         )
     else:
         write_fasta(entries, sys.stdout)
@@ -280,11 +286,10 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise DatasetError("sweep: --limit must be >= 1")
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, args.seed)
     params = load_checkpoint(args.ckpt)
-    seed = args.seed if args.seed is not None else cfg.seed
     records = load_records(args.data)[: args.limit]
-    gp = cfg.generation_params(max_len=args.max_len, seed=seed)
+    gp = cfg.generation_params(max_len=args.max_len)
     provider = params.text_encoder(args.embeddings)
     cells = parameter_sweep(
         params,
@@ -302,7 +307,7 @@ def cmd_sweep(args) -> int:
             {"ckpt": str(args.ckpt), "data": str(args.data), "limit": args.limit,
              "top_p": args.top_p, "temperature": args.temperature,
              "max_len": gp.max_len, "repetition_penalty": gp.repetition_penalty},
-            seed,
+            cfg.seed,
         )
     else:
         write_sweep_csv(cells, sys.stdout)
@@ -310,12 +315,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_attention(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, args.seed)
     params = load_checkpoint(args.ckpt)
-    seed = args.seed if args.seed is not None else cfg.seed
     out_dir = resolve_out_dir(args.out, cfg)
     prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
-    gp = cfg.generation_params(max_len=args.max_len, seed=seed)
+    gp = cfg.generation_params(max_len=args.max_len)
     provider = params.text_encoder(args.embeddings)
     result, trace = generate(
         prompt, params, gp, text_provider=provider, record_id=args.record_id, trace_attention=True
@@ -326,7 +330,7 @@ def cmd_export_attention(args) -> int:
         "export-attention",
         {"ckpt": str(args.ckpt), "mode": args.mode, "condense": args.condense,
          "generated_length": len(result.sequence)},
-        seed,
+        cfg.seed,
     )
     print(f"wrote {len(entries)} matrices to {out_dir}")
     return 0

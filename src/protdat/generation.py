@@ -27,7 +27,7 @@ from . import numerics as nx
 from .data import assemble_batch
 from .model import ModelParams, model_forward, prompt_forward, sequence_forward
 from .numerics import Tensor, softmax_with_temperature
-from .tokenizer import AminoVocabulary
+from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary
 
 MODE_TEXT_ONLY = "text-only"
 MODE_TEXT_FRAGMENT = "text+fragment"
@@ -181,8 +181,8 @@ def generate_candidates(
         raise GenerationError("n_samples must be >= 1")
     config = params.config
     vocab = AminoVocabulary()
-    if gp.max_len > config.max_seq - 2:
-        raise GenerationError(f"max_len {gp.max_len} exceeds the model cap {config.max_seq - 2}")
+    if gp.max_len > MAX_SEQ_TOKENS - 2:
+        raise GenerationError(f"max_len {gp.max_len} exceeds the model cap {MAX_SEQ_TOKENS - 2}")
     encoding = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
 
     if len(prompt.fragment) > gp.max_len:
@@ -218,7 +218,7 @@ def generate_candidates(
                 token = "<EOS>" if token_id == vocab.eos_id else vocab.residue_of(token_id)
                 steps[sample].append(GenerationStep(
                     token_id, token, nucleus_size, rank, float(penalized[token_id])))
-            keep = [i for i, sample in enumerate(live) if steps[sample][-1].token != "<EOS>"]
+            keep = [i for i, s in enumerate(live) if steps[s][-1].token_id != vocab.eos_id]
             if len(keep) != kv[0][0].shape[0]:  # the prefill row fans out, or rows left
                 kv = [(Tensor(k.data[rows[keep]]), Tensor(v.data[rows[keep]])) for k, v in kv]
             live, rows, length = [live[i] for i in keep], np.arange(len(keep)), length + 1

@@ -42,9 +42,9 @@ import numpy as np
 from . import numerics as nx
 from .data import Batch
 from .numerics import Tensor
-from .tokenizer import PrecomputedTextEncoder, TrainableTextEncoder
+from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary, PrecomputedTextEncoder, TrainableTextEncoder
 
-CHECKPOINT_FORMAT = "protdat-ckpt-2"
+CHECKPOINT_FORMAT = "protdat-ckpt-3"
 
 
 class ModelError(ValueError):
@@ -59,9 +59,6 @@ class ModelConfig:
     c_size: int = 50
     d_text: int = 768
     ffn_dim: int = 0  # 0 -> 4 * d_model
-    max_text: int = 512
-    max_seq: int = 1024
-    vocab_size: int = 29
     text_provider: str = "trainable"
     dtype: str = "float32"
 
@@ -90,13 +87,6 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -168,11 +158,11 @@ class ModelParams:
     the checkpoint's tensor directory."""
 
     config: ModelConfig
-    token_embedding: Tensor  # (vocab_size, d_model), shared by sequence and slot ids
+    token_embedding: Tensor  # (AminoVocabulary.size, d_model), shared by sequence and slot ids
     text_word_embedding: Tensor | None  # (n_words + 1, d_text), row 0 = UNK
     text_projection: LinearParams | None  # None when d_text == d_model (identity)
     layers: list[DecoderLayerParams]
-    head: LinearParams  # (d_model, vocab_size)
+    head: LinearParams  # (d_model, AminoVocabulary.size)
     text_words: list[str] | None = None
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -217,7 +207,7 @@ def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> Mo
             b2=param((d,), "zeros"),
         )
 
-    token_embedding = param((config.vocab_size, d), "normal")
+    token_embedding = param((AminoVocabulary.size, d), "normal")
     text_projection = None if config.d_text == d else lin(config.d_text, d)
     layers = []
     for _ in range(config.n_layers):
@@ -234,7 +224,7 @@ def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> Mo
         )
     for last in layers[-1:]:
         last.wo_t = last.ln2_t = last.ffn_t = last.ln2_c = last.ffn_c = None
-    head = lin(d, config.vocab_size)
+    head = lin(d, AminoVocabulary.size)
     text_word_embedding = None
     if config.text_provider == "trainable":
         if text_words is None:
@@ -358,9 +348,6 @@ def prompt_forward(batch: Batch, params: ModelParams, trace: bool = False):
     the per-layer (K, V), each the layer's slot keys and values (k_c, v_c),
     and the per-layer (ptm, cim) attention weights."""
     config = params.config
-    if batch.text_len > config.max_text:
-        raise ModelError(f"text length {batch.text_len} exceeds max_text {config.max_text}")
-
     e_c = nx.embedding(params.token_embedding, batch.cross_ids)
     if batch.text_ids is not None:
         if params.text_word_embedding is None:
@@ -394,8 +381,8 @@ def sequence_forward(seq_ids: np.ndarray, start: int, kv: list, psm, params: Mod
     raw logits, the grown per-layer (K, V) and the per-layer weights."""
     config = params.config
     end = start + seq_ids.shape[1]
-    if end > config.max_seq:
-        raise ModelError(f"sequence length {end} exceeds max_seq {config.max_seq}")
+    if end > MAX_SEQ_TOKENS:
+        raise ModelError(f"sequence length {end} exceeds the {MAX_SEQ_TOKENS}-token cap")
     e_s = nx.embedding(params.token_embedding, seq_ids)
     grown, weights = [], []
     for layer, layer_kv in zip(params.layers, kv):
@@ -450,7 +437,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     named = params.named_parameters()
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "tensors": [{"name": name, "shape": list(p.shape)} for name, p in named],
         "text_words": params.text_words,
     }
@@ -472,7 +459,7 @@ def load_checkpoint(path) -> ModelParams:
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ModelError("manifest format mismatch")
     try:
-        config = ModelConfig.from_dict(manifest["config"])
+        config = ModelConfig(**manifest["config"])
     except (KeyError, TypeError) as exc:
         raise ModelError(f"checkpoint manifest has no valid model config: {exc!r}") from exc
     dt = config.np_dtype

@@ -110,10 +110,6 @@ class TrainableTextEncoder:
         self.table = table
         self.word_to_id = {w: i + 1 for i, w in enumerate(self.words)}
 
-    @property
-    def d_text(self) -> int:
-        return self.table.shape[1]
-
     @staticmethod
     def build_vocabulary(texts: list[str]) -> list[str]:
         """Unique words of the training split, in first-seen order."""

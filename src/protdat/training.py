@@ -6,6 +6,10 @@ attention path.  Runs are bit-for-bit reproducible under a fixed seed:
 shuffling, initialization and batch assembly all derive from one root
 seed, and the emitted loss log carries no wall-clock fields (timings go
 to a separate sidecar so log files from identical runs compare equal).
+
+Adam's betas and epsilon are the fixed ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPS``; ``TrainingConfig`` holds what a run sets: batch size,
+learning rate, weight decay and the clipping norm.
 """
 
 from __future__ import annotations
@@ -27,18 +31,17 @@ class TrainingError(RuntimeError):
     pass
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-9
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     batch_size: int = 10
     lr: float = 1.5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-9
     weight_decay: float = 0.1
     clip_norm: float | None = 1.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class OptimizerState:
@@ -70,17 +73,17 @@ class OptimizerState:
         cfg = self.config
         self.step += 1
         t = self.step
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         for name, p in params.named_parameters():
             g = p.grad_or_zeros()
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if cfg.weight_decay:
                 update = update + cfg.weight_decay * self.decay_mask[name] * p.data
             p.data = p.data - cfg.lr * update
@@ -201,7 +204,7 @@ def fit(
         params = init_params(model_config, seed=seed)
     provider = params.text_encoder(embedding_path)
     opt = OptimizerState(params, train_config)
-    log = TrainLog(seed=seed, config={"model": params.config.to_dict(), "training": train_config.to_dict()})
+    log = TrainLog(seed=seed, config={"model": asdict(params.config), "training": asdict(train_config)})
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

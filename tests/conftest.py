@@ -19,7 +19,6 @@ def tiny_config(**overrides) -> ModelConfig:
         c_size=3,
         d_text=16,
         ffn_dim=32,
-        vocab_size=AminoVocabulary().size,
         dtype="float64",
     )
     base.update(overrides)

@@ -55,7 +55,7 @@ def _report(num: int, name: str, t0: float, budget: float) -> None:
 def test_acceptance_01_gradient_correctness():
     t0 = time.monotonic()
     cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, c_size=3, d_text=16,
-                      ffn_dim=32, vocab_size=29, dtype="float64")
+                      ffn_dim=32, dtype="float64")
     params, _, batch = tiny_model(config=cfg)
     scale_weights(params, 12.0)
 
@@ -152,7 +152,7 @@ def test_acceptance_03_mcm_wiring_and_trace_shapes():
 def memorized():
     records = synthetic_records(50, seed=20, min_len=16, max_len=64)
     cfg = ModelConfig(d_model=64, n_layers=2, n_heads=4, c_size=4, d_text=64,
-                      ffn_dim=128, vocab_size=29, dtype="float32")
+                      ffn_dim=128, dtype="float32")
     tcfg = TrainingConfig(batch_size=10, lr=3e-3, weight_decay=0.0, clip_norm=5.0)
     t_train = time.monotonic()
     params, log = fit(records, [], cfg, tcfg, epochs=400, seed=6,
@@ -207,7 +207,7 @@ def test_acceptance_05_text_conditioning_swap(memorized):
 def test_acceptance_06_mode_two_prefix_contract():
     t0 = time.monotonic()
     cfg = ModelConfig(d_model=32, n_layers=1, n_heads=2, c_size=2, d_text=32,
-                      ffn_dim=64, vocab_size=29, dtype="float32")
+                      ffn_dim=64, dtype="float32")
     params = init_params(cfg, seed=0, text_words=["function", "synthetic", "prompt"])
     rng = np.random.default_rng(11)
     for trial in range(100):

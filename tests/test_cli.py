@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from protdat.cli import run_command
 from protdat.data import synthetic_records, write_jsonl
@@ -17,7 +18,7 @@ from protdat.generation import (
     write_fasta,
     write_trace,
 )
-from protdat.model import load_checkpoint
+from protdat.model import CHECKPOINT_FORMAT, load_checkpoint
 
 TABLE4_TEXT = (
     "FUNCTION: Is involved in the catabolism of quinate. Allows the utilization of "
@@ -331,31 +332,63 @@ def test_config_file_with_flag_precedence(tmp_path, toy_dataset):
     assert manifest["config"]["training"]["lr"] == 0.001
 
 
-@pytest.mark.parametrize(
-    "section", ["model", "training", "generation", pytest.param(None, id="top-level")]
-)
+@pytest.mark.parametrize("section,key", [
+    pytest.param("model", "d_modle", id="model"),
+    pytest.param("training", "d_modle", id="training"),
+    pytest.param("generation", "d_modle", id="generation"),
+    pytest.param(None, "sed", id="top-level"),
+    # fixed facts of the vocabulary, the data format and the optimizer, and
+    # the seed, which is set at the top level only
+    pytest.param("model", "vocab_size", id="model.vocab_size"),
+    pytest.param("model", "max_seq", id="model.max_seq"),
+    pytest.param("training", "beta1", id="training.beta1"),
+    pytest.param("generation", "seed", id="generation.seed"),
+])
 def test_unknown_config_key_is_a_one_line_error(tmp_path, toy_dataset, trained_ckpt, capsys,
-                                                section):
+                                                section, key):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(f"{section}:\n  d_modle: 16\n" if section else "sed: 5\n")
+    cfg.write_text(f"{section}:\n  {key}: 16\n" if section else f"{key}: 5\n")
     if section == "generation":
         args = ["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT]
     else:
         args = ["train", "--data", str(toy_dataset), "--out", str(tmp_path), "--epochs", "0"]
     assert run_command([*args, "--config", str(cfg)]) == 1
-    error = json.loads(capsys.readouterr().err)["error"]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
     if section:
-        assert error == f"DatasetError: config section {section!r}: unknown key 'd_modle'"
+        assert error == f"DatasetError: config section {section!r}: unknown key {key!r}"
     else:
-        assert error == "DatasetError: config file: unknown key 'sed'"
+        assert error == f"DatasetError: config file: unknown key {key!r}"
     assert not (tmp_path / "model.ckpt").exists()
 
 
-@pytest.mark.parametrize("case", ["unknown-key", "missing", "not-a-mapping"])
+@pytest.mark.parametrize("bad,message", [
+    pytest.param({"seed": "abc"}, "'seed' must be int, not str", id="seed-str"),
+    pytest.param({"seed": True}, "'seed' must be int, not bool", id="seed-bool"),
+    pytest.param({"out_dir": 5}, "'out_dir' must be str, not int", id="out_dir-int"),
+    pytest.param({"dataset": 5}, "'dataset' must be str, not int", id="dataset-int"),
+])
+def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, toy_dataset, capsys,
+                                                            monkeypatch, bad, message):
+    monkeypatch.chdir(tmp_path)  # the default out_dir is relative
+    monkeypatch.delenv("PROTDAT_OUT_DIR", raising=False)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump({"dataset": str(toy_dataset), **bad}))
+    assert run_command(["train", "--config", str(cfg), "--epochs", "0", *TINY_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"DatasetError: config file: {message}"
+    assert not list(tmp_path.rglob("model.ckpt"))
+
+
+@pytest.mark.parametrize("case", ["unknown-key", "missing", "not-a-mapping", "previous-format"])
 def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, tmp_path, capsys):
     magic, manifest, blob = trained_ckpt.read_bytes().split(b"\n", 2)
     manifest = json.loads(manifest)
-    if case == "unknown-key":
+    if case == "previous-format":
+        magic = b"protdat-ckpt-2"
+    elif case == "unknown-key":
         manifest["config"]["d_modle"] = 16
     elif case == "missing":
         del manifest["config"]
@@ -368,7 +401,10 @@ def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, t
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     error = json.loads(err)["error"]
-    if case == "not-a-mapping":
+    if case == "previous-format":
+        assert error == (
+            f"ModelError: checkpoint format 'protdat-ckpt-2' != {CHECKPOINT_FORMAT!r}")
+    elif case == "not-a-mapping":
         assert error == "ModelError: manifest format mismatch"
     else:
         assert error.startswith("ModelError: checkpoint manifest has no valid model config")

@@ -6,6 +6,7 @@ import pytest
 from protdat import numerics as nx
 from protdat.data import ProteinRecord, make_batch
 from protdat.model import (
+    CHECKPOINT_FORMAT,
     ModelConfig,
     ModelError,
     decoder_layer_forward,
@@ -16,9 +17,10 @@ from protdat.model import (
     prompt_forward,
     prompt_mcm_forward,
     save_checkpoint,
+    sequence_forward,
 )
 from protdat.numerics import Tensor
-from protdat.tokenizer import AminoVocabulary
+from protdat.tokenizer import MAX_SEQ_TOKENS, AminoVocabulary
 
 from conftest import tiny_config, tiny_model
 
@@ -109,8 +111,7 @@ def test_mcm_value_path_zero_map():
 def test_mcm_single_head_matches_straight_line_reference():
     """Independent straight-line recomputation of the fused block, single head."""
     cfg = ModelConfig(
-        d_model=2, n_layers=2, n_heads=1, c_size=1, d_text=2, ffn_dim=4,
-        vocab_size=29, dtype="float64",
+        d_model=2, n_layers=2, n_heads=1, c_size=1, d_text=2, ffn_dim=4, dtype="float64",
     )
     params = init_params(cfg, seed=3, text_words=["w"])
     rng = np.random.default_rng(4)
@@ -347,7 +348,7 @@ def n_parameters(params) -> int:
 def test_count_parameters_closed_form():
     cfg = ModelConfig(
         d_model=8, n_layers=2, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
-        vocab_size=29, text_provider="precomputed", dtype="float64",
+        text_provider="precomputed", dtype="float64",
     )
     params = init_params(cfg, seed=0)
     d, f, v = 8, 16, 29
@@ -362,7 +363,7 @@ def test_count_parameters_closed_form():
 
 def test_count_parameters_layer_additivity():
     base = dict(d_model=8, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
-                vocab_size=29, text_provider="precomputed", dtype="float64")
+                text_provider="precomputed", dtype="float64")
     one = n_parameters(init_params(ModelConfig(n_layers=1, **base), seed=0))
     two = n_parameters(init_params(ModelConfig(n_layers=2, **base), seed=0))
     three = n_parameters(init_params(ModelConfig(n_layers=3, **base), seed=0))
@@ -371,7 +372,7 @@ def test_count_parameters_layer_additivity():
 
 def test_shared_embedding_counted_once():
     cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
-                      vocab_size=29, text_provider="precomputed", dtype="float64")
+                      text_provider="precomputed", dtype="float64")
     params = init_params(cfg, seed=0)
     names = [n for n, _ in params.named_parameters()]
     assert names.count("token_embedding") == 1
@@ -412,10 +413,12 @@ def test_trace_requires_single_record_batch():
 
 
 def test_forward_rejects_over_cap():
-    cfg = tiny_config(max_seq=4)
-    params, _, batch = tiny_model(config=cfg)  # record r2 encodes to length 7
-    with pytest.raises(ModelError, match="max_seq"):
-        model_forward(batch, params)
+    params, _, batch = tiny_model()
+    kv, _ = prompt_forward(batch, params)
+    ids = np.full((batch.size, 1), AminoVocabulary.cls_id)
+    sequence_forward(ids, MAX_SEQ_TOKENS - 1, kv, None, params)  # the last position: ok
+    with pytest.raises(ModelError, match=f"{MAX_SEQ_TOKENS}-token cap"):
+        sequence_forward(np.repeat(ids, 2, axis=1), MAX_SEQ_TOKENS - 1, kv, None, params)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -450,11 +453,12 @@ def test_checkpoint_version_mismatch_is_rejected(tmp_path):
     params, _, path = _f32_model(tmp_path)
     save_checkpoint(params, path)
     raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"protdat-ckpt-2", b"protdat-ckpt-9", 1))
+    magic = CHECKPOINT_FORMAT.encode("ascii")
+    path.write_bytes(raw.replace(magic, b"protdat-ckpt-9", 1))
     with pytest.raises(ModelError, match="format"):
         load_checkpoint(path)
     # a v1 file, header and manifest alike, is rejected rather than read
-    path.write_bytes(raw.replace(b"protdat-ckpt-2", b"protdat-ckpt-1"))
+    path.write_bytes(raw.replace(magic, b"protdat-ckpt-1"))
     with pytest.raises(ModelError, match="format 'protdat-ckpt-1'"):
         load_checkpoint(path)
 

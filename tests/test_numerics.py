@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protdat import numerics as nx
-from protdat.model import ModelConfig
 from protdat.numerics import (
     ROPE_BASE,
     NumericsError,
@@ -19,6 +18,7 @@ from protdat.numerics import (
     rope_rotate,
     softmax_with_temperature,
 )
+from protdat.tokenizer import MAX_SEQ_TOKENS
 
 from conftest import scale_weights, tiny_model
 
@@ -151,7 +151,7 @@ def test_rope_tables_equal_the_per_call_formula(head_dim, dtype):
         return np.concatenate([np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)], axis=-1)
 
     unit = np.concatenate([np.ones(half), np.zeros(half)]).astype(dtype)
-    positions = np.arange(ModelConfig().max_seq + 1)
+    positions = np.arange(MAX_SEQ_TOKENS + 1)
     out = rope_rotate(Tensor(np.tile(unit, (positions.size, 1))), 0, head_dim).data
     assert np.array_equal(out, reference(positions))
     for p in positions:

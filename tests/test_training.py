@@ -12,6 +12,7 @@ from protdat.model import init_params
 from protdat.numerics import Tensor
 from protdat.tokenizer import AminoVocabulary
 from protdat.training import (
+    ADAM_EPS,
     LogEntry,
     OptimizerState,
     TrainLog,
@@ -60,7 +61,7 @@ def test_first_step_matches_closed_form_adam():
     # t=1 with bias correction: m_hat = g, v_hat = g^2 -> update = g / (|g| + eps)
     for name, p in params.named_parameters():
         g = grads[name]
-        expected = before[name] - cfg.lr * g / (np.abs(g) + cfg.eps)
+        expected = before[name] - cfg.lr * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(p.data, expected, atol=1e-12), name
 
 
@@ -77,7 +78,7 @@ def test_weight_decay_is_decoupled_and_masked():
     training_step(batch, params, opt)
     for name, p in params.named_parameters():
         g = grads[name]
-        adam = g / (np.abs(g) + cfg.eps)
+        adam = g / (np.abs(g) + ADAM_EPS)
         decay = wd * before[name]
         if ".ln" in name and (name.endswith(".gamma") or name.endswith(".beta")):
             decay = 0.0
@@ -129,7 +130,7 @@ def test_fresh_model_loss_is_near_log_vocab():
     batch = make_batch(records, vocab, params.text_encoder(), params.config.c_size,
                        dtype=np.float64)
     loss = float(compute_loss(batch, params).data)
-    assert abs(loss - math.log(params.config.vocab_size)) < 0.1 * math.log(params.config.vocab_size)
+    assert abs(loss - math.log(vocab.size)) < 0.1 * math.log(vocab.size)
 
 
 def test_training_step_leaves_no_reference_cycles():
