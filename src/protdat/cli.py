@@ -75,6 +75,22 @@ class RunConfig:
         return GenerationParams(**merged)
 
 
+# the YAML value types that each annotated field type takes
+_VALUE_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_types(where: str, values: dict, config_cls) -> None:
+    """Each value must be of its field's annotated type: a bool is never a
+    number, and null is taken only where the annotation allows None."""
+    types = {f.name: f.type for f in fields(config_cls)}
+    for key, value in values.items():
+        kind, _, nullable = types[key].partition(" | ")
+        if value is None and nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
+            raise DatasetError(f"{where}: {key!r} must be {kind}, not {type(value).__name__}")
+
+
 def load_run_config(path: str | None, seed: int | None) -> RunConfig:
     """The run configuration: defaults, then the YAML file at ``path``,
     then the ``--seed`` flag."""
@@ -86,13 +102,10 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
         unknown = [k for k in raw if k not in {f.name for f in fields(RunConfig)}]
         if unknown:
             raise DatasetError(f"config file: unknown key {unknown[0]!r}")
-        for key, kind in (("seed", int), ("out_dir", str), ("dataset", str)):
-            if key in raw:
-                value = raw[key]
-                if not isinstance(value, kind) or isinstance(value, bool):
-                    raise DatasetError(
-                        f"config file: {key!r} must be {kind.__name__}, not {type(value).__name__}")
-                setattr(cfg, key, value)
+        scalars = {k: v for k, v in raw.items() if k in ("seed", "out_dir", "dataset")}
+        _check_types("config file", scalars, RunConfig)
+        for key, value in scalars.items():
+            setattr(cfg, key, value)
         for key, config_cls in (("model", ModelConfig), ("training", TrainingConfig),
                                 ("generation", GenerationParams)):
             if key in raw:
@@ -103,6 +116,7 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
                 unknown = [k for k in section if k not in names]
                 if unknown:
                     raise DatasetError(f"config section {key!r}: unknown key {unknown[0]!r}")
+                _check_types(f"config section {key!r}", section, config_cls)
                 getattr(cfg, key).update(section)
     if seed is not None:
         cfg.seed = seed
@@ -403,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval", help="sequence metrics over FASTA/PDB/alignment-tool files")
-    add_common(p)
     p.add_argument("metric", choices=("identity", "kl", "plddt", "tmalign"))
     p.add_argument("--ref")
     p.add_argument("--gen")

@@ -19,6 +19,14 @@ one.  A closure reads only its inputs and arrays saved from the forward
 pass, never the output Tensor, so a graph holds no reference cycle and is
 freed as soon as the loss is dropped.
 
+The elementwise kernels (GELU, layer norm, masked softmax, rotary) write
+their full-size intermediates with ``out=`` and in-place ufuncs, and only
+into buffers they allocated themselves: a kernel never writes into ``g``,
+into an input's ``.data`` (an unmasked softmax's scores are another op's
+output) or into an array saved for the backward pass.  Each applies the
+same operations to the same operands in the same order as the plain
+expression it replaces, so its results equal that expression's bit for bit.
+
 Precision is carried by the underlying arrays: float32 for training speed,
 float64 for gradient checks.  Integer powers of float32 arrays are written
 as products; numpy's generic ``pow`` is far slower.  Attention masks are
@@ -258,15 +266,35 @@ def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (as in GPT-style stacks)."""
     x = as_tensor(x)
     c = math.sqrt(2.0 / math.pi)
-    inner = c * (x.data + 0.044715 * (x.data * x.data * x.data))
-    t = np.tanh(inner)
+    xd = x.data
+    # t = tanh(c * (x + 0.044715 * (x * x * x)))
+    t = np.multiply(xd, xd)
+    t *= xd
+    t *= 0.044715
+    np.add(xd, t, out=t)
+    t *= c
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0)  # 0.5 * x * (1 + t)
+    out *= np.multiply(xd, 0.5)
 
     def backward(g):
-        dinner = c * (1.0 + 3 * 0.044715 * (x.data * x.data))
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * dinner
-        return (g * dx,)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3 * 0.044715 * (x * x)))
+        dx = np.multiply(xd, 0.5)
+        tmp = np.multiply(t, t)
+        np.subtract(1.0, tmp, out=tmp)
+        dx *= tmp
+        np.multiply(xd, xd, out=tmp)
+        tmp *= 3 * 0.044715
+        tmp += 1.0
+        tmp *= c
+        dx *= tmp
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        dx += tmp
+        dx *= g
+        return (dx,)
 
-    return _make(0.5 * x.data * (1.0 + t), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 # -- normalization, softmax, attention --------------------------------------
@@ -280,21 +308,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise NumericsError("layer_norm: empty vector")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise NumericsError("layer_norm: gamma/beta must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
+    # sum / d rather than mean: bitwise equal, without numpy's Python-level _mean
+    xc = np.subtract(x.data, x.data.sum(axis=-1, keepdims=True) / d)
+    sq = np.multiply(xc, xc)
+    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
+    xhat = np.multiply(xc, inv, out=sq)
+    out = np.multiply(gamma.data, xhat)
+    out += beta.data
 
     def backward(g):
-        dxhat = g * gamma.data
-        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * (inv * inv * inv)
-        dmu = -(dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 / d) * xc.sum(axis=-1, keepdims=True)
-        dx = dxhat * inv + dvar * (2.0 / d) * xc + dmu / d
+        dxhat = np.multiply(g, gamma.data)
+        dx = np.multiply(dxhat, xc)
+        dvar = dx.sum(axis=-1, keepdims=True) * (-0.5) * (inv * inv * inv)
+        np.multiply(dxhat, inv, out=dx)
+        dmu = -dx.sum(axis=-1, keepdims=True) + dvar * (-2.0 / d) * xc.sum(axis=-1, keepdims=True)
+        # dx = dxhat * inv + dvar * (2 / d) * xc + dmu / d
+        np.multiply(dvar * (2.0 / d), xc, out=dxhat)
+        dx += dxhat
+        dx += dmu / d
         lead = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        return dx, np.multiply(g, xhat, out=dxhat).sum(axis=lead), g.sum(axis=lead)
 
-    return _make(gamma.data * xhat + beta.data, (x, gamma, beta), backward)
+    return _make(out, (x, gamma, beta), backward)
 
 
 def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
@@ -306,16 +341,24 @@ def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
     """
     scores = as_tensor(scores)
     if visible is None:
-        s = scores.data
+        p = scores.data - scores.data.max(axis=-1, keepdims=True)
     else:
         vis = np.broadcast_to(np.asarray(visible, dtype=bool), scores.shape)
         if not vis.any(axis=-1).all():
             raise NumericsError("masked_softmax: a query row has no visible key")
-        s = np.where(vis, scores.data, -np.inf)
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return _make(p, (scores,), lambda g: (p * (g - (p * g).sum(axis=-1, keepdims=True)),))
+        p = np.where(vis, scores.data, -np.inf)
+        p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        # p * (g - (p * g).sum(-1))
+        dx = np.multiply(p, g)
+        np.subtract(g, dx.sum(axis=-1, keepdims=True), out=dx)
+        dx *= p
+        return (dx,)
+
+    return _make(p, (scores,), backward)
 
 
 @functools.lru_cache(maxsize=16)
@@ -352,8 +395,13 @@ def rope_rotate(x: Tensor, start: int, head_dim: int) -> Tensor:
     def apply(data: np.ndarray, sin_: np.ndarray) -> np.ndarray:
         """(x1, x2) -> (x1 cos - x2 sin, x2 cos + x1 sin) in each chunk."""
         chunked = data.reshape(data.shape[:-1] + (d // head_dim, head_dim))
-        swapped = np.concatenate([-chunked[..., half:], chunked[..., :half]], axis=-1)
-        return (chunked * cos + swapped * sin_).reshape(data.shape)
+        swapped = np.empty_like(chunked)
+        np.negative(chunked[..., half:], out=swapped[..., :half])
+        swapped[..., half:] = chunked[..., :half]
+        swapped *= sin_
+        out = chunked * cos
+        out += swapped
+        return out.reshape(data.shape)
 
     return _make(apply(x.data, sin), (x,), lambda g: (apply(g, -sin),))
 

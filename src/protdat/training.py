@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +76,27 @@ class OptimizerState:
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
         for name, p in params.named_parameters():
+            # two buffers per parameter; p.grad may be shared and is never written
             g = p.grad_or_zeros()
             m = self.m[name]
             v = self.v[name]
+            buf = np.multiply(g, 1.0 - ADAM_BETA1)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += buf
+            np.multiply(g, 1.0 - ADAM_BETA2, out=buf)
+            buf *= g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            v += buf
+            # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * mask * p]
+            np.divide(v, bc2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += ADAM_EPS
+            update = np.divide(m, bc1)
+            update /= buf
             if cfg.weight_decay:
-                update = update + cfg.weight_decay * self.decay_mask[name] * p.data
-            p.data = p.data - cfg.lr * update
+                update += np.multiply(cfg.weight_decay * self.decay_mask[name], p.data, out=buf)
+            update *= cfg.lr
+            p.data = np.subtract(p.data, update, out=update)  # a fresh array, not written in place
 
 
 def clip_gradients(params: ModelParams, max_norm: float) -> float:
@@ -142,8 +152,6 @@ class LogEntry:
 
 @dataclass
 class TrainLog:
-    seed: int
-    config: dict
     entries: list[LogEntry] = field(default_factory=list)
 
     def losses(self, split: str = "train") -> list[float]:
@@ -204,7 +212,7 @@ def fit(
         params = init_params(model_config, seed=seed)
     provider = params.text_encoder(embedding_path)
     opt = OptimizerState(params, train_config)
-    log = TrainLog(seed=seed, config={"model": asdict(params.config), "training": asdict(train_config)})
+    log = TrainLog()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

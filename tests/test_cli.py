@@ -364,10 +364,35 @@ def test_unknown_config_key_is_a_one_line_error(tmp_path, toy_dataset, trained_c
 
 
 @pytest.mark.parametrize("bad,message", [
-    pytest.param({"seed": "abc"}, "'seed' must be int, not str", id="seed-str"),
-    pytest.param({"seed": True}, "'seed' must be int, not bool", id="seed-bool"),
-    pytest.param({"out_dir": 5}, "'out_dir' must be str, not int", id="out_dir-int"),
-    pytest.param({"dataset": 5}, "'dataset' must be str, not int", id="dataset-int"),
+    pytest.param({"seed": "abc"}, "config file: 'seed' must be int, not str", id="seed-str"),
+    pytest.param({"seed": True}, "config file: 'seed' must be int, not bool", id="seed-bool"),
+    pytest.param({"out_dir": 5}, "config file: 'out_dir' must be str, not int", id="out_dir-int"),
+    pytest.param({"dataset": 5}, "config file: 'dataset' must be str, not int", id="dataset-int"),
+    pytest.param({"model": {"d_model": "abc"}},
+                 "config section 'model': 'd_model' must be int, not str", id="model-int-str"),
+    pytest.param({"model": {"n_layers": True}},
+                 "config section 'model': 'n_layers' must be int, not bool", id="model-int-bool"),
+    pytest.param({"model": {"c_size": 2.0}},
+                 "config section 'model': 'c_size' must be int, not float", id="model-int-float"),
+    pytest.param({"model": {"dtype": 32}},
+                 "config section 'model': 'dtype' must be str, not int", id="model-str-int"),
+    pytest.param({"training": {"lr": "abc"}},
+                 "config section 'training': 'lr' must be float, not str", id="training-float-str"),
+    pytest.param({"training": {"weight_decay": False}},
+                 "config section 'training': 'weight_decay' must be float, not bool",
+                 id="training-float-bool"),
+    pytest.param({"training": {"batch_size": None}},
+                 "config section 'training': 'batch_size' must be int, not NoneType",
+                 id="training-int-null"),
+    pytest.param({"training": {"clip_norm": "x"}},
+                 "config section 'training': 'clip_norm' must be float, not str",
+                 id="training-clip_norm-str"),
+    pytest.param({"generation": {"max_len": 12.5}},
+                 "config section 'generation': 'max_len' must be int, not float",
+                 id="generation-int-float"),
+    pytest.param({"generation": {"top_p": [0.5]}},
+                 "config section 'generation': 'top_p' must be float, not list",
+                 id="generation-float-list"),
 ])
 def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, toy_dataset, capsys,
                                                             monkeypatch, bad, message):
@@ -378,8 +403,29 @@ def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, toy_datase
     assert run_command(["train", "--config", str(cfg), "--epochs", "0", *TINY_FLAGS]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == f"DatasetError: config file: {message}"
+    assert json.loads(err)["error"] == f"DatasetError: {message}"
     assert not list(tmp_path.rglob("model.ckpt"))
+
+
+def test_config_takes_an_int_for_a_float_and_null_for_clip_norm(tmp_path, toy_dataset):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"training": {"lr": 0, "clip_norm": None},
+                                   "generation": {"temperature": 1}}))
+    out = tmp_path / "run"
+    rc = run_command(["train", "--config", str(cfg), "--data", str(toy_dataset), "--out", str(out),
+                      "--epochs", "1", *TINY_FLAGS])
+    assert rc == 0
+    training = json.loads((out / "run_manifest.json").read_text())["config"]["training"]
+    assert training["lr"] == 0 and training["clip_norm"] is None
+
+
+def test_eval_takes_no_config_or_seed(tmp_path, capsys):
+    path = tmp_path / "seqs.fasta"
+    with open(path, "w") as fh:
+        write_fasta([("a", "MKVMKV")], fh)
+    for flags in (["--seed", "5"], ["--config", str(tmp_path / "run.yaml")]):
+        assert run_command(["eval", "kl", *flags, "--ref", str(path), "--gen", str(path)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["unknown-key", "missing", "not-a-mapping", "previous-format"])

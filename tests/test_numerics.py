@@ -277,6 +277,121 @@ def test_gelu_grad_check():
     assert err < 1e-6
 
 
+# -- buffered kernels equal the plain formulas bit for bit --------------------
+# Each reference below is the kernel as written before it reused buffers: the
+# same operations on the same operands, each into a fresh array.
+
+
+def _gelu_formula(x, g):
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    dinner = c * (1.0 + 3 * 0.044715 * (x * x))
+    dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    return 0.5 * x * (1.0 + t), (g * dx,)
+
+
+def _layer_norm_formula(x, gamma, beta, g):
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + nx.LAYER_NORM_EPS)
+    xhat = xc * inv
+    dxhat = g * gamma
+    dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * (inv * inv * inv)
+    dmu = -(dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 / d) * xc.sum(axis=-1, keepdims=True)
+    dx = dxhat * inv + dvar * (2.0 / d) * xc + dmu / d
+    lead = tuple(range(g.ndim - 1))
+    return gamma * xhat + beta, (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def _softmax_formula(s, visible, g):
+    if visible is not None:
+        s = np.where(np.broadcast_to(visible, s.shape), s, -np.inf)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
+
+
+def _rope_formula(x, start, head_dim, g):
+    d, half, end = x.shape[-1], head_dim // 2, start + x.shape[-2]
+    cos, sin = (t[start:end] for t in nx._rope_tables(head_dim, 1 << end.bit_length(), x.dtype))
+
+    def apply(data, sin_):
+        chunked = data.reshape(data.shape[:-1] + (d // head_dim, head_dim))
+        swapped = np.concatenate([-chunked[..., half:], chunked[..., :half]], axis=-1)
+        return (chunked * cos + swapped * sin_).reshape(data.shape)
+
+    return apply(x, sin), (apply(g, -sin),)
+
+
+def _visible(shape, rng):
+    """A random key mask over the last axis in which every query row sees key 0."""
+    visible = rng.random(shape) < 0.6
+    visible[..., 0] = True
+    return visible
+
+
+# name -> (kernel, reference); each takes the input arrays of ``_kernel_inputs``
+BUFFERED_KERNELS = {
+    "gelu": (lambda x: nx.gelu(x), _gelu_formula),
+    "layer_norm": (lambda x, gamma, beta: layer_norm(x, gamma, beta), _layer_norm_formula),
+    "masked_softmax-unmasked": (lambda s: nx.masked_softmax(s, None),
+                                lambda s, g: _softmax_formula(s, None, g)),
+    "masked_softmax-masked": (lambda s, vis: nx.masked_softmax(s, vis), _softmax_formula),
+    "rope_rotate": (lambda x: rope_rotate(x, 5, 8), lambda x, g: _rope_formula(x, 5, 8, g)),
+}
+
+
+def _kernel_inputs(name, shape, dtype, rng):
+    """The kernel's arguments: float arrays are Tensor inputs, a bool array is a mask."""
+    x = (3.0 * rng.normal(size=shape)).astype(dtype)
+    if name == "layer_norm":
+        d = shape[-1]
+        return [x, (1.0 + rng.normal(size=d)).astype(dtype), rng.normal(size=d).astype(dtype)]
+    if name == "masked_softmax-masked":
+        return [x, _visible(shape, rng)]
+    return [x]
+
+
+def _forward(name, arrays):
+    kernel, _ = BUFFERED_KERNELS[name]
+    return kernel(*[Tensor(a, requires_grad=True) if a.dtype.kind == "f" else a for a in arrays])
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (2, 5, 24), (3, 2, 7, 40)], ids=str)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+@pytest.mark.parametrize("name", sorted(BUFFERED_KERNELS))
+def test_buffered_kernel_equals_plain_formula_bitwise(name, dtype, shape, rng):
+    arrays = _kernel_inputs(name, shape, dtype, rng)
+    g = rng.normal(size=shape).astype(dtype)
+    out = _forward(name, arrays)
+    grads = out._backward(g)
+    want_out, want_grads = BUFFERED_KERNELS[name][1](*arrays, g)
+    assert len(grads) == len(want_grads)
+    for got, want in zip([out.data, *grads], [want_out, *want_grads]):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUFFERED_KERNELS))
+def test_buffered_kernel_writes_no_input_gradient_or_saved_array(name, rng):
+    """Read-only inputs, ``g`` and output (the softmax backward reads its
+    output) make a write into them raise; a second backward pass checks that
+    the first left the arrays saved from the forward pass as they were."""
+    arrays = _kernel_inputs(name, (2, 3, 16), np.float32, rng)
+    g = rng.normal(size=(2, 3, 16)).astype(np.float32)
+    for a in [*arrays, g]:
+        a.flags.writeable = False
+    out = _forward(name, arrays)
+    out.data.flags.writeable = False
+    out._backward(g)
+    grads = out._backward(g)
+    _, want_grads = BUFFERED_KERNELS[name][1](*arrays, g)
+    for got, want in zip(grads, want_grads):
+        assert got.tobytes() == want.tobytes()
+
+
 # -- cross entropy ------------------------------------------------------------
 
 

@@ -12,10 +12,15 @@ from protdat.model import ModelConfig, init_params, save_checkpoint
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str, argv: list[str], monkeypatch) -> None:
+def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name: str, argv: list[str], monkeypatch) -> None:
+    module = load_script(name)
     monkeypatch.setattr(sys, "argv", [name, *argv])
     module.main()
 
@@ -48,3 +53,65 @@ def test_attention_share_demo(tmp_path, monkeypatch, capsys):
     assert rows and [int(r[0]) for r in rows] == list(range(len(rows)))
     # m = 0: the reference curve c/(c+m) is exactly 1
     assert float(rows[0][2]) == pytest.approx(1.0)
+
+
+# the shape of a perfbench/run.py --trace 0 stdout
+CANNED_RUN = """# env {"nproc": 2, "numpy": "2.4.6"}
+# train: seed 7, 36 s, trace 0; unit latency is step
+#   setup_s              0.05 s
+#   digest fasta max_len=128      sha256:aaaa
+#   digest train_log.jsonl        sha256:bbbb
+{"correct": true, "attempted": 12, "failed": 0, "metrics": {"setup_s": {"value": 0.05, "unit": "s"}, \
+"tokens_per_s": {"value": 2000.0, "unit": "tok/s"}}}
+"""
+
+END_TO_END = [{"name": "tokens_per_s", "better": "higher", "bound": 0.25},
+              {"name": "unit_ms_p50", "better": "lower", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def test_bench_pairs_parses_a_run():
+    run = load_script("bench_pairs").parse_run(CANNED_RUN)
+    assert run == {"attempted": 12, "failed": 0, "correct": True,
+                   "metrics": {"setup_s": 0.05, "tokens_per_s": 2000.0},
+                   "digests": {"fasta max_len=128": "sha256:aaaa", "train_log.jsonl": "sha256:bbbb"},
+                   "env": {"nproc": 2, "numpy": "2.4.6"}}
+
+
+def _pairs(parent: dict, change: dict) -> list[dict]:
+    return [{"parent": {"metrics": {k: v[i] for k, v in parent.items()}},
+             "change": {"metrics": {k: v[i] for k, v in change.items()}}} for i in range(10)]
+
+
+def test_bench_pairs_summary_applies_the_claim_rule_and_the_bounds():
+    base = [100.0 + 2 * i for i in range(10)]  # quartiles 104.5 and 113.5: IQR 9
+    faster = [b + 15 for b in base]
+    faster[3] = base[3] - 1  # one pair lost: 9/10
+    ms = [1000.0 / b for b in base]
+    summary = load_script("bench_pairs").summarize(
+        _pairs({"tokens_per_s": base, "unit_ms_p50": ms, "peak_rss_mb": [100.0] * 10},
+               {"tokens_per_s": faster, "unit_ms_p50": [m * 0.8 for m in ms],
+                "peak_rss_mb": [112.0] * 10}),
+        END_TO_END)
+    tps = summary["tokens_per_s"]
+    assert tps["parent"] == {"median": 109.0, "q1": 104.5, "q3": 113.5, "iqr": 9.0}
+    assert tps["change"]["median"] == 124.0 and tps["change_wins"] == "9/10"
+    assert tps["claim_rule_met"] and tps["within_bound"]
+    assert tps["worse_by"] == pytest.approx(-15 / 109)
+    ms_row = summary["unit_ms_p50"]  # lower is better: 0.8x wins every pair
+    assert ms_row["change_wins"] == "10/10" and ms_row["claim_rule_met"]
+    assert ms_row["median_ratio_change_over_parent"] == pytest.approx(0.8)
+    rss = summary["peak_rss_mb"]  # 12% worse against a 10% bound
+    assert rss["change_wins"] == "0/10" and not rss["claim_rule_met"]
+    assert rss["worse_by"] == pytest.approx(0.12) and not rss["within_bound"]
+
+
+def test_bench_pairs_claim_needs_nine_tenths_and_more_than_the_parent_iqr():
+    bench = load_script("bench_pairs")
+    base = [100.0 + 2 * i for i in range(10)]
+    spec = END_TO_END[:1]
+    eight = [b + 15 if i >= 2 else b - 1 for i, b in enumerate(base)]  # 8/10 wins
+    small = [b + 1 for b in base]  # 10/10 wins, gain 1 < IQR 9
+    for change in (eight, small):
+        summary = bench.summarize(_pairs({"tokens_per_s": base}, {"tokens_per_s": change}), spec)
+        assert not summary["tokens_per_s"]["claim_rule_met"]

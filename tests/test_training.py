@@ -12,6 +12,8 @@ from protdat.model import init_params
 from protdat.numerics import Tensor
 from protdat.tokenizer import AminoVocabulary
 from protdat.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     LogEntry,
     OptimizerState,
@@ -87,6 +89,51 @@ def test_weight_decay_is_decoupled_and_masked():
             decay[vocab.pad_id] = 0.0
         expected = before[name] - cfg.lr * (adam + decay)
         assert np.allclose(p.data, expected, atol=1e-12), name
+
+
+def _adam_formula(p, g, m, v, t, cfg, decay_mask):
+    """The Adam step as written before it reused buffers: the same operations
+    on the same operands, each into a fresh array.  Returns (p, m, v)."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m = m * ADAM_BETA1
+    m = m + (1.0 - ADAM_BETA1) * g
+    v = v * ADAM_BETA2
+    v = v + (1.0 - ADAM_BETA2) * g * g
+    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    if cfg.weight_decay:
+        update = update + cfg.weight_decay * decay_mask * p
+    return p - cfg.lr * update, m, v
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_step_equals_plain_formula_bitwise(dtype, weight_decay):
+    """Three steps against the plain formula, with read-only gradients and
+    parameter arrays: Adam writes into neither and replaces ``p.data``."""
+    params, _, batch = tiny_model(tiny_config(dtype=dtype))
+    cfg = TrainingConfig(lr=1e-2, weight_decay=weight_decay)
+    opt = OptimizerState(params, cfg)
+    named = dict(params.named_parameters())
+    m = {name: np.zeros_like(p.data) for name, p in named.items()}
+    v = {name: np.zeros_like(p.data) for name, p in named.items()}
+    for t in (1, 2, 3):
+        params.zero_grad()
+        compute_loss(batch, params).backward()
+        old, want = {}, {}
+        for name, p in named.items():
+            want[name], m[name], v[name] = _adam_formula(p.data, p.grad_or_zeros(), m[name], v[name],
+                                                         t, cfg, opt.decay_mask[name])
+            old[name] = p.data
+            for a in (p.data, p.grad):
+                if a is not None:
+                    a.flags.writeable = False
+        opt.apply(params)
+        for name, p in named.items():
+            assert p.data is not old[name] and p.data.dtype == old[name].dtype
+            assert p.data.tobytes() == want[name].tobytes(), name
+            assert opt.m[name].tobytes() == m[name].tobytes(), name
+            assert opt.v[name].tobytes() == v[name].tobytes(), name
 
 
 def test_pad_positions_contribute_no_loss():
@@ -251,11 +298,11 @@ def test_fit_writes_logs_and_checkpoints(tmp_path):
 
 
 def test_failed_log_write_keeps_previous_log(tmp_path):
-    TrainLog(seed=0, config={}, entries=[LogEntry(1, "train", 2.5, 0.1)]).write(tmp_path)
+    TrainLog(entries=[LogEntry(1, "train", 2.5, 0.1)]).write(tmp_path)
     before = (tmp_path / "train_log.jsonl").read_bytes()
     # json cannot encode the second loss, so the write fails after one row
-    failing = TrainLog(seed=0, config={}, entries=[LogEntry(1, "train", 1.5, 0.1),
-                                                   LogEntry(2, "train", object(), 0.2)])
+    failing = TrainLog(entries=[LogEntry(1, "train", 1.5, 0.1),
+                                LogEntry(2, "train", object(), 0.2)])
     with pytest.raises(TypeError):
         failing.write(tmp_path)
     assert (tmp_path / "train_log.jsonl").read_bytes() == before
