@@ -15,7 +15,9 @@ first).  From each run it keeps the last line (one JSON object) and the
 ``# digest`` and ``# env`` lines, and it writes, per workload and
 end-to-end metric of BENCHMARK.json, each side's median and quartiles,
 the pairs the change won, and whether the claim rule and the metric's
-regression bound hold.
+regression bound hold; and, per workload, each side's failed and
+attempted totals, its runs that were not correct, and whether every
+pair's digests were equal.
 """
 
 from __future__ import annotations
@@ -92,6 +94,18 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def correctness(runs: list[dict]) -> dict:
+    """Per side, the failed and attempted operations summed over its runs and
+    the runs whose result line says ``correct: false``; and whether each
+    pair's two runs gave equal digests."""
+    out = {side: {"failed": sum(r[side]["failed"] for r in runs),
+                  "attempted": sum(r[side]["attempted"] for r in runs),
+                  "incorrect_runs": sum(not r[side]["correct"] for r in runs)} for side in SIDES}
+    out["digests_equal_every_pair"] = all(
+        r["parent"]["digests"] == r["change"]["digests"] for r in runs)
+    return out
+
+
 def _git(root: Path, *args: str) -> bytes:
     return subprocess.run(["git", "-C", str(root), *args], check=True, stdout=subprocess.PIPE).stdout
 
@@ -158,9 +172,11 @@ def main(argv=None) -> None:
                       f"{json.dumps(run[side]['metrics'])}", flush=True)
             for side in SIDES:
                 del run[side]["env"]
-            run["digests_equal"] = run["parent"]["digests"] == run["change"]["digests"]
             runs.append(run)
+        checks = correctness(runs)
+        print(f"{workload} correctness: {json.dumps(checks)}", flush=True)
         report["workloads"][workload] = {"seed": args.seed, "pairs_run": len(runs),
+                                         "correctness": checks,
                                          "summary": summarize(runs, end_to_end), "runs": runs}
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 

@@ -191,6 +191,7 @@ def generate_candidates(
 
     rngs = [np.random.default_rng(gp.seed + i) for i in range(n_samples)]
     steps: list[list[GenerationStep]] = [[] for _ in range(n_samples)]
+    histories = [set(prefix[1:]) for _ in range(n_samples)]  # the ids each penalty reads
     live = list(range(n_samples))  # the sample each batch row decodes
     rows = np.zeros(n_samples, dtype=np.intp)  # each live sample's row of the last pass
     length = len(prefix)  # every live sample has this many ids
@@ -203,8 +204,8 @@ def generate_candidates(
             last = logits.data[rows, -1].astype(np.float64)
             last[:, [vocab.pad_id, vocab.cls_id, vocab.cross_id]] = -np.inf  # never sampled
             for sample, row_logits in zip(live, last):
-                history = set(prefix[1:] + [s.token_id for s in steps[sample]])
-                penalized = apply_repetition_penalty(row_logits, history, gp.repetition_penalty)
+                penalized = apply_repetition_penalty(
+                    row_logits, histories[sample], gp.repetition_penalty)
                 if gp.argmax_mode:
                     token_id = int(np.argmax(penalized))
                     nucleus_size, rank = 1, 0
@@ -215,6 +216,7 @@ def generate_candidates(
                     token_id = int(rngs[sample].choice(kept, p=kept_probs))
                     nucleus_size = len(kept)
                     rank = int(np.nonzero(kept == token_id)[0][0])
+                histories[sample].add(token_id)
                 token = "<EOS>" if token_id == vocab.eos_id else vocab.residue_of(token_id)
                 steps[sample].append(GenerationStep(
                     token_id, token, nucleus_size, rank, float(penalized[token_id])))

@@ -266,7 +266,7 @@ class AttentionTrace:
 
 
 def _apply_linear(x: Tensor, lin: LinearParams) -> Tensor:
-    return nx.linear(x, lin.w, lin.b)
+    return nx.matmul(x, lin.w, lin.b)
 
 
 def _apply_norm(x: Tensor, norm: NormParams) -> Tensor:
@@ -276,8 +276,8 @@ def _apply_norm(x: Tensor, norm: NormParams) -> Tensor:
 def _residual_ffn(x: Tensor, delta: Tensor, norm: NormParams, ffn: FfnParams) -> Tensor:
     """y = x + delta, then y + FFN(norm(y))."""
     x = nx.add(x, delta)
-    h = nx.gelu(nx.linear(_apply_norm(x, norm), ffn.w1, ffn.b1))
-    return nx.add(x, nx.linear(h, ffn.w2, ffn.b2))
+    h = nx.gelu(nx.matmul(_apply_norm(x, norm), ffn.w1, ffn.b1))
+    return nx.add(x, nx.matmul(h, ffn.w2, ffn.b2))
 
 
 def prompt_mcm_forward(

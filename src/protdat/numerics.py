@@ -3,7 +3,11 @@
 Everything the network needs is built from a small set of differentiable
 primitives over numpy arrays: broadcast arithmetic, (batched) matmul,
 masked softmax, layer normalization, rotary position embedding, embedding
-lookup, GELU and next-token cross-entropy.
+lookup, GELU and next-token cross-entropy.  A linear layer is one
+``matmul`` that adds its bias into the product in place, and splitting
+and merging attention heads are one view primitive each, so a one-row
+decode token runs 24 ops per layer.  Without a recorded graph, ``_make``
+builds an op's output bare, around the op's own array.
 
 Each primitive records, through ``_make``, a vector-Jacobian product
 ``backward(g)``: given the gradient ``g`` of the op's output it returns one
@@ -186,7 +190,11 @@ def _make(
     """
     if _grad_enabled and any(_tracked(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
-    return Tensor(data)
+    # built bare: every op yields a float ndarray, so __init__'s asarray and
+    # dtype check would do nothing
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad, out._parents, out._backward = data, None, False, (), None
+    return out
 
 
 # -- elementwise and structural primitives ---------------------------------
@@ -217,16 +225,21 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product ``a @ b`` with numpy broadcasting of batch dims."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Batched matrix product ``a @ b`` with numpy broadcasting of batch dims,
+    plus ``bias`` (a linear layer's) added into the fresh product in place."""
     a, b = as_tensor(a), as_tensor(b)
+    out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
     def backward(g):
         # a constant operand (the precomputed text embedding) gets no gradient
-        return (g @ np.swapaxes(b.data, -1, -2) if _tracked(a) else None,
-                np.swapaxes(a.data, -1, -2) @ g if _tracked(b) else None)
+        da = g @ np.swapaxes(b.data, -1, -2) if _tracked(a) else None
+        db = np.swapaxes(a.data, -1, -2) @ g if _tracked(b) else None
+        return (da, db) if bias is None else (da, db, g)
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return _make(out, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -241,9 +254,12 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make(out_data, tensors, lambda g: np.split(g, bounds, axis=axis))
+
+    def backward(g):
+        return np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
+
+    return _make(out_data, tensors, backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -407,17 +423,21 @@ def rope_rotate(x: Tensor, start: int, head_dim: int) -> Tensor:
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., n, d) -> (..., H, n, d/H)."""
-    n, d = x.shape[-2], x.shape[-1]
-    hd = d // n_heads
-    r = reshape(x, x.shape[:-1] + (n_heads, hd))
-    return swapaxes(r, -2, -3)
+    """(..., n, d) -> (..., H, n, d/H); the backward is the inverse view."""
+    x = as_tensor(x)
+    shape = x.shape
+    split = x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads))
+    return _make(np.swapaxes(split, -2, -3), (x,),
+                 lambda g: (np.swapaxes(g, -2, -3).reshape(shape),))
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(..., H, n, hd) -> (..., n, H*hd)."""
-    s = swapaxes(x, -2, -3)
-    return reshape(s, s.shape[:-2] + (s.shape[-2] * s.shape[-1],))
+    """(..., H, n, hd) -> (..., n, H*hd); the backward is the inverse view."""
+    x = as_tensor(x)
+    s = np.swapaxes(x.data, -2, -3)
+    shape = s.shape
+    return _make(s.reshape(shape[:-2] + (shape[-2] * shape[-1],)), (x,),
+                 lambda g: (np.swapaxes(g.reshape(shape), -2, -3),))
 
 
 def masked_attention(
@@ -460,10 +480,6 @@ def masked_attention(
     scores = mul(matmul(qh, swapaxes(kh, -1, -2)), scale)
     weights = masked_softmax(scores, visible)
     return merge_heads(matmul(weights, vh)), weights.data
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
 
 
 # -- losses and standalone kernels ------------------------------------------

@@ -48,7 +48,8 @@ class OptimizerState:
     """Per-parameter Adam moments plus the shared step counter.
 
     Weight decay is decoupled and skipped for norm gains/offsets and the
-    PAD row of the token embedding.
+    PAD row of the token embedding.  A parameter that received no gradient
+    is not updated, decayed or given moments.
     """
 
     def __init__(self, params: ModelParams, config: TrainingConfig):
@@ -76,8 +77,10 @@ class OptimizerState:
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
         for name, p in params.named_parameters():
+            g = p.grad
+            if g is None:  # as in AdamW
+                continue
             # two buffers per parameter; p.grad may be shared and is never written
-            g = p.grad_or_zeros()
             m = self.m[name]
             v = self.v[name]
             buf = np.multiply(g, 1.0 - ADAM_BETA1)

@@ -204,8 +204,8 @@ def test_decoder_layer_preserves_shapes():
 def residual_ffn(x, delta, norm, ffn):
     """Reference for the residual + feedforward sublayer: y = x + delta, y + FFN(norm(y))."""
     x = nx.add(x, delta)
-    h = nx.gelu(nx.linear(nx.layer_norm(x, norm.gamma, norm.beta), ffn.w1, ffn.b1))
-    return nx.add(x, nx.linear(h, ffn.w2, ffn.b2))
+    h = nx.gelu(nx.matmul(nx.layer_norm(x, norm.gamma, norm.beta), ffn.w1, ffn.b1))
+    return nx.add(x, nx.matmul(h, ffn.w2, ffn.b2))
 
 
 def test_model_forward_equals_manual_layer_composition():
@@ -236,7 +236,7 @@ def test_model_forward_equals_manual_layer_composition():
     e_s = nx.embedding(params.token_embedding, batch.seq_ids)
     for layer, layer_kv in zip(params.layers, kv):
         e_s, _, _ = decoder_layer_forward(e_s, 0, layer_kv, batch.psm_mask, layer, cfg)
-    manual = nx.linear(e_s, params.head.w, params.head.b)
+    manual = nx.matmul(e_s, params.head.w, params.head.b)
     assert np.array_equal(logits.data, manual.data)
 
 
@@ -255,6 +255,30 @@ def test_final_text_attention_runs_only_under_trace(monkeypatch):
         calls.clear()
         model_forward(single, params, trace=trace)
         assert len(calls) == prompt_calls + n  # then one sequence attention per layer
+
+
+def test_one_row_decode_token_runs_a_fixed_number_of_ops(monkeypatch):
+    """Every numerics op builds its output through ``_make``: count them for
+    one one-row token of a 2-layer model.  Per layer: the norm (1), the
+    q/k/v projections (3), the rotated new key and its concat (2), the
+    value concat (1), the rotated query (1), attention (9: three head
+    splits, the key transpose, scores, scale, softmax, weighted values,
+    head merge), the output projection (1), then the FFN sublayer (6:
+    residual add, norm, linear, GELU, linear, residual add): 24.  Plus the
+    embedding and the head: 24 * 2 + 2 = 50."""
+    params, records, _ = tiny_model()
+    single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(),
+                        params.config.c_size, dtype=np.float64)
+    with nx.no_grad():
+        kv, _ = prompt_forward(single, params)
+        _, kv, _ = sequence_forward(single.seq_ids, 0, kv, single.psm_mask, params)
+        calls = []
+        real = nx._make
+        monkeypatch.setattr(nx, "_make", lambda *a: calls.append(1) or real(*a))
+        token = np.array([[AminoVocabulary().encode_sequence("M", add_eos=False)[-1]]])
+        sequence_forward(token, single.seq_ids.shape[1], kv, None, params)
+    assert params.config.n_layers == 2
+    assert len(calls) == 24 * 2 + 2
 
 
 def test_traced_forward_equals_untraced_bitwise():

@@ -392,6 +392,75 @@ def test_buffered_kernel_writes_no_input_gradient_or_saved_array(name, rng):
         assert got.tobytes() == want.tobytes()
 
 
+# -- fused primitives against their compositions ----------------------------------
+
+
+def _output_and_grads(op, arrays, g):
+    """``op``'s output and each input's gradient after a full backward pass of
+    sum(op(*inputs) * g), so that the bias gradient is summed down as well."""
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*inputs)
+    total(nx.mul(out, Tensor(g))).backward()
+    return [out.data, *(t.grad for t in inputs)]
+
+
+def _assert_bitwise(got, want, dtype):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 5), (3, 2, 5)], ids=lambda s: f"{len(s) + 1}d")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+def test_biased_matmul_equals_add_of_matmul_bitwise(dtype, lead, rng):
+    arrays = [rng.normal(size=lead + (8,)).astype(dtype), rng.normal(size=(8, 6)).astype(dtype),
+              rng.normal(size=6).astype(dtype)]
+    g = rng.normal(size=lead + (6,)).astype(dtype)
+    fused = _output_and_grads(nx.matmul, arrays, g)
+    composed = _output_and_grads(lambda x, w, b: nx.add(nx.matmul(x, w), b), arrays, g)
+    _assert_bitwise(fused, composed, dtype)
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=lambda s: f"{len(s) + 2}d")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+def test_head_split_and_merge_equal_reshape_and_swapaxes_bitwise(dtype, lead, rng):
+    heads, n, hd = 3, 5, 4
+    x = rng.normal(size=lead + (n, heads * hd)).astype(dtype)
+    g = rng.normal(size=lead + (heads, n, hd)).astype(dtype)
+    _assert_bitwise(
+        _output_and_grads(lambda t: nx.split_heads(t, heads), [x], g),
+        _output_and_grads(
+            lambda t: nx.swapaxes(nx.reshape(t, t.shape[:-1] + (heads, hd)), -2, -3), [x], g),
+        dtype)
+    _assert_bitwise(
+        _output_and_grads(nx.merge_heads, [g], x),
+        _output_and_grads(lambda t: nx.reshape(nx.swapaxes(t, -2, -3), x.shape), [g], x),
+        dtype)
+
+
+def test_grad_check_through_a_biased_matmul(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+
+    def loss_fn():
+        return total(nx.gelu(nx.matmul(x, w, b)))
+
+    assert finite_difference_grad_check(loss_fn, {"x": x, "w": w, "b": b}, eps=1e-5) < 1e-6
+
+
+def test_no_grad_op_output_is_a_bare_tensor_of_the_op_array(rng):
+    x = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
+    w, b = Tensor(np.ones((4, 3), dtype=np.float32)), Tensor(np.ones(3, dtype=np.float32))
+    with nx.no_grad():
+        for out in (nx.gelu(x), nx.matmul(x, w, b), nx.split_heads(x, 2)):
+            assert out.grad is None and out.requires_grad is False
+            assert out._parents == () and out._backward is None
+            assert type(out.data) is np.ndarray and out.dtype == np.float32
+        data = np.ones(3, dtype=np.float32)
+        assert nx._make(data, (x,), lambda g: (g,)).data is data
+
+
 # -- cross entropy ------------------------------------------------------------
 
 
@@ -552,6 +621,9 @@ PRIMITIVES = {
     "add": lambda x, const: nx.add(x, const(1.0)),
     "mul": lambda x, const: nx.mul(x, const(2.0)),
     "matmul": lambda x, const: nx.matmul(x, const(np.ones((4, 3)))),
+    "matmul-bias": lambda x, const: nx.matmul(x, const(np.ones((4, 3))), const(np.ones(3))),
+    "split_heads": lambda x, const: nx.split_heads(x, 2),
+    "merge_heads": lambda x, const: nx.merge_heads(nx.reshape(x, (2, 2, 2))),
     "reshape": lambda x, const: nx.reshape(x, (4, 2)),
     "swapaxes": lambda x, const: nx.swapaxes(x, 0, 1),
     "concat": lambda x, const: nx.concat([x, const(np.ones((1, 4)))], axis=0),

@@ -115,3 +115,21 @@ def test_bench_pairs_claim_needs_nine_tenths_and_more_than_the_parent_iqr():
     for change in (eight, small):
         summary = bench.summarize(_pairs({"tokens_per_s": base}, {"tokens_per_s": change}), spec)
         assert not summary["tokens_per_s"]["claim_rule_met"]
+
+
+def test_bench_pairs_reports_failures_incorrect_runs_and_digest_mismatches():
+    bench = load_script("bench_pairs")
+    good = bench.parse_run(CANNED_RUN)
+    failing = bench.parse_run(CANNED_RUN.replace('"correct": true, "attempted": 12, "failed": 0',
+                                                 '"correct": false, "attempted": 11, "failed": 2'))
+    moved = bench.parse_run(CANNED_RUN.replace("sha256:bbbb", "sha256:cccc"))
+    same = bench.correctness([{"parent": good, "change": good}] * 3)
+    assert same == {"parent": {"failed": 0, "attempted": 36, "incorrect_runs": 0},
+                    "change": {"failed": 0, "attempted": 36, "incorrect_runs": 0},
+                    "digests_equal_every_pair": True}
+    mixed = bench.correctness([{"parent": good, "change": good},
+                               {"parent": good, "change": failing},
+                               {"parent": good, "change": moved}])
+    assert mixed["parent"] == same["parent"]
+    assert mixed["change"] == {"failed": 2, "attempted": 35, "incorrect_runs": 1}
+    assert not mixed["digests_equal_every_pair"]

@@ -75,6 +75,7 @@ def test_weight_decay_is_decoupled_and_masked():
     params.zero_grad()
     compute_loss(batch, params).backward()
     grads = {name: p.grad_or_zeros().copy() for name, p in params.named_parameters()}
+    no_grad = {name for name, p in params.named_parameters() if p.grad is None}
     cfg = TrainingConfig(lr=1e-2, weight_decay=wd, clip_norm=None)
     opt = OptimizerState(params, cfg)
     training_step(batch, params, opt)
@@ -82,7 +83,9 @@ def test_weight_decay_is_decoupled_and_masked():
         g = grads[name]
         adam = g / (np.abs(g) + ADAM_EPS)
         decay = wd * before[name]
-        if ".ln" in name and (name.endswith(".gamma") or name.endswith(".beta")):
+        if name in no_grad:  # no gradient: no update and no decay
+            decay = 0.0
+        elif ".ln" in name and (name.endswith(".gamma") or name.endswith(".beta")):
             decay = 0.0
         elif name == "token_embedding":
             decay = wd * before[name].copy()
@@ -110,7 +113,8 @@ def _adam_formula(p, g, m, v, t, cfg, decay_mask):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_adam_step_equals_plain_formula_bitwise(dtype, weight_decay):
     """Three steps against the plain formula, with read-only gradients and
-    parameter arrays: Adam writes into neither and replaces ``p.data``."""
+    parameter arrays: Adam writes into neither and replaces ``p.data``, except
+    that a parameter without a gradient keeps its array and its moments."""
     params, _, batch = tiny_model(tiny_config(dtype=dtype))
     cfg = TrainingConfig(lr=1e-2, weight_decay=weight_decay)
     opt = OptimizerState(params, cfg)
@@ -122,18 +126,36 @@ def test_adam_step_equals_plain_formula_bitwise(dtype, weight_decay):
         compute_loss(batch, params).backward()
         old, want = {}, {}
         for name, p in named.items():
-            want[name], m[name], v[name] = _adam_formula(p.data, p.grad_or_zeros(), m[name], v[name],
-                                                         t, cfg, opt.decay_mask[name])
             old[name] = p.data
+            if p.grad is None:
+                want[name] = p.data
+                continue
+            want[name], m[name], v[name] = _adam_formula(p.data, p.grad, m[name], v[name],
+                                                         t, cfg, opt.decay_mask[name])
             for a in (p.data, p.grad):
                 if a is not None:
                     a.flags.writeable = False
         opt.apply(params)
         for name, p in named.items():
-            assert p.data is not old[name] and p.data.dtype == old[name].dtype
+            assert (p.data is old[name]) == (p.grad is None) and p.data.dtype == old[name].dtype
             assert p.data.tobytes() == want[name].tobytes(), name
             assert opt.m[name].tobytes() == m[name].tobytes(), name
             assert opt.v[name].tobytes() == v[name].tobytes(), name
+
+
+def test_adam_leaves_a_parameter_without_gradient_untouched():
+    """The final layer's text query gets no gradient (only a trace reads it):
+    20 steps with weight decay neither move it nor its moments."""
+    params, _, batch = tiny_model(tiny_config(dtype="float32"))
+    opt = OptimizerState(params, TrainingConfig(lr=1e-2, weight_decay=0.1))
+    name = "layers.1.wq_t.w"
+    p = dict(params.named_parameters())[name]
+    initial = p.data.copy()
+    for _ in range(20):
+        training_step(batch, params, opt)
+        assert p.grad is None
+    assert p.data.tobytes() == initial.tobytes()
+    assert not opt.m[name].any() and not opt.v[name].any()
 
 
 def test_pad_positions_contribute_no_loss():
