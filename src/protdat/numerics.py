@@ -6,8 +6,13 @@ masked softmax, layer normalization, rotary position embedding, embedding
 lookup, GELU and next-token cross-entropy.  A linear layer is one
 ``matmul`` that adds its bias into the product in place, and splitting
 and merging attention heads are one view primitive each, so a one-row
-decode token runs 24 ops per layer.  Without a recorded graph, ``_make``
-builds an op's output bare, around the op's own array.
+decode token runs 24 ops per layer.
+
+Every primitive takes Tensors and returns one.  ``_make`` builds each op
+output bare, around the op's own array, and links it to its parents only
+when it records a graph; the constructor ``Tensor(...)``, the one place
+that coerces (``np.asarray`` and a float dtype), is for leaves and
+constants such as the attention scale.
 
 Each primitive records, through ``_make``, a vector-Jacobian product
 ``backward(g)``: given the gradient ``g`` of the op's output it returns one
@@ -94,20 +99,14 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        _parents: tuple["Tensor", ...] = (),
-        _backward: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
-    ):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         if self.data.dtype.kind != "f":
             self.data = self.data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._parents: tuple[Tensor, ...] = ()
+        self._backward: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -163,10 +162,6 @@ class Tensor:
             node.grad = None  # nothing reads it once it has been propagated
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
-
-
 def _tracked(t: Tensor) -> bool:
     """Whether gradients flow into ``t``: a parameter, or an op output that
     recorded its graph."""
@@ -188,38 +183,25 @@ def _make(
     must not refer to the output Tensor, which would make the graph a
     reference cycle, and must not write to ``g``, which it may pass on as is.
     """
-    if _grad_enabled and any(_tracked(p) for p in parents):
-        return Tensor(data, _parents=tuple(parents), _backward=backward)
     # built bare: every op yields a float ndarray, so __init__'s asarray and
     # dtype check would do nothing
     out = Tensor.__new__(Tensor)
     out.data, out.grad, out.requires_grad, out._parents, out._backward = data, None, False, (), None
+    if _grad_enabled and any(_tracked(p) for p in parents):
+        out._parents, out._backward = tuple(parents), backward
     return out
 
 
 # -- elementwise and structural primitives ---------------------------------
 
 
-def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Wrap a binary op's operands; one that is not a Tensor takes the dtype
-    of the Tensor operand, so a Python float cannot promote float32 data to
-    float64 (NumPy 2 promotes float32 with a 0-d float64 array)."""
-    if isinstance(a, Tensor):
-        return a, as_tensor(b, a.dtype)
-    b = as_tensor(b)
-    return as_tensor(a, b.dtype), b
-
-
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-
+def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        # constants (the attention scale, the text mask) get no gradient
+        # a constant (the attention scale) gets no gradient
         return (g * b.data if _tracked(a) else None, g * a.data if _tracked(b) else None)
 
     return _make(a.data * b.data, (a, b), backward)
@@ -228,7 +210,6 @@ def mul(a, b) -> Tensor:
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Batched matrix product ``a @ b`` with numpy broadcasting of batch dims,
     plus ``bias`` (a linear layer's) added into the fresh product in place."""
-    a, b = as_tensor(a), as_tensor(b)
     out = a.data @ b.data
     if bias is not None:
         out += bias.data
@@ -243,17 +224,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
     return _make(np.swapaxes(a.data, ax1, ax2), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def backward(g):
@@ -280,7 +258,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (as in GPT-style stacks)."""
-    x = as_tensor(x)
     c = math.sqrt(2.0 / math.pi)
     xd = x.data
     # t = tanh(c * (x + 0.044715 * (x * x * x)))
@@ -318,7 +295,6 @@ def gelu(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise NumericsError("layer_norm: empty vector")
@@ -355,7 +331,6 @@ def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
     means the key may be attended to).  A row with no visible key is a
     degenerate softmax and is rejected.
     """
-    scores = as_tensor(scores)
     if visible is None:
         p = scores.data - scores.data.max(axis=-1, keepdims=True)
     else:
@@ -395,7 +370,6 @@ def rope_rotate(x: Tensor, start: int, head_dim: int) -> Tensor:
     pair in row r by ``(start + r) * base**(-2i/head_dim)``.  Row norms are
     preserved; query/key products depend only on position differences.
     """
-    x = as_tensor(x)
     if head_dim % 2 != 0:
         raise NumericsError("rope_rotate: head_dim must be even")
     d = x.shape[-1]
@@ -424,7 +398,6 @@ def rope_rotate(x: Tensor, start: int, head_dim: int) -> Tensor:
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
     """(..., n, d) -> (..., H, n, d/H); the backward is the inverse view."""
-    x = as_tensor(x)
     shape = x.shape
     split = x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads))
     return _make(np.swapaxes(split, -2, -3), (x,),
@@ -433,7 +406,6 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
 
 def merge_heads(x: Tensor) -> Tensor:
     """(..., H, n, hd) -> (..., n, H*hd); the backward is the inverse view."""
-    x = as_tensor(x)
     s = np.swapaxes(x.data, -2, -3)
     shape = s.shape
     return _make(s.reshape(shape[:-2] + (shape[-2] * shape[-1],)), (x,),
@@ -476,7 +448,7 @@ def masked_attention(
     qh = split_heads(q, n_heads)
     kh = split_heads(k, n_heads)
     vh = split_heads(v, n_heads)
-    scale = 1.0 / math.sqrt(d // n_heads)
+    scale = Tensor(np.asarray(1.0 / math.sqrt(d // n_heads), dtype=q.dtype))
     scores = mul(matmul(qh, swapaxes(kh, -1, -2)), scale)
     weights = masked_softmax(scores, visible)
     return merge_heads(matmul(weights, vh)), weights.data
@@ -505,7 +477,6 @@ def next_token_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int
 
     logits: (..., V); targets: integer array matching the leading shape.
     """
-    logits = as_tensor(logits)
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise NumericsError("next_token_cross_entropy: targets must match logit rows")

@@ -146,24 +146,33 @@ class PrecomputedTextEncoder:
             magic = fh.readline().decode("ascii").strip()
             if magic != EMBED_FILE_MAGIC:
                 raise TokenizerError(f"not an embedding file (magic {magic!r})")
-            manifest = json.loads(fh.readline().decode("utf-8"))
+            try:
+                manifest = json.loads(fh.readline().decode("utf-8"))
+                self.d_text = int(manifest["d_text"])
+                # record id -> (offset, tokens, d_text)
+                self.records = {
+                    rec_id: (int(meta["offset"]), int(meta["tokens"]),
+                             int(meta.get("d_text", self.d_text)))
+                    for rec_id, meta in manifest["records"].items()
+                }
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise TokenizerError(f"malformed embedding manifest in {path}: {exc!r}") from exc
             self._blob_start = fh.tell()
-        self.d_text = int(manifest["d_text"])
-        self.records = manifest["records"]
+        if any(min(entry) < 0 for entry in self.records.values()):
+            raise TokenizerError(f"malformed embedding manifest in {path}: a negative offset, "
+                                 "token count or d_text")
 
     def encode(self, text: str, record_id: str | None = None) -> TextEncoding:
         if not text:
             raise TokenizerError("empty text")
         if record_id is None or record_id not in self.records:
             raise TokenizerError(f"no precomputed embedding for record {record_id!r}")
-        meta = self.records[record_id]
-        n = int(meta["tokens"])
-        d = int(meta.get("d_text", self.d_text))
+        offset, n, d = self.records[record_id]
         if n > MAX_TEXT_TOKENS:
             warnings.warn(f"embedding of {n} tokens truncated to {MAX_TEXT_TOKENS}", stacklevel=2)
             n = MAX_TEXT_TOKENS
         with open(self.path, "rb") as fh:
-            fh.seek(self._blob_start + int(meta["offset"]))
+            fh.seek(self._blob_start + offset)
             raw = fh.read(4 * n * d)
         if len(raw) != 4 * n * d:
             raise TokenizerError(f"embedding file truncated for record {record_id!r}")

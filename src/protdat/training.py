@@ -171,14 +171,14 @@ class TrainLog:
                 fh.write(json.dumps({"step": e.step, "wall_time": e.wall_time}) + "\n")
 
 
-def evaluate_loss(records: list[ProteinRecord], params: ModelParams, vocab, provider,
+def evaluate_loss(records: list[ProteinRecord], params: ModelParams, provider,
                   batch_size: int) -> float:
     """Mean per-token loss over a record list (no gradients)."""
     total, count = 0.0, 0
     with nx.no_grad():
         for start in range(0, len(records), batch_size):
             chunk = records[start : start + batch_size]
-            batch = make_batch(chunk, vocab, provider, params.config.c_size,
+            batch = make_batch(chunk, AminoVocabulary(), provider, params.config.c_size,
                                dtype=params.config.np_dtype)
             loss = compute_loss(batch, params)
             n = int((batch.targets() != batch.pad_id).sum())
@@ -242,7 +242,7 @@ def fit(
             if float(np.mean(epoch_losses)) < stop_below_loss:
                 stop = True
         if valid_records:
-            vloss = evaluate_loss(valid_records, params, vocab, provider, train_config.batch_size)
+            vloss = evaluate_loss(valid_records, params, provider, train_config.batch_size)
             if not np.isfinite(vloss):
                 raise TrainingError(f"validation loss became {vloss}; aborting")
             log.entries.append(LogEntry(step=step, split="valid", loss=vloss,

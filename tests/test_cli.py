@@ -19,6 +19,7 @@ from protdat.generation import (
     write_trace,
 )
 from protdat.model import CHECKPOINT_FORMAT, load_checkpoint
+from protdat.tokenizer import EMBED_FILE_MAGIC
 
 TABLE4_TEXT = (
     "FUNCTION: Is involved in the catabolism of quinate. Allows the utilization of "
@@ -405,6 +406,28 @@ def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, toy_datase
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == f"DatasetError: {message}"
     assert not list(tmp_path.rglob("model.ckpt"))
+
+
+@pytest.mark.parametrize("manifest", [
+    pytest.param({}, id="no-d_text"),
+    pytest.param({"d_text": 16, "records": {"r1": {"tokens": 1, "d_text": 16}}}, id="no-offset"),
+    pytest.param([1, 2], id="not-an-object"),
+    pytest.param({"d_text": 16, "records": {"r1": {"offset": -8, "tokens": 1}}},
+                 id="negative-offset"),
+])
+def test_malformed_embedding_manifest_is_a_one_line_error(tmp_path, toy_dataset, capsys,
+                                                          manifest):
+    emb = tmp_path / "emb.bin"
+    emb.write_bytes(f"{EMBED_FILE_MAGIC}\n{json.dumps(manifest)}\n".encode())
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"model": {"text_provider": "precomputed"}}))
+    out = tmp_path / "run"
+    assert run_command(["train", "--config", str(cfg), "--data", str(toy_dataset),
+                        "--embeddings", str(emb), "--out", str(out), *TINY_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith("TokenizerError: malformed embedding manifest")
+    assert not out.exists()
 
 
 def test_config_takes_an_int_for_a_float_and_null_for_clip_norm(tmp_path, toy_dataset):

@@ -514,7 +514,7 @@ def test_grad_check_quadratic_is_exact():
     theta = Tensor(np.array([0.5, -1.5, 2.0, 3.0]), requires_grad=True)
 
     def loss_fn():
-        return nx.mul(total(nx.mul(theta, theta)), 0.5)
+        return nx.mul(total(nx.mul(theta, theta)), Tensor(0.5))
 
     err = finite_difference_grad_check(loss_fn, {"theta": theta}, eps=1e-5)
     assert err < 1e-8
@@ -547,7 +547,7 @@ def test_grad_check_detects_corrupted_gradient():
         return nx._make(x.data * x.data, (x,), backward)
 
     def loss_fn():
-        return nx.mul(total(corrupted_square(theta)), 0.5)
+        return nx.mul(total(corrupted_square(theta)), Tensor(0.5))
 
     err = finite_difference_grad_check(loss_fn, {"theta": theta}, eps=1e-5)
     assert err > 1e-2
@@ -565,7 +565,7 @@ def test_grad_check_rejects_bad_eps():
 def test_backward_requires_scalar(rng):
     t = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with pytest.raises(NumericsError):
-        nx.mul(t, 2.0).backward()
+        nx.mul(t, Tensor(2.0)).backward()
 
 
 def test_unused_parameter_reads_zero_gradient():
@@ -591,15 +591,6 @@ def test_gradient_array_shared_by_two_parents_is_never_written_through():
     total(nx.add(p, q)).backward()  # a second contribution to both
     assert np.array_equal(p.grad, np.full(3, 2.0))
     assert np.array_equal(q.grad, np.full(3, 2.0))
-
-
-@pytest.mark.parametrize(
-    "op",
-    [lambda x: nx.add(x, 1.0), lambda x: nx.mul(2.0, x)],
-    ids=["add", "rmul"],
-)
-def test_plain_operands_take_the_tensor_dtype(op):
-    assert op(Tensor(np.ones(3, dtype=np.float32))).dtype == np.float32
 
 
 def test_no_grad_skips_graph(rng):
