@@ -13,7 +13,8 @@ import argparse
 import numpy as np
 
 from protdat.evaluation import condense_cca, guidance_reference_curve
-from protdat.generation import MODE_TEXT_ONLY, GenerationParams, PromptSpec, generate
+from protdat.generation import (MODE_TEXT_ONLY, GenerationParams, PromptSpec, generate,
+                                trace_attention)
 from protdat.model import load_checkpoint
 
 
@@ -28,13 +29,10 @@ def main():
 
     params = load_checkpoint(args.ckpt)
     provider = params.text_encoder(args.embeddings)
-    result, trace = generate(
-        PromptSpec(mode=MODE_TEXT_ONLY, text=args.text),
-        params,
-        GenerationParams(max_len=args.max_len, seed=args.seed),
-        text_provider=provider,
-        trace_attention=True,
-    )
+    prompt = PromptSpec(mode=MODE_TEXT_ONLY, text=args.text)
+    result = generate(prompt, params, GenerationParams(max_len=args.max_len, seed=args.seed),
+                      text_provider=provider)
+    trace = trace_attention(prompt, result.sequence, params, text_provider=provider)
     c = params.config.c_size
     mean_cca = np.mean(trace.cca, axis=0)  # average over layers
     slot_share = condense_cca(mean_cca, c)[:, 0]

@@ -18,6 +18,10 @@ the pairs the change won, and whether the claim rule and the metric's
 regression bound hold; and, per workload, each side's failed and
 attempted totals, its runs that were not correct, and whether every
 pair's digests were equal.
+
+A run that exits non-zero or times out ends the script with a non-zero
+status, after the report is written with the pairs finished before it and
+the failed run (side, pair, exit code or timeout) under ``failed_run``.
 """
 
 from __future__ import annotations
@@ -126,12 +130,21 @@ def build_trees(root: Path, parent_rev: str) -> dict[str, Path]:
     return trees
 
 
+class RunFailed(Exception):
+    """A run that exited non-zero or timed out; ``args[0]`` says which, as
+    {"exit_code": n} or {"timeout_s": s}."""
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RunFailed({"timeout_s": RUN_TIMEOUT_S}) from None
     if proc.returncode != 0:
-        sys.exit(f"error: {workload} in {tree} exited with {proc.returncode}")
+        raise RunFailed({"exit_code": proc.returncode})
     return parse_run(proc.stdout)
 
 
@@ -161,24 +174,35 @@ def main(argv=None) -> None:
         "workloads": {},
     }
     for workload in args.workload:
-        runs = []
+        runs, failed = [], None
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             run = {"pair": pair, "first": order[0]}
             for side in order:
-                run[side] = run_side(trees[side], workload, args.seed, args.seconds)
+                try:
+                    run[side] = run_side(trees[side], workload, args.seed, args.seconds)
+                except RunFailed as exc:
+                    failed = {"side": side, "pair": pair, **exc.args[0]}
+                    break
                 report["env"] = report["env"] or run[side]["env"]
                 print(f"{workload} pair {pair} {side}: "
                       f"{json.dumps(run[side]['metrics'])}", flush=True)
+            if failed:
+                break
             for side in SIDES:
                 del run[side]["env"]
             runs.append(run)
-        checks = correctness(runs)
-        print(f"{workload} correctness: {json.dumps(checks)}", flush=True)
-        report["workloads"][workload] = {"seed": args.seed, "pairs_run": len(runs),
-                                         "correctness": checks,
-                                         "summary": summarize(runs, end_to_end), "runs": runs}
+        entry = report["workloads"][workload] = {"seed": args.seed, "pairs_run": len(runs)}
+        if runs:
+            entry["correctness"] = correctness(runs)
+            entry["summary"] = summarize(runs, end_to_end)
+            print(f"{workload} correctness: {json.dumps(entry['correctness'])}", flush=True)
+        entry["runs"] = runs
+        if failed:
+            entry["failed_run"] = failed
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+        if failed:
+            sys.exit(f"error: {workload} run failed: {json.dumps(failed)}; report in {args.out}")
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from .generation import (
     fasta_header,
     generate,
     generate_candidates,
+    trace_attention,
     write_fasta,
     write_trace,
 )
@@ -335,9 +336,9 @@ def cmd_export_attention(args) -> int:
     prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
     gp = cfg.generation_params(max_len=args.max_len)
     provider = params.text_encoder(args.embeddings)
-    result, trace = generate(
-        prompt, params, gp, text_provider=provider, record_id=args.record_id, trace_attention=True
-    )
+    result = generate(prompt, params, gp, text_provider=provider, record_id=args.record_id)
+    trace = trace_attention(prompt, result.sequence, params, text_provider=provider,
+                            record_id=args.record_id)
     entries = export_attention_maps(trace, condense_cross=args.condense, out_dir=out_dir)
     write_manifest(
         out_dir / "run_manifest.json",

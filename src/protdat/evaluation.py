@@ -86,12 +86,7 @@ def global_sequence_identity(a: str, b: str) -> AlignmentResult:
     aligned_a = "".join(reversed(out_a))
     aligned_b = "".join(reversed(out_b))
     matches = sum(x == y for x, y in zip(aligned_a, aligned_b))
-    return AlignmentResult(
-        aligned_a=aligned_a,
-        aligned_b=aligned_b,
-        identity=matches / len(aligned_a),
-        score=score,
-    )
+    return AlignmentResult(aligned_a, aligned_b, matches / len(aligned_a), score)
 
 
 @dataclass
@@ -163,13 +158,7 @@ def parse_tmalign_output(text: str) -> tuple[float, float]:
     scores = [(float(m.group(1)), m.group(2)) for m in _TM_LINE.finditer(text)]
     if not scores:
         raise EvaluationError("no TM-score line found")
-    tm = None
-    for value, rest in scores:
-        if "Chain_2" in rest:
-            tm = value
-            break
-    if tm is None:
-        tm = scores[0][0]
+    tm = next((value for value, rest in scores if "Chain_2" in rest), scores[0][0])
     m = _RMSD_LINE.search(text)
     if m is None:
         raise EvaluationError("no RMSD field found")
@@ -200,20 +189,15 @@ def export_attention_maps(trace: AttentionTrace, condense_cross: bool, out_dir) 
             {"file": path.name, "branch": name.split("_")[0], "layer": layer, "shape": list(matrix.shape)}
         )
 
-    for i in range(n_layers):
-        emit(f"ptm_layer{i:02d}", i, trace.ptm[i])
-        emit(f"cim_layer{i:02d}", i, trace.cim[i])
-        cca = trace.cca[i]
-        if condense_cross:
-            cca = condense_cca(cca, c_size)
-        emit(f"cca_layer{i:02d}", i, cca)
+    maps = [(f"layer{i:02d}", i, trace.ptm[i], trace.cim[i], trace.cca[i])
+            for i in range(n_layers)]
     if n_layers:
-        emit("ptm_mean", "all", np.mean(trace.ptm, axis=0))
-        emit("cim_mean", "all", np.mean(trace.cim, axis=0))
-        cca_mean = np.mean(trace.cca, axis=0)
-        if condense_cross:
-            cca_mean = condense_cca(cca_mean, c_size)
-        emit("cca_mean", "all", cca_mean)
+        means = [np.mean(m, axis=0) for m in (trace.ptm, trace.cim, trace.cca)]
+        maps.append(("mean", "all", *means))
+    for suffix, layer, ptm, cim, cca in maps:
+        emit(f"ptm_{suffix}", layer, ptm)
+        emit(f"cim_{suffix}", layer, cim)
+        emit(f"cca_{suffix}", layer, condense_cca(cca, c_size) if condense_cross else cca)
     (out_dir / "attention_manifest.json").write_text(json.dumps(entries, indent=2) + "\n")
     return entries
 
@@ -286,39 +270,25 @@ def parameter_sweep(
     if not records:
         raise EvaluationError("sweep needs at least one prompt record")
     cells: list[SweepCell] = []
-    cell_index = 0
-    for top_p in top_p_values:
-        for temperature in temperature_values:
-            kls: list[float] = []
-            idents: list[float] = []
-            for j, rec in enumerate(records):
-                cell_gp = replace(gp, temperature=temperature, top_p=top_p,
-                                  seed=sweep_cell_seed(gp.seed, cell_index, j))
-                result = generate(
-                    PromptSpec(mode=MODE_TEXT_ONLY, text=rec.text),
-                    params,
-                    cell_gp,
-                    text_provider=text_provider,
-                    record_id=rec.id,
-                )
-                if result.sequence:
-                    gen_dist = ResidueDistribution.from_sequences([result.sequence])
-                    ref_dist = ResidueDistribution.from_sequences([rec.sequence])
-                    kls.append(kl_divergence(gen_dist, ref_dist))
-                    idents.append(global_sequence_identity(result.sequence, rec.sequence).identity)
-                else:
-                    kls.append(float("nan"))
-                    idents.append(0.0)
-            cells.append(
-                SweepCell(
-                    top_p=top_p,
-                    temperature=temperature,
-                    mean_kl=float(np.nanmean(kls)),
-                    mean_identity=float(np.mean(idents)),
-                    n_prompts=len(records),
-                )
-            )
-            cell_index += 1
+    grid = [(top_p, temperature) for top_p in top_p_values for temperature in temperature_values]
+    for cell_index, (top_p, temperature) in enumerate(grid):
+        kls: list[float] = []
+        idents: list[float] = []
+        for j, rec in enumerate(records):
+            cell_gp = replace(gp, temperature=temperature, top_p=top_p,
+                              seed=sweep_cell_seed(gp.seed, cell_index, j))
+            result = generate(PromptSpec(mode=MODE_TEXT_ONLY, text=rec.text), params, cell_gp,
+                              text_provider=text_provider, record_id=rec.id)
+            if result.sequence:
+                gen_dist = ResidueDistribution.from_sequences([result.sequence])
+                ref_dist = ResidueDistribution.from_sequences([rec.sequence])
+                kls.append(kl_divergence(gen_dist, ref_dist))
+                idents.append(global_sequence_identity(result.sequence, rec.sequence).identity)
+            else:
+                kls.append(float("nan"))
+                idents.append(0.0)
+        cells.append(SweepCell(top_p, temperature, float(np.nanmean(kls)), float(np.mean(idents)),
+                               len(records)))
     return cells
 
 

@@ -5,14 +5,15 @@ One prompt pass encodes the text and slots into each layer's (K, V) and
 one sequence pass prefills CLS and any fragment, once for all samples of
 a prompt; the samples then decode as the rows of one batch, each new
 token one query row per sample against its K/V, which grows by that row.
-A sample that emits EOS leaves the batch.  ``trace_attention`` adds one
-full ``model_forward`` over the final sequence.
+A sample that emits EOS leaves the batch.  ``trace_attention`` runs one
+full ``model_forward`` over a final sequence.
 
 Two prompt modes: text only (the sequence starts from CLS) and text plus
 a leading residue fragment (the fragment is emitted verbatim before new
-tokens).  Sampling order per step: repetition penalty, temperature,
-softmax, nucleus truncation, draw.  temperature=0 or top_p=0 selects the
-argmax corner.  PAD/CLS/slot ids are never sampled; EOS terminates.
+tokens).  ``sample_token`` draws every token: repetition penalty,
+temperature, softmax, nucleus truncation, draw.  temperature=0 or
+top_p=0 selects the argmax corner.  PAD/CLS/slot ids get a -inf logit, so
+they are never sampled; EOS terminates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import numerics as nx
 from .data import assemble_batch
-from .model import ModelParams, model_forward, prompt_forward, sequence_forward
+from .model import AttentionTrace, ModelParams, model_forward, prompt_forward, sequence_forward
 from .numerics import Tensor, softmax_with_temperature
 from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary
 
@@ -46,12 +47,13 @@ class GenerationParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise GenerationError("temperature must be >= 0 (0 selects argmax)")
+        # each bound is written so that NaN fails it
+        if not (0 <= self.temperature < np.inf):
+            raise GenerationError("temperature must be finite and >= 0 (0 selects argmax)")
         if not (0 <= self.top_p <= 1):
             raise GenerationError("top_p must lie in [0, 1] (0 selects argmax)")
-        if self.repetition_penalty < 1:
-            raise GenerationError("repetition_penalty must be >= 1")
+        if not (1 <= self.repetition_penalty < np.inf):
+            raise GenerationError("repetition_penalty must be finite and >= 1")
         if self.max_len < 1:
             raise GenerationError("max_len must be >= 1")
 
@@ -123,9 +125,21 @@ def nucleus_filter(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndar
     return kept, kept_probs / kept_probs.sum()
 
 
-def nucleus_sample(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
-    kept, kept_probs = nucleus_filter(probs, top_p)
-    return int(rng.choice(kept, p=kept_probs))
+def sample_token(logits: np.ndarray, history: set[int], gp: GenerationParams,
+                 rng: np.random.Generator) -> tuple[int, int, int, float]:
+    """One token from one row of logits, where -inf blocks a token: the
+    repetition penalty over ``history``, then the argmax, or the temperature
+    softmax, the nucleus cut and one draw from ``rng``.  Returns (token id,
+    nucleus size, the token's rank in the nucleus, its penalized logit)."""
+    penalized = apply_repetition_penalty(logits, history, gp.repetition_penalty)
+    if gp.argmax_mode:
+        token_id, nucleus_size, rank = int(np.argmax(penalized)), 1, 0
+    else:
+        probs = softmax_with_temperature(penalized, gp.temperature)
+        kept, kept_probs = nucleus_filter(probs, gp.top_p)
+        rank = int(rng.choice(len(kept), p=kept_probs))
+        token_id, nucleus_size = int(kept[rank]), len(kept)
+    return token_id, nucleus_size, rank, float(penalized[token_id])
 
 
 @dataclass
@@ -149,21 +163,20 @@ def generate(
     gp: GenerationParams,
     text_provider=None,
     record_id: str | None = None,
-    trace_attention: bool = False,
-):
-    """Decode one sequence for a prompt; deterministic under ``gp.seed``.
+) -> GenerationResult:
+    """Decode one sequence for a prompt; deterministic under ``gp.seed``."""
+    return generate_candidates(prompt, params, gp, 1, text_provider, record_id)[0]
 
-    Returns a GenerationResult, or (result, AttentionTrace) when
-    ``trace_attention`` is set (the trace is from the final forward).
-    """
-    result = generate_candidates(prompt, params, gp, 1, text_provider, record_id)[0]
-    if not trace_attention:
-        return result
+
+def trace_attention(prompt: PromptSpec, sequence: str, params: ModelParams,
+                    text_provider=None, record_id: str | None = None) -> AttentionTrace:
+    """The attention weights of one full forward over ``sequence`` (a
+    generated sequence, fragment included) under ``prompt``'s text."""
     encoding = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
-    ids = AminoVocabulary().encode_sequence(result.sequence, add_eos=False).tolist()
+    ids = AminoVocabulary().encode_sequence(sequence, add_eos=False).tolist()
     final = assemble_batch([ids], [encoding], params.config.c_size, params.config.np_dtype)
     with nx.no_grad():
-        return result, model_forward(final, params, trace=True)[1]
+        return model_forward(final, params, trace=True)[1]
 
 
 def generate_candidates(
@@ -204,22 +217,10 @@ def generate_candidates(
             last = logits.data[rows, -1].astype(np.float64)
             last[:, [vocab.pad_id, vocab.cls_id, vocab.cross_id]] = -np.inf  # never sampled
             for sample, row_logits in zip(live, last):
-                penalized = apply_repetition_penalty(
-                    row_logits, histories[sample], gp.repetition_penalty)
-                if gp.argmax_mode:
-                    token_id = int(np.argmax(penalized))
-                    nucleus_size, rank = 1, 0
-                else:
-                    probs = softmax_with_temperature(
-                        np.where(np.isfinite(penalized), penalized, -1e30), gp.temperature)
-                    kept, kept_probs = nucleus_filter(probs, gp.top_p)
-                    token_id = int(rngs[sample].choice(kept, p=kept_probs))
-                    nucleus_size = len(kept)
-                    rank = int(np.nonzero(kept == token_id)[0][0])
+                token_id, *draw = sample_token(row_logits, histories[sample], gp, rngs[sample])
                 histories[sample].add(token_id)
                 token = "<EOS>" if token_id == vocab.eos_id else vocab.residue_of(token_id)
-                steps[sample].append(GenerationStep(
-                    token_id, token, nucleus_size, rank, float(penalized[token_id])))
+                steps[sample].append(GenerationStep(token_id, token, *draw))
             keep = [i for i, s in enumerate(live) if steps[s][-1].token_id != vocab.eos_id]
             if len(keep) != kv[0][0].shape[0]:  # the prefill row fans out, or rows left
                 kv = [(Tensor(k.data[rows[keep]]), Tensor(v.data[rows[keep]])) for k, v in kv]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +63,19 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for f in fields(self):  # a flag, a YAML value or a checkpoint manifest
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ModelError(f"{f.name} must be int, not {type(value).__name__}")
+        for name in ("d_model", "n_layers", "n_heads", "c_size", "d_text"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ModelError("head dimension must be even for rotary embeddings")
         if self.ffn_dim and self.ffn_dim < self.d_model:
             raise ModelError("ffn_dim must be >= d_model")
-        if self.c_size < 1:
-            raise ModelError("c_size must be >= 1")
         if self.text_provider not in ("trainable", "precomputed"):
             raise ModelError(f"unknown text provider {self.text_provider!r}")
         if self.dtype not in ("float32", "float64"):
@@ -460,11 +465,15 @@ def load_checkpoint(path) -> ModelParams:
         raise ModelError("manifest format mismatch")
     try:
         config = ModelConfig(**manifest["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ModelError) as exc:
         raise ModelError(f"checkpoint manifest has no valid model config: {exc!r}") from exc
+    words = manifest.get("text_words")
+    if words is not None and not (isinstance(words, list)
+                                  and all(isinstance(w, str) for w in words)):
+        raise ModelError("checkpoint manifest: text_words must be null or a list of strings")
     dt = config.np_dtype
     # every array is replaced from the blob below, so none is filled here
-    params = _build_params(config, manifest.get("text_words"),
+    params = _build_params(config, words,
                            lambda shape, _kind: np.empty(shape, dtype=dt))
     named = params.named_parameters()
     expected = [{"name": name, "shape": list(p.shape)} for name, p in named]

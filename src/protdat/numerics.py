@@ -458,16 +458,20 @@ def masked_attention(
 
 
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Stable softmax of a vector of logits scaled by 1/temperature."""
+    """Stable softmax of a vector of logits scaled by 1/temperature.
+
+    A -inf logit is a blocked token: its probability is exactly 0.  NaN,
+    +inf and a vector with no finite logit are rejected."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size == 0:
         raise NumericsError("softmax_with_temperature: need a non-empty vector")
-    if not np.isfinite(logits).all():
-        raise NumericsError("softmax_with_temperature: non-finite logits")
     if not (temperature > 0):
         raise NumericsError("softmax_with_temperature: temperature must be > 0")
     z = logits / temperature
-    z = z - z.max()
+    top = z.max()  # NaN if any logit is NaN
+    if not np.isfinite(top):
+        raise NumericsError("softmax_with_temperature: NaN, +inf or no finite logit")
+    z = z - top
     e = np.exp(z)
     return e / e.sum()
 

@@ -43,6 +43,17 @@ class TrainingConfig:
     weight_decay: float = 0.1
     clip_norm: float | None = 1.0
 
+    def __post_init__(self):
+        # each bound is written so that NaN fails it
+        if not self.batch_size >= 1:
+            raise TrainingError("batch_size must be >= 1")
+        if not (0 <= self.lr < np.inf):
+            raise TrainingError("lr must be finite and >= 0")
+        if not (0 <= self.weight_decay < np.inf):
+            raise TrainingError("weight_decay must be finite and >= 0")
+        if self.clip_norm is not None and not (0 < self.clip_norm < np.inf):
+            raise TrainingError("clip_norm must be null or finite and > 0")
+
 
 class OptimizerState:
     """Per-parameter Adam moments plus the shared step counter.

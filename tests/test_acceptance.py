@@ -27,7 +27,7 @@ from protdat.generation import (
     apply_repetition_penalty,
     generate,
     nucleus_filter,
-    nucleus_sample,
+    sample_token,
 )
 from protdat.model import (
     ModelConfig,
@@ -232,7 +232,8 @@ def test_acceptance_07_sampling_stack():
     kept, kept_probs = nucleus_filter(probs, 0.7)
     assert kept.tolist() == [0, 1]
     rng = np.random.default_rng(99)
-    draws = np.array([nucleus_sample(probs, 0.7, rng) for _ in range(n)])
+    gp = GenerationParams(temperature=1.0, top_p=0.7, repetition_penalty=1.0)
+    draws = np.array([sample_token(np.log(probs), set(), gp, rng)[0] for _ in range(n)])
     for token, p in zip(kept.tolist(), kept_probs):
         freq = (draws == token).mean()
         sigma = math.sqrt(p * (1 - p) / n)
@@ -248,11 +249,10 @@ def test_acceptance_07_sampling_stack():
     logits = np.array([1.2, 0.3, -0.5, 2.0, -1.0])
     expected = softmax_with_temperature(logits, 1.0)
     rng = np.random.default_rng(7)
+    gp = GenerationParams(temperature=1.0, top_p=1.0, repetition_penalty=1.0)
     counts = np.zeros(5)
     for _ in range(n):
-        pen = apply_repetition_penalty(logits, set(), 1.0)
-        p = softmax_with_temperature(pen, 1.0)
-        counts[nucleus_sample(p, 1.0, rng)] += 1
+        counts[sample_token(logits, set(), gp, rng)[0]] += 1
     freqs = counts / n
     for token, p in enumerate(expected):
         sigma = math.sqrt(p * (1 - p) / n)

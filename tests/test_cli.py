@@ -174,6 +174,38 @@ def test_generate_num_below_one_is_a_one_line_error(num, trained_ckpt, tmp_path,
     assert not fasta.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--repetition-penalty", "nan", "--temperature", "0"],
+     "repetition_penalty must be finite and >= 1"),
+    (["--temperature", "nan"], "temperature must be finite and >= 0 (0 selects argmax)"),
+])
+def test_generate_nan_setting_is_a_one_line_error(flags, message, trained_ckpt, capsys):
+    rc = run_command(["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT, *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"GenerationError: {message}"
+
+
+@pytest.mark.parametrize("flag,value,error", [
+    ("--n-heads", "0", "ModelError: n_heads must be >= 1"),
+    ("--n-layers", "0", "ModelError: n_layers must be >= 1"),
+    ("--batch-size", "0", "TrainingError: batch_size must be >= 1"),
+    ("--clip-norm", "-1", "TrainingError: clip_norm must be null or finite and > 0"),
+    ("--clip-norm", "nan", "TrainingError: clip_norm must be null or finite and > 0"),
+])
+def test_train_out_of_range_setting_is_a_one_line_error(flag, value, error, tmp_path,
+                                                         toy_dataset, capsys):
+    out = tmp_path / "run"
+    rc = run_command(["train", "--data", str(toy_dataset), "--out", str(out), *TINY_FLAGS,
+                      flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+    assert not out.exists()
+
+
 def test_eval_identity_matches_library(tmp_path, capsys):
     ref = [("ref-0", "MKVLAARN"), ("ref-1", "DDCCQQEG")]
     gen = [("gen-0", "MKVLA"), ("gen-1", "DDCAQQEG")]
@@ -451,7 +483,8 @@ def test_eval_takes_no_config_or_seed(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["unknown-key", "missing", "not-a-mapping", "previous-format"])
+@pytest.mark.parametrize("case", ["unknown-key", "missing", "not-a-mapping", "previous-format",
+                                  "float-size", "bool-size", "words-string"])
 def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, tmp_path, capsys):
     magic, manifest, blob = trained_ckpt.read_bytes().split(b"\n", 2)
     manifest = json.loads(manifest)
@@ -459,6 +492,12 @@ def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, t
         magic = b"protdat-ckpt-2"
     elif case == "unknown-key":
         manifest["config"]["d_modle"] = 16
+    elif case == "float-size":
+        manifest["config"]["d_model"] = 16.0
+    elif case == "bool-size":
+        manifest["config"]["c_size"] = True
+    elif case == "words-string":
+        manifest["text_words"] = "binds"
     elif case == "missing":
         del manifest["config"]
     else:
@@ -475,5 +514,8 @@ def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, t
             f"ModelError: checkpoint format 'protdat-ckpt-2' != {CHECKPOINT_FORMAT!r}")
     elif case == "not-a-mapping":
         assert error == "ModelError: manifest format mismatch"
+    elif case == "words-string":
+        assert error == ("ModelError: checkpoint manifest: "
+                         "text_words must be null or a list of strings")
     else:
         assert error.startswith("ModelError: checkpoint manifest has no valid model config")

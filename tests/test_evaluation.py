@@ -23,7 +23,8 @@ from protdat.evaluation import (
     sweep_cell_seed,
     write_sweep_csv,
 )
-from protdat.generation import MODE_TEXT_ONLY, GenerationParams, PromptSpec, generate
+from protdat.generation import (MODE_TEXT_ONLY, GenerationParams, PromptSpec, generate,
+                                trace_attention)
 
 from conftest import tiny_model
 
@@ -243,13 +244,9 @@ def test_tmalign_rejects_empty_text():
 
 def _traced_generation():
     params, records, _ = tiny_model()
-    result, trace = generate(
-        PromptSpec(mode=MODE_TEXT_ONLY, text=records[0].text),
-        params,
-        GenerationParams(max_len=6, seed=5),
-        trace_attention=True,
-    )
-    return params, result, trace
+    prompt = PromptSpec(mode=MODE_TEXT_ONLY, text=records[0].text)
+    result = generate(prompt, params, GenerationParams(max_len=6, seed=5))
+    return params, result, trace_attention(prompt, result.sequence, params)
 
 
 def test_attention_trace_shapes_follow_contract():

@@ -14,13 +14,14 @@ from protdat.generation import (
     MODE_TEXT_ONLY,
     GenerationError,
     GenerationParams,
+    GenerationStep,
     PromptSpec,
     apply_repetition_penalty,
     fasta_header,
     generate,
     generate_candidates,
     nucleus_filter,
-    nucleus_sample,
+    sample_token,
     write_fasta,
 )
 from protdat.model import model_forward
@@ -87,11 +88,17 @@ def test_nucleus_top_p_one_keeps_everything(rng):
     assert np.allclose(np.sort(kept_probs), np.sort(probs))
 
 
+def nucleus_params(top_p: float) -> GenerationParams:
+    """Sampling at temperature 1 without a penalty: the draws follow the
+    nucleus of softmax(logits)."""
+    return GenerationParams(temperature=1.0, top_p=top_p, repetition_penalty=1.0)
+
+
 def test_nucleus_single_token_prefix():
-    probs = np.array([0.9, 0.05, 0.05])
+    logits = np.log([0.9, 0.05, 0.05])
     rng = np.random.default_rng(0)
     for _ in range(50):
-        assert nucleus_sample(probs, 0.5, rng) == 0
+        assert sample_token(logits, set(), nucleus_params(0.5), rng) == (0, 1, 0, logits[0])
 
 
 def test_nucleus_ties_break_by_token_id():
@@ -108,12 +115,26 @@ def test_nucleus_empirical_frequencies_within_3_sigma():
     expected = {0: 5 / 7, 1: 2 / 7}
     n = 100_000
     rng = np.random.default_rng(123)
-    draws = np.array([nucleus_sample(probs, top_p, rng) for _ in range(n)])
+    gp = nucleus_params(top_p)
+    draws = np.array([sample_token(np.log(probs), set(), gp, rng)[0] for _ in range(n)])
     for token, p in expected.items():
         freq = (draws == token).mean()
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 3 * sigma
     assert set(np.unique(draws)) <= set(kept.tolist())
+
+
+def test_sample_token_reports_the_drawn_rank_and_never_draws_a_blocked_token():
+    logits = np.array([1.0, -np.inf, 0.5, 2.0, -np.inf, 0.0])
+    gp = GenerationParams(temperature=1.3, top_p=0.95, repetition_penalty=1.4)
+    history = {0, 1, 3}
+    penalized = apply_repetition_penalty(logits, history, gp.repetition_penalty)
+    kept, _ = nucleus_filter(softmax_with_temperature(penalized, gp.temperature), gp.top_p)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        token_id, size, rank, logit = sample_token(logits, history, gp, rng)
+        assert (size, token_id, logit) == (len(kept), kept[rank], penalized[token_id])
+        assert token_id not in (1, 4)
 
 
 def test_nucleus_rejects_invalid_distribution():
@@ -135,6 +156,17 @@ def test_generation_params_validation():
         GenerationParams(repetition_penalty=0.9)
     assert GenerationParams.argmax().argmax_mode
     assert not GenerationParams().argmax_mode
+
+
+@pytest.mark.parametrize("field,value", [
+    ("temperature", float("nan")),
+    ("temperature", float("inf")),
+    ("repetition_penalty", float("nan")),
+    ("repetition_penalty", float("inf")),
+])
+def test_generation_params_reject_nan_and_inf(field, value):
+    with pytest.raises(GenerationError, match=f"^{field} must be finite"):
+        GenerationParams(**{field: value})
 
 
 def test_prompt_spec_validation():
@@ -361,6 +393,33 @@ def test_candidate_rows_equal_lone_decodes(mode, dtype):
     lone = [generate(prompt, params, replace(gp, seed=8 + i)) for i in range(3)]
     assert rows == lone  # every GenerationStep field, penalized_logit included
     assert len({r.sequence for r in rows}) == 3
+
+
+@pytest.mark.parametrize("gp", [
+    pytest.param(GenerationParams(max_len=20, seed=6), id="nucleus"),
+    pytest.param(GenerationParams(temperature=0.0, repetition_penalty=1.5, max_len=20, seed=6),
+                 id="argmax"),
+])
+@pytest.mark.parametrize("dtype", sorted(TOLERANCES))
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_every_step_is_what_sample_token_draws(mode, dtype, gp, monkeypatch):
+    """Oracle for the decoding loop: each step of sample i equals
+    ``sample_token`` on that step's blocked float64 logits, the sample's
+    history and a generator replayed from ``seed + i``."""
+    params, records = decoding_model(dtype)
+    prompt = prompt_for(mode, records)
+    vocab = AminoVocabulary()
+    results, _, _, cached = cached_run(monkeypatch, prompt, params, gp, n_samples=3)
+    for i, (result, sample_logits) in enumerate(zip(results, cached)):
+        assert len(result.steps) == len(sample_logits) == 20 - len(prompt.fragment)
+        history = set(prompt_ids(prompt)[1:])
+        rng = np.random.default_rng(gp.seed + i)
+        for step, logits in zip(result.steps, sample_logits):
+            blocked = logits.astype(np.float64)
+            blocked[[vocab.pad_id, vocab.cls_id, vocab.cross_id]] = -np.inf
+            token_id, *draw = sample_token(blocked, history, gp, rng)
+            history.add(token_id)
+            assert step == GenerationStep(token_id, vocab.residue_of(token_id), *draw)
 
 
 @pytest.mark.parametrize("mode", sorted(PROMPTS))

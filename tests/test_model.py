@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,17 @@ def test_config_validation():
         ModelConfig(ffn_dim=10)
     with pytest.raises(ModelError):
         ModelConfig(text_provider="bert")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_heads", 0, "n_heads must be >= 1"),
+    ("n_layers", 0, "n_layers must be >= 1"),
+    ("d_model", 16.0, "d_model must be int, not float"),
+    ("c_size", True, "c_size must be int, not bool"),
+])
+def test_config_rejects_out_of_range_and_ill_typed_sizes(field, value, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        tiny_config(**{field: value})
 
 
 def test_mcm_shapes_and_trace_shapes():
@@ -484,6 +496,23 @@ def test_checkpoint_version_mismatch_is_rejected(tmp_path):
     # a v1 file, header and manifest alike, is rejected rather than read
     path.write_bytes(raw.replace(magic, b"protdat-ckpt-1"))
     with pytest.raises(ModelError, match="format 'protdat-ckpt-1'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("d_model", 16.0, "d_model must be int, not float"),
+    ("c_size", True, "c_size must be int, not bool"),
+    ("text_words", "binds", "text_words must be null or a list of strings"),
+    ("text_words", ["binds", 3], "text_words must be null or a list of strings"),
+])
+def test_ill_typed_checkpoint_manifest_is_rejected(tmp_path, key, value, message):
+    params, _, path = _f32_model(tmp_path)
+    save_checkpoint(params, path)
+    magic, manifest, blob = path.read_bytes().split(b"\n", 2)
+    manifest = json.loads(manifest)
+    (manifest if key == "text_words" else manifest["config"])[key] = value
+    path.write_bytes(b"\n".join([magic, json.dumps(manifest).encode(), blob]))
+    with pytest.raises(ModelError, match=message):
         load_checkpoint(path)
 
 

@@ -70,6 +70,19 @@ def test_softmax_rejects_bad_input():
         softmax_with_temperature(np.array([1.0, 2.0]), 0.0)
     with pytest.raises(NumericsError):
         softmax_with_temperature(np.array([1.0, 2.0]), -1.0)
+    for bad in ([1.0, np.inf], [-np.inf, -np.inf]):
+        with pytest.raises(NumericsError, match="NaN, \\+inf or no finite logit"):
+            softmax_with_temperature(np.array(bad), 1.0)
+
+
+@pytest.mark.parametrize("temp", [0.4, 1.0, 1.4])
+def test_softmax_gives_a_minus_inf_logit_weight_zero(temp):
+    logits = np.array([1.5, -np.inf, 0.2, -np.inf, -3.0])
+    p = softmax_with_temperature(logits, temp)
+    assert p[1] == 0.0 and p[3] == 0.0
+    # bitwise what a large finite stand-in for the blocked logits gives
+    assert np.array_equal(p, softmax_with_temperature(np.where(np.isinf(logits), -1e30, logits),
+                                                      temp))
 
 
 # -- layer norm ----------------------------------------------------------------

@@ -133,3 +133,31 @@ def test_bench_pairs_reports_failures_incorrect_runs_and_digest_mismatches():
     assert mixed["parent"] == same["parent"]
     assert mixed["change"] == {"failed": 2, "attempted": 35, "incorrect_runs": 1}
     assert not mixed["digests_equal_every_pair"]
+
+
+@pytest.mark.parametrize("failure", [{"exit_code": 3}, {"timeout_s": 600}])
+def test_bench_pairs_writes_the_finished_pairs_and_the_failed_run(tmp_path, monkeypatch, failure):
+    bench = load_script("bench_pairs")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END[:1]}))
+    monkeypatch.setattr(bench, "_git", lambda root, *args: b"abc1234\n")
+    monkeypatch.setattr(bench, "build_trees", lambda root, rev: {s: tmp_path for s in bench.SIDES})
+    calls = []
+
+    def run_side(tree, workload, seed, seconds):
+        calls.append(workload)
+        if len(calls) == 4:  # pair 1's second run, the parent's
+            raise bench.RunFailed(failure)
+        return bench.parse_run(CANNED_RUN)
+
+    monkeypatch.setattr(bench, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--parent", "HEAD", "--workload", "decode", "sweep", "--seed", "1",
+                    "--pairs", "3", "--seconds", "1", "--out", str(out)])
+    assert exc.value.code  # a message: the exit status is non-zero
+    decode = json.loads(out.read_text())["workloads"]["decode"]
+    assert decode["pairs_run"] == 1 and [r["pair"] for r in decode["runs"]] == [0]
+    assert decode["correctness"]["parent"]["attempted"] == 12
+    assert decode["failed_run"] == {"side": "parent", "pair": 1, **failure}
+    assert calls == ["decode"] * 4  # the sweep never ran

@@ -43,6 +43,23 @@ def test_zero_learning_rate_leaves_params_unchanged():
         assert np.array_equal(before[name], p.data), name
 
 
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0),
+    ("lr", -1e-3),
+    ("lr", math.nan),
+    ("lr", math.inf),
+    ("weight_decay", -0.1),
+    ("weight_decay", math.nan),
+    ("clip_norm", -1.0),
+    ("clip_norm", 0.0),
+    ("clip_norm", math.nan),
+    ("clip_norm", math.inf),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(TrainingError, match=f"^{field} must be"):
+        TrainingConfig(**{field: value})
+
+
 def test_one_step_decreases_loss_on_same_batch():
     params, _, batch = tiny_model()
     opt = OptimizerState(params, TrainingConfig(lr=1e-3, weight_decay=0.0))
