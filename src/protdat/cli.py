@@ -268,6 +268,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    given = {"--ref": args.ref, "--gen": args.gen, "--in": args.input}
+    needed = {"identity": ("--ref", "--gen"), "kl": ("--ref", "--gen"), "tmalign": ("--in",)}
+    missing = [flag for flag in needed.get(args.metric, ()) if given[flag] is None]
+    if missing:
+        raise EvaluationError(f"eval {args.metric}: {missing[0]} is required")
     if args.metric == "identity":
         ref = read_fasta(args.ref)
         gen = read_fasta(args.gen)
@@ -334,7 +339,9 @@ def cmd_export_attention(args) -> int:
     params = load_checkpoint(args.ckpt)
     out_dir = resolve_out_dir(args.out, cfg)
     prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
-    gp = cfg.generation_params(max_len=args.max_len)
+    # at most 64 residues unless the flag or the config file says otherwise
+    max_len = cfg.generation.get("max_len", 64) if args.max_len is None else args.max_len
+    gp = cfg.generation_params(max_len=max_len)
     provider = params.text_encoder(args.embeddings)
     result = generate(prompt, params, gp, text_provider=provider, record_id=args.record_id)
     trace = trace_attention(prompt, result.sequence, params, text_provider=provider,
@@ -344,7 +351,7 @@ def cmd_export_attention(args) -> int:
         out_dir / "run_manifest.json",
         "export-attention",
         {"ckpt": str(args.ckpt), "mode": args.mode, "condense": args.condense,
-         "generated_length": len(result.sequence)},
+         "max_len": gp.max_len, "generated_length": len(result.sequence)},
         cfg.seed,
     )
     print(f"wrote {len(entries)} matrices to {out_dir}")
@@ -441,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-attention", help="write attention-weight matrices for a prompt")
     add_common(p)
     add_prompt(p)
-    p.add_argument("--max-len", type=int, dest="max_len", default=64)
+    p.add_argument("--max-len", type=int, dest="max_len")
     p.add_argument("--condense", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_attention)

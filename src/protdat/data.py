@@ -69,6 +69,8 @@ class LoadReport:
 
 def _parse_jsonl_row(line: str) -> ProteinRecord:
     row = json.loads(line)
+    if not isinstance(row, dict):
+        raise DatasetError(f"expected a JSON object, got {type(row).__name__}")
     missing = [k for k in ("id", "text", "sequence") if k not in row]
     if missing:
         raise DatasetError(f"missing fields: {', '.join(missing)}")
@@ -138,8 +140,11 @@ class SplitSpec:
     seed: int = 0
 
     def counts(self, n: int) -> tuple[int, int, int]:
-        """Values with a fractional part are fractions (must sum to 1); otherwise counts."""
+        """Values in (0, 1) are fractions (must sum to 1); whole numbers are counts."""
         parts = (self.train, self.valid, self.test)
+        for p in parts:
+            if not (p >= 0 and (p < 1 or float(p).is_integer())):
+                raise DatasetError(f"split value {p!r} is neither a count nor a fraction in (0, 1)")
         if any(isinstance(p, float) and 0 < p < 1 for p in parts):
             if abs(sum(parts) - 1.0) > 1e-9:
                 raise DatasetError("split fractions must sum to 1")

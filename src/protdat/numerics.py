@@ -4,15 +4,14 @@ Everything the network needs is built from a small set of differentiable
 primitives over numpy arrays: broadcast arithmetic, (batched) matmul,
 masked softmax, layer normalization, rotary position embedding, embedding
 lookup, GELU and next-token cross-entropy.  A linear layer is one
-``matmul`` that adds its bias into the product in place, and splitting
-and merging attention heads are one view primitive each, so a one-row
-decode token runs 24 ops per layer.
+``matmul`` that adds its bias into the product in place, and attention
+records three ops (scaled scores, masked softmax, merged weighted values),
+so a one-row decode token runs 18 ops per layer.
 
 Every primitive takes Tensors and returns one.  ``_make`` builds each op
 output bare, around the op's own array, and links it to its parents only
 when it records a graph; the constructor ``Tensor(...)``, the one place
-that coerces (``np.asarray`` and a float dtype), is for leaves and
-constants such as the attention scale.
+that coerces (``np.asarray`` and a float dtype), is for leaves and constants.
 
 Each primitive records, through ``_make``, a vector-Jacobian product
 ``backward(g)``: given the gradient ``g`` of the op's output it returns one
@@ -201,7 +200,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        # a constant (the attention scale) gets no gradient
+        # a constant operand gets no gradient
         return (g * b.data if _tracked(a) else None, g * a.data if _tracked(b) else None)
 
     return _make(a.data * b.data, (a, b), backward)
@@ -225,10 +224,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    return _make(np.swapaxes(a.data, ax1, ax2), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -396,22 +391,6 @@ def rope_rotate(x: Tensor, start: int, head_dim: int) -> Tensor:
     return _make(apply(x.data, sin), (x,), lambda g: (apply(g, -sin),))
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., n, d) -> (..., H, n, d/H); the backward is the inverse view."""
-    shape = x.shape
-    split = x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads))
-    return _make(np.swapaxes(split, -2, -3), (x,),
-                 lambda g: (np.swapaxes(g, -2, -3).reshape(shape),))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., H, n, hd) -> (..., n, H*hd); the backward is the inverse view."""
-    s = np.swapaxes(x.data, -2, -3)
-    shape = s.shape
-    return _make(s.reshape(shape[:-2] + (shape[-2] * shape[-1],)), (x,),
-                 lambda g: (np.swapaxes(g.reshape(shape), -2, -3),))
-
-
 def masked_attention(
     q: Tensor,
     k: Tensor,
@@ -425,8 +404,10 @@ def masked_attention(
     mask None (every key visible) or a boolean array whose last two dims
     are (n_q, n_k) and whose leading dims broadcast against q's.  Returns
     the re-concatenated output (..., n_q, d) and per-head weights
-    (..., H, n_q, n_k) as a plain array for tracing.  The weights are the softmax output itself,
-    which its backward pass reads: callers must not write to them.
+    (..., H, n_q, n_k) as a plain array for tracing: the softmax output
+    itself, which its backward pass reads, so callers must not write to it.
+    It records three ops, the scaled scores, ``masked_softmax`` and the
+    merged weighted values, equal bit for bit to one op per step.
     """
     d = q.shape[-1]
     if k.shape[-1] != d or v.shape[-1] != d:
@@ -439,19 +420,37 @@ def masked_attention(
     if mask is not None:
         visible = np.asarray(mask, dtype=bool)
         if visible.shape[-2:] != (q.shape[-2], k.shape[-2]):
-            raise NumericsError(
-                f"masked_attention: mask shape {visible.shape[-2:]} != "
-                f"({q.shape[-2]}, {k.shape[-2]})"
-            )
+            raise NumericsError(f"masked_attention: mask shape {visible.shape[-2:]} != "
+                                f"({q.shape[-2]}, {k.shape[-2]})")
         # insert a head axis so one mask serves all heads
         visible = np.expand_dims(visible, -3)
-    qh = split_heads(q, n_heads)
-    kh = split_heads(k, n_heads)
-    vh = split_heads(v, n_heads)
-    scale = Tensor(np.asarray(1.0 / math.sqrt(d // n_heads), dtype=q.dtype))
-    scores = mul(matmul(qh, swapaxes(kh, -1, -2)), scale)
-    weights = masked_softmax(scores, visible)
-    return merge_heads(matmul(weights, vh)), weights.data
+
+    def heads(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., H, n, d/H), a view
+        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, d // n_heads)), -2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (..., H, n, d/H) -> (..., n, d)
+        return np.swapaxes(x, -2, -3).reshape(x.shape[:-3] + (x.shape[-2], d))
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scale = np.asarray(1.0 / math.sqrt(d // n_heads), dtype=q.dtype)
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= scale
+
+    def scores_backward(g):
+        g = g * scale
+        dq = merge(g @ kh) if _tracked(q) else None
+        dk = merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ g, -1, -2)) if _tracked(k) else None
+        return dq, dk
+
+    weights = masked_softmax(_make(scores, (q, k), scores_backward), visible)
+    p = weights.data
+
+    def out_backward(g):
+        gh = heads(g)
+        dp = gh @ np.swapaxes(vh, -1, -2) if _tracked(weights) else None
+        return dp, merge(np.swapaxes(p, -1, -2) @ gh) if _tracked(v) else None
+
+    return _make(merge(p @ vh), (weights, v), out_backward), p
 
 
 # -- losses and standalone kernels ------------------------------------------

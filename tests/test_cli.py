@@ -318,6 +318,38 @@ def test_export_attention_command(trained_ckpt, tmp_path, capsys):
     assert cca.shape[1] == cca.shape[0] + 1  # condensed
 
 
+@pytest.mark.parametrize("yaml_max_len, flag, want", [(5, None, 5), (5, "7", 7), (None, None, 64)])
+def test_export_attention_max_len_resolves_flag_then_config_then_64(
+        trained_ckpt, tmp_path, capsys, yaml_max_len, flag, want):
+    config = tmp_path / "run.yaml"
+    generation = {} if yaml_max_len is None else {"generation": {"max_len": yaml_max_len}}
+    config.write_text(yaml.safe_dump({"seed": 2, **generation}))
+    out = tmp_path / "maps"
+    rc = run_command(
+        ["export-attention", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT,
+         "--config", str(config), "--out", str(out), *(["--max-len", flag] if flag else [])]
+    )
+    capsys.readouterr()
+    assert rc == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert manifest["max_len"] == want
+    assert manifest["generated_length"] <= want
+
+
+@pytest.mark.parametrize("metric, flags, missing", [
+    ("identity", ["--gen", "g.fasta"], "--ref"),
+    ("identity", ["--ref", "r.fasta"], "--gen"),
+    ("kl", ["--gen", "g.fasta"], "--ref"),
+    ("kl", ["--ref", "r.fasta"], "--gen"),
+    ("tmalign", [], "--in"),
+])
+def test_eval_without_its_input_flag_is_a_one_line_error(metric, flags, missing, capsys):
+    assert run_command(["eval", metric, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"EvaluationError: eval {metric}: {missing} is required"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_command(["frobnicate"]) == 2
     capsys.readouterr()

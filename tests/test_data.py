@@ -97,6 +97,16 @@ def test_jsonl_requires_fields(tmp_path):
     assert report.errors and "missing fields" in report.errors[0]
 
 
+@pytest.mark.parametrize("row", ["5", "null", '"id text sequence"', '[{"id": "x"}]'])
+def test_jsonl_rejects_a_row_that_is_not_an_object(tmp_path, row):
+    path = tmp_path / "data.jsonl"
+    good = {"id": "ok", "text": "FUNCTION: y.", "sequence": "MAV"}
+    path.write_text(json.dumps(good) + "\n" + row + "\n")
+    report = read_dataset(path)
+    assert [r.id for r in report.records] == ["ok"]
+    assert report.errors == [f"line 2: expected a JSON object, got {type(json.loads(row)).__name__}"]
+
+
 # -- splitting -----------------------------------------------------------------
 
 
@@ -129,6 +139,13 @@ def test_split_union_is_input_multiset(n, seed):
 def test_split_rejects_infeasible_counts():
     with pytest.raises(DatasetError):
         split_records(synthetic_records(3, 0), SplitSpec(3, 1, 1, seed=0))
+
+
+@pytest.mark.parametrize("parts", [(-5, 5, 5), (5, -0.5, 0.5), (1.5, -0.3, -0.2), (0.5, 0.5, 2.5),
+                                   (float("nan"), 0, 0), (float("inf"), 0, 0)])
+def test_split_rejects_negative_and_non_whole_values(parts):
+    with pytest.raises(DatasetError, match="neither a count nor a fraction"):
+        split_records(synthetic_records(12, 0), SplitSpec(*parts, seed=0))
 
 
 # -- batching ------------------------------------------------------------------

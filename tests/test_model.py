@@ -273,11 +273,10 @@ def test_one_row_decode_token_runs_a_fixed_number_of_ops(monkeypatch):
     """Every numerics op builds its output through ``_make``: count them for
     one one-row token of a 2-layer model.  Per layer: the norm (1), the
     q/k/v projections (3), the rotated new key and its concat (2), the
-    value concat (1), the rotated query (1), attention (9: three head
-    splits, the key transpose, scores, scale, softmax, weighted values,
-    head merge), the output projection (1), then the FFN sublayer (6:
-    residual add, norm, linear, GELU, linear, residual add): 24.  Plus the
-    embedding and the head: 24 * 2 + 2 = 50."""
+    value concat (1), the rotated query (1), attention (3: scaled scores,
+    softmax, merged weighted values), the output projection (1), then the
+    FFN sublayer (6: residual add, norm, linear, GELU, linear, residual
+    add): 18.  Plus the embedding and the head: 18 * 2 + 2 = 38."""
     params, records, _ = tiny_model()
     single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(),
                         params.config.c_size, dtype=np.float64)
@@ -290,7 +289,7 @@ def test_one_row_decode_token_runs_a_fixed_number_of_ops(monkeypatch):
         token = np.array([[AminoVocabulary().encode_sequence("M", add_eos=False)[-1]]])
         sequence_forward(token, single.seq_ids.shape[1], kv, None, params)
     assert params.config.n_layers == 2
-    assert len(calls) == 24 * 2 + 2
+    assert len(calls) == 18 * 2 + 2
 
 
 def test_traced_forward_equals_untraced_bitwise():

@@ -434,21 +434,76 @@ def test_biased_matmul_equals_add_of_matmul_bitwise(dtype, lead, rng):
     _assert_bitwise(fused, composed, dtype)
 
 
-@pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=lambda s: f"{len(s) + 2}d")
+def _one_op_per_step_attention(q, k, v, mask, n_heads):
+    """The composition ``masked_attention`` fuses, one recorded op per step:
+    three head splits, the key transpose, scores, scale, softmax, weighted
+    values and the head merge."""
+    def view_op(x, forward, inverse):
+        return nx._make(forward(x.data), (x,), lambda g: (inverse(g),))
+
+    def split(x):
+        shape, hd = x.shape, x.shape[-1] // n_heads
+        return view_op(x, lambda a: np.swapaxes(a.reshape(shape[:-1] + (n_heads, hd)), -2, -3),
+                       lambda g: np.swapaxes(g, -2, -3).reshape(shape))
+
+    def merge(x):
+        shape = np.swapaxes(x.data, -2, -3).shape
+        return view_op(x, lambda a: np.swapaxes(a, -2, -3).reshape(shape[:-2] + (-1,)),
+                       lambda g: np.swapaxes(g.reshape(shape), -2, -3))
+
+    def transpose(x):
+        return view_op(x, lambda a: np.swapaxes(a, -1, -2), lambda g: np.swapaxes(g, -1, -2))
+
+    visible = None if mask is None else np.expand_dims(mask, -3)
+    scale = Tensor(np.asarray(1.0 / math.sqrt(q.shape[-1] // n_heads), dtype=q.dtype))
+    scores = nx.mul(nx.matmul(split(q), transpose(split(k))), scale)
+    weights = nx.masked_softmax(scores, visible)
+    return merge(nx.matmul(weights, split(v))), weights.data
+
+
+# (q leading dims, k/v leading dims, mask leading dims)
+ATTENTION_LAYOUTS = {
+    "2d": ((), (), ()),
+    "3d": ((3,), (3,), (3,)),
+    "3d-kv-broadcast": ((3,), (), ()),
+    "4d": ((3, 2), (3, 2), ()),
+    "4d-kv-broadcast-inner": ((3, 2), (3, 1), (2,)),
+    "4d-kv-broadcast-outer": ((3, 2), (2,), (3, 2)),
+}
+# which of q, k, v are parameters; the others are constants
+ATTENTION_TRACKING = {"qkv": (True, True, True), "q": (True, False, False),
+                      "kv": (False, True, True), "qv": (True, False, True)}
+
+
+def _attention_results(attend, arrays, tracked, mask, g):
+    """Output, weights and every tracked input's gradient after a full
+    backward pass of sum(output * g)."""
+    inputs = [Tensor(a.copy(), requires_grad=t) for a, t in zip(arrays, tracked)]
+    out, weights = attend(*inputs, mask, 2)
+    total(nx.mul(out, Tensor(g))).backward()
+    assert all(t.grad is None for t in inputs if not t.requires_grad)
+    return [out.data, weights, *(t.grad for t in inputs if t.requires_grad)]
+
+
+@pytest.mark.parametrize("tracking", sorted(ATTENTION_TRACKING))
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("layout", sorted(ATTENTION_LAYOUTS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
-def test_head_split_and_merge_equal_reshape_and_swapaxes_bitwise(dtype, lead, rng):
-    heads, n, hd = 3, 5, 4
-    x = rng.normal(size=lead + (n, heads * hd)).astype(dtype)
-    g = rng.normal(size=lead + (heads, n, hd)).astype(dtype)
-    _assert_bitwise(
-        _output_and_grads(lambda t: nx.split_heads(t, heads), [x], g),
-        _output_and_grads(
-            lambda t: nx.swapaxes(nx.reshape(t, t.shape[:-1] + (heads, hd)), -2, -3), [x], g),
-        dtype)
-    _assert_bitwise(
-        _output_and_grads(nx.merge_heads, [g], x),
-        _output_and_grads(lambda t: nx.reshape(nx.swapaxes(t, -2, -3), x.shape), [g], x),
-        dtype)
+def test_attention_equals_one_op_per_step_composition_bitwise(dtype, layout, masked, tracking,
+                                                              rng):
+    q_lead, kv_lead, mask_lead = ATTENTION_LAYOUTS[layout]
+    n_q, n_k, d = 5, 6, 12  # head size 6: the scale is not a power of two
+    arrays = [rng.normal(size=lead + (n, d)).astype(dtype)
+              for lead, n in ((q_lead, n_q), (kv_lead, n_k), (kv_lead, n_k))]
+    mask = None
+    if masked:
+        mask = rng.random(mask_lead + (n_q, n_k)) > 0.4
+        mask[..., 0] = True
+    g = rng.normal(size=np.broadcast_shapes(q_lead, kv_lead) + (n_q, d)).astype(dtype)
+    tracked = ATTENTION_TRACKING[tracking]
+    _assert_bitwise(_attention_results(masked_attention, arrays, tracked, mask, g),
+                    _attention_results(_one_op_per_step_attention, arrays, tracked, mask, g),
+                    dtype)
 
 
 def test_grad_check_through_a_biased_matmul(rng):
@@ -466,7 +521,7 @@ def test_no_grad_op_output_is_a_bare_tensor_of_the_op_array(rng):
     x = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
     w, b = Tensor(np.ones((4, 3), dtype=np.float32)), Tensor(np.ones(3, dtype=np.float32))
     with nx.no_grad():
-        for out in (nx.gelu(x), nx.matmul(x, w, b), nx.split_heads(x, 2)):
+        for out in (nx.gelu(x), nx.matmul(x, w, b), masked_attention(x, x, x, None, 2)[0]):
             assert out.grad is None and out.requires_grad is False
             assert out._parents == () and out._backward is None
             assert type(out.data) is np.ndarray and out.dtype == np.float32
@@ -626,15 +681,15 @@ PRIMITIVES = {
     "mul": lambda x, const: nx.mul(x, const(2.0)),
     "matmul": lambda x, const: nx.matmul(x, const(np.ones((4, 3)))),
     "matmul-bias": lambda x, const: nx.matmul(x, const(np.ones((4, 3))), const(np.ones(3))),
-    "split_heads": lambda x, const: nx.split_heads(x, 2),
-    "merge_heads": lambda x, const: nx.merge_heads(nx.reshape(x, (2, 2, 2))),
     "reshape": lambda x, const: nx.reshape(x, (4, 2)),
-    "swapaxes": lambda x, const: nx.swapaxes(x, 0, 1),
     "concat": lambda x, const: nx.concat([x, const(np.ones((1, 4)))], axis=0),
     "embedding": lambda x, const: nx.embedding(x, np.array([1, 0, 1])),
     "gelu": lambda x, const: nx.gelu(x),
     "layer_norm": lambda x, const: layer_norm(x, const(np.ones(4)), const(np.zeros(4))),
     "masked_softmax": lambda x, const: nx.masked_softmax(x, None),
+    "masked_attention": lambda x, const: masked_attention(
+        x, const(np.linspace(-1.0, 1.0, 12).reshape(3, 4)),
+        const(np.linspace(1.0, -1.0, 12).reshape(3, 4)), None, 2)[0],
     "rope_rotate": lambda x, const: rope_rotate(x, 0, 4),
     "next_token_cross_entropy": lambda x, const: next_token_cross_entropy(x, np.array([1, 3]), 0),
 }
@@ -669,6 +724,18 @@ def test_mul_computes_no_gradient_for_a_constant(rng):
     dx, dconst = out._backward(np.ones((2, 4)))
     assert dconst is None
     assert np.array_equal(dx, np.full((2, 4), 2.0))
+
+
+def test_attention_computes_no_gradient_for_constant_keys_and_values(rng):
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    out = PRIMITIVES["masked_attention"](x, lambda value: Tensor(np.asarray(value)))
+    weights, _ = out._parents
+    (scores,) = weights._parents
+    assert len(scores._parents) == 2 and scores._parents[0] is x
+    dweights, dv = out._backward(np.ones((2, 4)))
+    assert dv is None and dweights.shape == (2, 2, 3)
+    dq, dk = scores._backward(np.ones((2, 2, 3)))
+    assert dk is None and dq.shape == (2, 4)
 
 
 def test_matmul_computes_no_gradient_for_a_constant(rng):
