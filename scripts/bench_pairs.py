@@ -15,7 +15,8 @@ first).  From each run it keeps the last line (one JSON object) and the
 ``# digest`` and ``# env`` lines, and it writes, per workload and
 end-to-end metric of BENCHMARK.json, each side's median and quartiles,
 the pairs the change won, and whether the claim rule and the metric's
-regression bound hold; and, per workload, each side's failed and
+regression bound hold (also printed, one line per metric, once a
+workload's pairs finish); and, per workload, each side's failed and
 attempted totals, its runs that were not correct, and whether every
 pair's digests were equal.
 
@@ -96,6 +97,15 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "within_bound": worse_by <= spec["bound"],
         }
     return summary
+
+
+def summary_lines(workload: str, summary: dict) -> list[str]:
+    """One stdout line per metric of ``summarize``'s result: the parent ->
+    change median, the change's wins, the claim rule and the bound."""
+    return [f"{workload} {name}: median {row['parent']['median']:.6g} -> "
+            f"{row['change']['median']:.6g}, change wins {row['change_wins']}, "
+            f"claim_rule_met {row['claim_rule_met']}, within_bound {row['within_bound']}"
+            for name, row in summary.items()]
 
 
 def correctness(runs: list[dict]) -> dict:
@@ -197,6 +207,7 @@ def main(argv=None) -> None:
             entry["correctness"] = correctness(runs)
             entry["summary"] = summarize(runs, end_to_end)
             print(f"{workload} correctness: {json.dumps(entry['correctness'])}", flush=True)
+            print("\n".join(summary_lines(workload, entry["summary"])), flush=True)
         entry["runs"] = runs
         if failed:
             entry["failed_run"] = failed

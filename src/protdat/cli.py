@@ -268,9 +268,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    given = {"--ref": args.ref, "--gen": args.gen, "--in": args.input}
-    needed = {"identity": ("--ref", "--gen"), "kl": ("--ref", "--gen"), "tmalign": ("--in",)}
-    missing = [flag for flag in needed.get(args.metric, ()) if given[flag] is None]
+    given = {"--ref": args.ref, "--gen": args.gen, "--pdb": args.pdb, "--in": args.input}
+    needed = {"identity": ("--ref", "--gen"), "kl": ("--ref", "--gen"), "plddt": ("--pdb",),
+              "tmalign": ("--in",)}
+    missing = [flag for flag in needed[args.metric] if given[flag] is None]
     if missing:
         raise EvaluationError(f"eval {args.metric}: {missing[0]} is required")
     if args.metric == "identity":
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("metric", choices=("identity", "kl", "plddt", "tmalign"))
     p.add_argument("--ref")
     p.add_argument("--gen")
-    p.add_argument("--pdb", nargs="*", default=[])
+    p.add_argument("--pdb", nargs="+")
     p.add_argument("--in", dest="input")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

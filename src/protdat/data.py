@@ -148,8 +148,9 @@ class SplitSpec:
         if any(isinstance(p, float) and 0 < p < 1 for p in parts):
             if abs(sum(parts) - 1.0) > 1e-9:
                 raise DatasetError("split fractions must sum to 1")
+            # rounded one at a time; with no test share, valid takes the rest
             n_train = int(round(self.train * n))
-            n_valid = int(round(self.valid * n))
+            n_valid = min(int(round(self.valid * n)), n - n_train) if self.test else n - n_train
             return n_train, n_valid, n - n_train - n_valid
         counts = (int(self.train), int(self.valid), int(self.test))
         if sum(counts) > n:

@@ -1,11 +1,12 @@
 """Autoregressive decoding with temperature, nucleus filtering and a
 repetition penalty.
 
-One prompt pass encodes the text and slots into each layer's (K, V) and
-one sequence pass prefills CLS and any fragment, once for all samples of
-a prompt; the samples then decode as the rows of one batch, each new
-token one query row per sample against its K/V, which grows by that row.
-A sample that emits EOS leaves the batch.  ``trace_attention`` runs one
+One prompt pass encodes the text and slots into each layer's (K, V),
+which is copied into a buffer with room for every position the decode
+can feed, and one sequence pass prefills CLS and any fragment, once for
+all samples of a prompt; the samples then decode as the rows of one
+batch, each new token one query row per sample against its K/V, whose
+buffer takes that row.  A sample that emits EOS leaves the batch.  ``trace_attention`` runs one
 full ``model_forward`` over a final sequence.
 
 Two prompt modes: text only (the sequence starts from CLS) and text plus
@@ -27,7 +28,7 @@ import numpy as np
 from . import numerics as nx
 from .data import assemble_batch
 from .model import AttentionTrace, ModelParams, model_forward, prompt_forward, sequence_forward
-from .numerics import Tensor, softmax_with_temperature
+from .numerics import softmax_with_temperature
 from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary
 
 MODE_TEXT_ONLY = "text-only"
@@ -47,6 +48,10 @@ class GenerationParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_len", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GenerationError(f"{name} must be int, not {type(value).__name__}")
         # each bound is written so that NaN fails it
         if not (0 <= self.temperature < np.inf):
             raise GenerationError("temperature must be finite and >= 0 (0 selects argmax)")
@@ -56,6 +61,8 @@ class GenerationParams:
             raise GenerationError("repetition_penalty must be finite and >= 1")
         if self.max_len < 1:
             raise GenerationError("max_len must be >= 1")
+        if self.seed < 0:
+            raise GenerationError("seed must be >= 0")
 
     @property
     def argmax_mode(self) -> bool:
@@ -210,7 +217,8 @@ def generate_candidates(
     length = len(prefix)  # every live sample has this many ids
     batch = assemble_batch([prefix], [encoding], config.c_size, config.np_dtype)
     with nx.no_grad():
-        kv, _ = prompt_forward(batch, params)
+        kv = [tuple(np.pad(t.data, [(0, 0), (0, gp.max_len), (0, 0)]) for t in layer_kv)
+              for layer_kv in prompt_forward(batch, params)[0]]
         new_ids, psm = batch.seq_ids, batch.psm_mask  # prefill CLS and the fragment once
         while live and length - 1 < gp.max_len:
             logits, kv, _ = sequence_forward(new_ids, length - new_ids.shape[1], kv, psm, params)
@@ -223,7 +231,7 @@ def generate_candidates(
                 steps[sample].append(GenerationStep(token_id, token, *draw))
             keep = [i for i, s in enumerate(live) if steps[s][-1].token_id != vocab.eos_id]
             if len(keep) != kv[0][0].shape[0]:  # the prefill row fans out, or rows left
-                kv = [(Tensor(k.data[rows[keep]]), Tensor(v.data[rows[keep]])) for k, v in kv]
+                kv = [(k[rows[keep]], v[rows[keep]]) for k, v in kv]
             live, rows, length = [live[i] for i in keep], np.arange(len(keep)), length + 1
             # one new row per sample, and each sees every key
             new_ids, psm = np.array([[steps[s][-1].token_id] for s in live]), None

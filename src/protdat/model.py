@@ -20,8 +20,8 @@ branches shape it through the concatenated attention.  They never read a
 sequence token, so the forward is two passes: ``prompt_forward`` runs them
 once and gives each layer its (K, V), the slot keys/values; then
 ``sequence_forward`` runs new rows at positions start..start+n against
-[layer K/V | their rotated keys and values] and hands that concatenation
-back as the layer's K/V.  ``model_forward`` is the two in turn.
+[layer K/V | their rotated keys and values] and hands back that K/V
+grown by the rows (``_grow_kv``).  ``model_forward`` is the two in turn.
 
 Nothing reads the text or slot stream after the final layer's K/V, so that
 layer has no text output projection and no text or slot residual FFN, and
@@ -321,22 +321,36 @@ def prompt_mcm_forward(
     return c_out, t_out, kv, (ptm_w, cim_w)
 
 
+def _grow_kv(kv: tuple, k: Tensor, v: Tensor, filled: int) -> tuple[tuple, tuple]:
+    """Grow a layer's (K, V), whose first ``filled`` rows are the slots and
+    earlier positions, by the rows ``k`` and ``v``.  Returns the grown (K, V)
+    and the Tensors attention reads.  Tensors grow by ``concat``, whose
+    backward splits the gradient; (B, rows, d_model) arrays are a no-grad
+    decode's preallocated buffers, written once per row and read as a view."""
+    if isinstance(kv[0], Tensor):
+        grown = (nx.concat([kv[0], k], axis=-2), nx.concat([kv[1], v], axis=-2))
+        return grown, grown
+    end = filled + k.shape[-2]
+    kv[0][:, filled:end], kv[1][:, filled:end] = k.data, v.data
+    return kv, (Tensor(kv[0][:, :end]), Tensor(kv[1][:, :end]))
+
+
 def mcm_forward(
     e_s: Tensor, start: int, kv: tuple, psm, layer: DecoderLayerParams, config: ModelConfig
 ):
     """The sequence half of the fused attention block: pre-normalized rows at
     positions ``start..start+n`` attend over [layer K/V | their own rotated
     keys and values] under ``psm`` (None: every key visible).  Returns the
-    pre-residual output, the grown (K, V) and the weights (head axis intact).
+    pre-residual output, the (K, V) grown by ``_grow_kv`` and the weights
+    (head axis intact).
     """
     h, hd = config.n_heads, config.head_dim
     q_s = _apply_linear(e_s, layer.wq_s)
     k_s = _apply_linear(e_s, layer.wk_s)
     v_s = _apply_linear(e_s, layer.wv_s)
-    k_cat = nx.concat([kv[0], nx.rope_rotate(k_s, start, hd)], axis=-2)
-    v_cat = nx.concat([kv[1], v_s], axis=-2)
-    psm_raw, cca_w = nx.masked_attention(nx.rope_rotate(q_s, start, hd), k_cat, v_cat, psm, h)
-    return _apply_linear(psm_raw, layer.wo_s), (k_cat, v_cat), cca_w
+    kv, (k_all, v_all) = _grow_kv(kv, nx.rope_rotate(k_s, start, hd), v_s, config.c_size + start)
+    psm_raw, cca_w = nx.masked_attention(nx.rope_rotate(q_s, start, hd), k_all, v_all, psm, h)
+    return _apply_linear(psm_raw, layer.wo_s), kv, cca_w
 
 
 def decoder_layer_forward(

@@ -6,7 +6,8 @@ masked softmax, layer normalization, rotary position embedding, embedding
 lookup, GELU and next-token cross-entropy.  A linear layer is one
 ``matmul`` that adds its bias into the product in place, and attention
 records three ops (scaled scores, masked softmax, merged weighted values),
-so a one-row decode token runs 18 ops per layer.
+so a one-row decode token, which writes its key and value rows into a
+preallocated buffer, runs 16 ops per layer.
 
 Every primitive takes Tensors and returns one.  ``_make`` builds each op
 output bare, around the op's own array, and links it to its parents only

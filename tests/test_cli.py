@@ -342,6 +342,7 @@ def test_export_attention_max_len_resolves_flag_then_config_then_64(
     ("kl", ["--gen", "g.fasta"], "--ref"),
     ("kl", ["--ref", "r.fasta"], "--gen"),
     ("tmalign", [], "--in"),
+    ("plddt", [], "--pdb"),
 ])
 def test_eval_without_its_input_flag_is_a_one_line_error(metric, flags, missing, capsys):
     assert run_command(["eval", metric, *flags]) == 1

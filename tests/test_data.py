@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from protdat.data import (
@@ -134,6 +134,31 @@ def test_split_union_is_input_multiset(n, seed):
     assert combined == sorted(r.id for r in records)
     ids = [set(r.id for r in part) for part in (train, valid, test)]
     assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
+
+
+@pytest.mark.parametrize("parts, n, counts", [
+    ((0.5, 0.5, 0.0), 3, (2, 1, 0)),  # rounded apart, valid would take 2 and test -1
+    ((0.5, 0.5, 0.0), 1, (0, 1, 0)),  # the only record stays out of a 0-fraction test split
+    ((0.8, 0.1, 0.1), 10, (8, 1, 1)),
+])
+def test_split_fractions_give_counts_that_sum_to_n(parts, n, counts):
+    assert SplitSpec(*parts).counts(n) == counts
+
+
+@given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(1, 60))
+@settings(max_examples=300)
+def test_split_fraction_counts_are_shares_of_n_and_keep_the_rounded_ones(a, b, c, n):
+    total = a + b + c
+    assume(total and max(a, b, c) < total)  # some value is a fraction in (0, 1)
+    parts = (a / total, b / total, c / total)
+    counts = SplitSpec(*parts).counts(n)
+    assert sum(counts) == n and min(counts) >= 0
+    assert all(k == 0 for k, p in zip(counts, parts) if p == 0)
+    # where rounding each of train and valid already gives such counts, they stand
+    rounded = (round(parts[0] * n), round(parts[1] * n))
+    rounded += (n - sum(rounded),)
+    if min(rounded) >= 0 and all(k == 0 for k, p in zip(rounded, parts) if p == 0):
+        assert counts == rounded
 
 
 def test_split_rejects_infeasible_counts():

@@ -24,8 +24,8 @@ from protdat.generation import (
     sample_token,
     write_fasta,
 )
-from protdat.model import model_forward
-from protdat.numerics import softmax_with_temperature
+from protdat.model import model_forward, prompt_forward, sequence_forward
+from protdat.numerics import Tensor, softmax_with_temperature
 from protdat.tokenizer import AminoVocabulary
 from protdat.training import TrainingConfig, fit
 
@@ -166,6 +166,18 @@ def test_generation_params_validation():
 ])
 def test_generation_params_reject_nan_and_inf(field, value):
     with pytest.raises(GenerationError, match=f"^{field} must be finite"):
+        GenerationParams(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("max_len", 64.5, "max_len must be int, not float"),
+    ("max_len", True, "max_len must be int, not bool"),
+    ("seed", 1.5, "seed must be int, not float"),
+    ("seed", True, "seed must be int, not bool"),
+    ("seed", -1, "seed must be >= 0"),
+])
+def test_generation_params_reject_a_bad_max_len_or_seed(field, value, message):
+    with pytest.raises(GenerationError, match=f"^{message}$"):
         GenerationParams(**{field: value})
 
 
@@ -435,6 +447,74 @@ def test_rows_that_finish_early_leave_the_batch(mode, monkeypatch):
     monkeypatch.undo()
     assert_full_forward_logits(prompt, params, results, cached, TOLERANCES["float64"])
     assert results == [generate(prompt, params, replace(gp, seed=i)) for i in range(4)]
+
+
+@pytest.mark.parametrize("dtype", sorted(TOLERANCES))
+@pytest.mark.parametrize("mode", sorted(PROMPTS))
+def test_buffered_decode_logits_equal_concat_grown_kv_bitwise(mode, dtype, monkeypatch):
+    """Every pass of a decode, which writes its K/V rows into preallocated
+    buffers, gives the logits that ``sequence_forward`` gives over Tensor
+    K/V grown by ``concat``."""
+    params, records = decoding_model(dtype)
+    prompt = prompt_for(mode, records)
+    passes = []
+    real = generation.sequence_forward
+
+    def recorded(seq_ids, start, kv, psm, model_params):
+        buffered = not isinstance(kv[0][0], Tensor)
+        out = real(seq_ids, start, kv, psm, model_params)
+        passes.append((seq_ids, start, psm, out[0].data.copy(), buffered))
+        return out
+
+    monkeypatch.setattr(generation, "sequence_forward", recorded)
+    generate_candidates(prompt, params, GenerationParams(max_len=24, seed=5), n_samples=3)
+    assert len(passes) == 24 - len(prompt.fragment) and all(p[-1] for p in passes)
+    encoding = params.text_encoder().encode(prompt.text)
+    batch = assemble_batch([prompt_ids(prompt)], [encoding], params.config.c_size,
+                           params.config.np_dtype)
+    with nx.no_grad():
+        kv, _ = prompt_forward(batch, params)
+        for seq_ids, start, psm, logits, _ in passes:
+            if kv[0][0].shape[0] != len(seq_ids):  # the prefill row fans out
+                kv = [tuple(Tensor(t.data.repeat(len(seq_ids), axis=0)) for t in layer_kv)
+                      for layer_kv in kv]
+            reference, kv, _ = sequence_forward(seq_ids, start, kv, psm, params)
+            assert np.array_equal(logits, reference.data)
+
+
+def test_decode_makes_no_concat_and_training_still_does(monkeypatch):
+    params, records = decoding_model("float32")
+    prompt = prompt_for(MODE_TEXT_FRAGMENT, records)
+    calls = []
+    real = nx.concat
+    monkeypatch.setattr(nx, "concat", lambda *a, **k: calls.append(1) or real(*a, **k))
+    generate_candidates(prompt, params, GenerationParams(max_len=24, seed=5), n_samples=3)
+    assert calls == []
+    # a grad-mode forward grows each layer's K and V by one concat each
+    encoding = params.text_encoder().encode(prompt.text)
+    batch = assemble_batch([prompt_ids(prompt)], [encoding], params.config.c_size,
+                           params.config.np_dtype)
+    model_forward(batch, params)
+    assert len(calls) == 2 * params.config.n_layers
+
+
+def test_decode_leaves_the_prompt_kv_unchanged_and_repeats(monkeypatch):
+    params, records = decoding_model("float64")
+    prompt = prompt_for(MODE_TEXT_FRAGMENT, records)
+    prompt_kv = []
+    real = generation.prompt_forward
+
+    def recorded(*args):
+        out = real(*args)
+        prompt_kv.extend((t, t.data.copy()) for layer_kv in out[0] for t in layer_kv)
+        return out
+
+    monkeypatch.setattr(generation, "prompt_forward", recorded)
+    gp = GenerationParams(max_len=24, seed=5)
+    first = generate_candidates(prompt, params, gp, n_samples=3)
+    assert len(prompt_kv) == 2 * params.config.n_layers
+    assert all(np.array_equal(t.data, before) for t, before in prompt_kv)
+    assert generate_candidates(prompt, params, gp, n_samples=3) == first
 
 
 @pytest.mark.parametrize("dtype", sorted(TOLERANCES))

@@ -272,24 +272,29 @@ def test_final_text_attention_runs_only_under_trace(monkeypatch):
 def test_one_row_decode_token_runs_a_fixed_number_of_ops(monkeypatch):
     """Every numerics op builds its output through ``_make``: count them for
     one one-row token of a 2-layer model.  Per layer: the norm (1), the
-    q/k/v projections (3), the rotated new key and its concat (2), the
-    value concat (1), the rotated query (1), attention (3: scaled scores,
-    softmax, merged weighted values), the output projection (1), then the
-    FFN sublayer (6: residual add, norm, linear, GELU, linear, residual
-    add): 18.  Plus the embedding and the head: 18 * 2 + 2 = 38."""
+    q/k/v projections (3), the rotated new key (1), the rotated query (1),
+    attention (3: scaled scores, softmax, merged weighted values), the
+    output projection (1), then the FFN sublayer (6: residual add, norm,
+    linear, GELU, linear, residual add): 16.  The new key and value rows
+    are written into the K/V buffers, which is no op.  Plus the embedding
+    and the head: 16 * 2 + 2 = 34."""
     params, records, _ = tiny_model()
     single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(),
                         params.config.c_size, dtype=np.float64)
+    n = single.seq_ids.shape[1]
     with nx.no_grad():
         kv, _ = prompt_forward(single, params)
+        # buffers with room for the prefill and one token, as a decode makes them
+        kv = [tuple(np.pad(t.data, [(0, 0), (0, n + 1), (0, 0)]) for t in layer_kv)
+              for layer_kv in kv]
         _, kv, _ = sequence_forward(single.seq_ids, 0, kv, single.psm_mask, params)
         calls = []
         real = nx._make
         monkeypatch.setattr(nx, "_make", lambda *a: calls.append(1) or real(*a))
         token = np.array([[AminoVocabulary().encode_sequence("M", add_eos=False)[-1]]])
-        sequence_forward(token, single.seq_ids.shape[1], kv, None, params)
+        sequence_forward(token, n, kv, None, params)
     assert params.config.n_layers == 2
-    assert len(calls) == 18 * 2 + 2
+    assert len(calls) == 16 * 2 + 2
 
 
 def test_traced_forward_equals_untraced_bitwise():

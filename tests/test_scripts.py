@@ -161,3 +161,24 @@ def test_bench_pairs_writes_the_finished_pairs_and_the_failed_run(tmp_path, monk
     assert decode["correctness"]["parent"]["attempted"] == 12
     assert decode["failed_run"] == {"side": "parent", "pair": 1, **failure}
     assert calls == ["decode"] * 4  # the sweep never ran
+
+
+def test_bench_pairs_prints_one_summary_line_per_metric(tmp_path, monkeypatch, capsys):
+    bench = load_script("bench_pairs")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END[:1]}))
+    monkeypatch.setattr(bench, "_git", lambda root, *args: b"abc1234\n")
+    monkeypatch.setattr(bench, "build_trees", lambda root, rev: {s: tmp_path for s in bench.SIDES})
+    rates = iter([2000.0, 2100.0, 2300.0, 1900.0])  # pair 0 parent, change; pair 1 change, parent
+
+    def run_side(tree, workload, seed, seconds):
+        return bench.parse_run(CANNED_RUN.replace("2000.0", str(next(rates))))
+
+    monkeypatch.setattr(bench, "run_side", run_side)
+    bench.main(["--parent", "HEAD", "--workload", "decode", "--seed", "1", "--pairs", "2",
+                "--seconds", "1", "--out", str(tmp_path / "bench.json")])
+    lines = capsys.readouterr().out.splitlines()
+    # parent runs 2000 and 1900, change runs 2100 and 2300: the IQR is 50, the gain 250
+    assert lines[-1] == ("decode tokens_per_s: median 1950 -> 2200, change wins 2/2, "
+                         "claim_rule_met True, within_bound True")
+    assert lines[-2].startswith("decode correctness: ")
