@@ -3,8 +3,10 @@
 Subcommands: prepare-data, train, generate, eval, sweep,
 export-attention.  Values resolve as flags > config file (YAML) >
 defaults; the output directory may also come from the PROTDAT_OUT_DIR
-environment variable.  The seed is set only at the top level (``--seed``
-or the file's ``seed``), and generation takes it from there.  Every run
+environment variable.  The settings flags of ``train`` and ``generate``
+are the fields of the config dataclasses, which check every value they
+are built with.  The seed is set only at the top level (``--seed`` or
+the file's ``seed``), and generation takes it from there.  Every run
 writes a reproducibility manifest (config snapshot, seed, version) next
 to its outputs, and all randomness flows from the single root seed
 recorded there.
@@ -22,8 +24,8 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .data import (DatasetError, SplitSpec, accepted_records, load_records, read_dataset,
-                   split_records, write_jsonl)
+from .data import (DatasetError, SplitSpec, accepted_records, check_types, load_records,
+                   read_dataset, split_records, write_jsonl)
 from .evaluation import (
     EvaluationError,
     ResidueDistribution,
@@ -64,6 +66,11 @@ class RunConfig:
     training: dict = field(default_factory=dict)
     generation: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        check_types(vars(self), RunConfig, DatasetError)
+        if self.seed < 0:
+            raise DatasetError("seed must be >= 0")
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(**self.model)
 
@@ -76,26 +83,16 @@ class RunConfig:
         return GenerationParams(**merged)
 
 
-# the YAML value types that each annotated field type takes
-_VALUE_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _check_types(where: str, values: dict, config_cls) -> None:
-    """Each value must be of its field's annotated type: a bool is never a
-    number, and null is taken only where the annotation allows None."""
-    types = {f.name: f.type for f in fields(config_cls)}
-    for key, value in values.items():
-        kind, _, nullable = types[key].partition(" | ")
-        if value is None and nullable:
-            continue
-        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
-            raise DatasetError(f"{where}: {key!r} must be {kind}, not {type(value).__name__}")
+def _settable_fields(config_cls) -> list:
+    """The fields of ``config_cls`` that a flag or a config-file section sets:
+    all but the seed, which is set at the top level only."""
+    return [f for f in fields(config_cls) if f.name != "seed"]
 
 
 def load_run_config(path: str | None, seed: int | None) -> RunConfig:
     """The run configuration: defaults, then the YAML file at ``path``,
     then the ``--seed`` flag."""
-    cfg = RunConfig()
+    raw = {}
     if path:
         raw = yaml.safe_load(Path(path).read_text()) or {}
         if not isinstance(raw, dict):
@@ -103,25 +100,17 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
         unknown = [k for k in raw if k not in {f.name for f in fields(RunConfig)}]
         if unknown:
             raise DatasetError(f"config file: unknown key {unknown[0]!r}")
-        scalars = {k: v for k, v in raw.items() if k in ("seed", "out_dir", "dataset")}
-        _check_types("config file", scalars, RunConfig)
-        for key, value in scalars.items():
-            setattr(cfg, key, value)
+        check_types(raw, RunConfig, DatasetError, "config file")
         for key, config_cls in (("model", ModelConfig), ("training", TrainingConfig),
                                 ("generation", GenerationParams)):
-            if key in raw:
-                section = raw[key]
-                if not isinstance(section, dict):
-                    raise DatasetError(f"config section {key!r} must be a mapping")
-                names = {f.name for f in fields(config_cls)} - {"seed"}  # top-level only
-                unknown = [k for k in section if k not in names]
-                if unknown:
-                    raise DatasetError(f"config section {key!r}: unknown key {unknown[0]!r}")
-                _check_types(f"config section {key!r}", section, config_cls)
-                getattr(cfg, key).update(section)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+            section = raw.get(key, {})
+            names = {f.name for f in _settable_fields(config_cls)}
+            unknown = [k for k in section if k not in names]
+            if unknown:
+                raise DatasetError(f"config section {key!r}: unknown key {unknown[0]!r}")
+            check_types(section, config_cls, DatasetError, f"config section {key!r}")
+    cfg = RunConfig(**raw)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def resolve_out_dir(flag_value: str | None, cfg: RunConfig) -> Path:
@@ -147,9 +136,8 @@ def write_manifest(path: Path, command: str, cfg_snapshot: dict, seed: int) -> N
 
 
 def _overrides(args, config_cls) -> dict:
-    """The fields of ``config_cls`` that a flag set: the parser's flags are
-    the one list of overridable keys."""
-    values = {f.name: getattr(args, f.name, None) for f in fields(config_cls)}
+    """The fields of ``config_cls`` that a flag of ``_add_config_flags`` set."""
+    values = {f.name: getattr(args, f.name) for f in _settable_fields(config_cls)}
     return {k: v for k, v in values.items() if v is not None}
 
 
@@ -237,12 +225,7 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     params = load_checkpoint(args.ckpt)
-    gp = cfg.generation_params(
-        temperature=args.temperature,
-        top_p=args.top_p,
-        repetition_penalty=args.repetition_penalty,
-        max_len=args.max_len,
-    )
+    gp = cfg.generation_params(**_overrides(args, GenerationParams))
     prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
     provider = params.text_encoder(args.embeddings)
     results = generate_candidates(prompt, params, gp, args.num, text_provider=provider,
@@ -361,6 +344,17 @@ def cmd_export_attention(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+# the flag type of each annotated field type
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _add_config_flags(parser, config_cls) -> None:
+    """One ``--field-name`` flag per settable field of ``config_cls``, parsed
+    as the field's annotated type; a flag left out leaves the value unset."""
+    for f in _settable_fields(config_cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=_FLAG_TYPES[f.type.partition(" | ")[0]])
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -400,27 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
     p.add_argument("--embeddings", default=None, help="precomputed text-embedding file")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--n-layers", type=int, dest="n_layers")
-    p.add_argument("--n-heads", type=int, dest="n_heads")
-    p.add_argument("--c-size", type=int, dest="c_size")
-    p.add_argument("--d-text", type=int, dest="d_text")
-    p.add_argument("--ffn-dim", type=int, dest="ffn_dim")
-    p.add_argument("--dtype", choices=("float32", "float64"))
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
+    _add_config_flags(p, ModelConfig)
+    _add_config_flags(p, TrainingConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="sample sequences from a checkpoint")
     add_common(p)
     add_prompt(p)
     p.add_argument("--num", type=int, default=1)
-    p.add_argument("--top-p", type=float, dest="top_p")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--repetition-penalty", type=float, dest="repetition_penalty")
-    p.add_argument("--max-len", type=int, dest="max_len")
+    _add_config_flags(p, GenerationParams)
     p.add_argument("--out", default=None, help="FASTA path (default: stdout)")
     p.add_argument("--trace", default=None, help="per-step decoding trace (jsonl)")
     p.set_defaults(func=cmd_generate)

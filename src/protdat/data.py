@@ -17,7 +17,7 @@ masks used by the fused decoder layers:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,27 @@ SECTION_HEADERS = ("FUNCTION", "SUBCELLULAR LOCATION", "SIMILARITY")
 
 class DatasetError(ValueError):
     pass
+
+
+# the values each annotated field type takes: a bool is never a number
+_VALUE_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "dict": (dict,)}
+
+
+def check_types(values: dict, config_cls, error, where: str = "") -> None:
+    """Raise ``error`` unless each of ``values`` that names a field of the
+    dataclass ``config_cls`` is of the field's annotated type: int, float
+    (an int too, a bool never), str or dict, and None only where the
+    annotation reads ``| None``.  ``where`` prefixes the message."""
+    for f in fields(config_cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        kind, _, nullable = f.type.partition(" | ")
+        if value is None and nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
+            prefix = f"{where}: " if where else ""
+            raise error(f"{prefix}{f.name} must be {kind}, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -198,18 +219,6 @@ class Batch:
     @property
     def size(self) -> int:
         return self.seq_ids.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.seq_ids.shape[1]
-
-    @property
-    def text_len(self) -> int:
-        return self.text_mask.shape[1]
-
-    @property
-    def c_size(self) -> int:
-        return self.cross_ids.shape[1]
 
     def targets(self) -> np.ndarray:
         """Next-token targets: seq_ids shifted one step left, PAD at the end."""

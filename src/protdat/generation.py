@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import numerics as nx
-from .data import assemble_batch
+from .data import assemble_batch, check_types
 from .model import AttentionTrace, ModelParams, model_forward, prompt_forward, sequence_forward
 from .numerics import softmax_with_temperature
 from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary
@@ -48,10 +48,7 @@ class GenerationParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise GenerationError(f"{name} must be int, not {type(value).__name__}")
+        check_types(vars(self), GenerationParams, GenerationError)
         # each bound is written so that NaN fails it
         if not (0 <= self.temperature < np.inf):
             raise GenerationError("temperature must be finite and >= 0 (0 selects argmax)")
@@ -59,8 +56,8 @@ class GenerationParams:
             raise GenerationError("top_p must lie in [0, 1] (0 selects argmax)")
         if not (1 <= self.repetition_penalty < np.inf):
             raise GenerationError("repetition_penalty must be finite and >= 1")
-        if self.max_len < 1:
-            raise GenerationError("max_len must be >= 1")
+        if not 1 <= self.max_len <= MAX_SEQ_TOKENS - 2:  # CLS and EOS take the rest
+            raise GenerationError(f"max_len must lie in [1, {MAX_SEQ_TOKENS - 2}]")
         if self.seed < 0:
             raise GenerationError("seed must be >= 0")
 
@@ -201,8 +198,6 @@ def generate_candidates(
         raise GenerationError("n_samples must be >= 1")
     config = params.config
     vocab = AminoVocabulary()
-    if gp.max_len > MAX_SEQ_TOKENS - 2:
-        raise GenerationError(f"max_len {gp.max_len} exceeds the model cap {MAX_SEQ_TOKENS - 2}")
     encoding = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
 
     if len(prompt.fragment) > gp.max_len:

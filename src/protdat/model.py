@@ -34,13 +34,13 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nx
-from .data import Batch
+from .data import Batch, check_types
 from .numerics import Tensor
 from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary, PrecomputedTextEncoder, TrainableTextEncoder
 
@@ -63,10 +63,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        for f in fields(self):  # a flag, a YAML value or a checkpoint manifest
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ModelError(f"{f.name} must be int, not {type(value).__name__}")
+        check_types(vars(self), ModelConfig, ModelError)  # a flag, YAML or a checkpoint
         for name in ("d_model", "n_layers", "n_heads", "c_size", "d_text"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1")
@@ -182,7 +179,7 @@ class ModelParams:
     def text_encoder(self, embedding_path=None):
         """The text provider matching this model's configuration."""
         if self.config.text_provider == "trainable":
-            return TrainableTextEncoder(self.text_words or [], self.text_word_embedding)
+            return TrainableTextEncoder(self.text_words or [])
         if embedding_path is None:
             raise ModelError("precomputed text provider needs an embedding file path")
         return PrecomputedTextEncoder(embedding_path)
@@ -468,40 +465,40 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild a model from a checkpoint, rejecting version/shape mismatches."""
+    """Rebuild a model from a checkpoint, rejecting version/shape mismatches.
+    Each tensor is read from the file straight into its own array."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode("ascii", errors="replace").strip()
         if magic != CHECKPOINT_FORMAT:
             raise ModelError(f"checkpoint format {magic!r} != {CHECKPOINT_FORMAT!r}")
         manifest = json.loads(fh.readline().decode("utf-8"))
-        blob = fh.read()
-    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ModelError("manifest format mismatch")
-    try:
-        config = ModelConfig(**manifest["config"])
-    except (KeyError, TypeError, ModelError) as exc:
-        raise ModelError(f"checkpoint manifest has no valid model config: {exc!r}") from exc
-    words = manifest.get("text_words")
-    if words is not None and not (isinstance(words, list)
-                                  and all(isinstance(w, str) for w in words)):
-        raise ModelError("checkpoint manifest: text_words must be null or a list of strings")
-    dt = config.np_dtype
-    # every array is replaced from the blob below, so none is filled here
-    params = _build_params(config, words,
-                           lambda shape, _kind: np.empty(shape, dtype=dt))
-    named = params.named_parameters()
-    expected = [{"name": name, "shape": list(p.shape)} for name, p in named]
-    if expected != manifest.get("tensors"):
-        raise ModelError("checkpoint tensor directory does not match the config")
-    total = sum(int(np.prod(t["shape"])) for t in manifest["tensors"])
-    if len(blob) != 4 * total:
-        raise ModelError(
-            f"checkpoint blob has {len(blob)} bytes, expected {4 * total} (corrupt file?)"
-        )
-    offset = 0
-    for _, p in named:
-        n = int(p.data.size)
-        block = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-        p.data = block.reshape(p.shape).astype(dt)
-        offset += 4 * n
+        if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+            raise ModelError("manifest format mismatch")
+        try:
+            config = ModelConfig(**manifest["config"])
+        except (KeyError, TypeError, ModelError) as exc:
+            raise ModelError(f"checkpoint manifest has no valid model config: {exc!r}") from exc
+        words = manifest.get("text_words")
+        if words is not None and not (isinstance(words, list)
+                                      and all(isinstance(w, str) for w in words)):
+            raise ModelError("checkpoint manifest: text_words must be null or a list of strings")
+        dt = config.np_dtype
+        # every array is read from the file below, so each placeholder is a
+        # broadcast view of one scalar and allocates nothing
+        params = _build_params(config, words,
+                               lambda shape, _kind: np.broadcast_to(np.empty((), dtype=dt), shape))
+        named = params.named_parameters()
+        expected = [{"name": name, "shape": list(p.shape)} for name, p in named]
+        if expected != manifest.get("tensors"):
+            raise ModelError("checkpoint tensor directory does not match the config")
+        total = sum(int(np.prod(t["shape"])) for t in manifest["tensors"])
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 4 * total:
+            raise ModelError(
+                f"checkpoint blob has {size} bytes, expected {4 * total} (corrupt file?)"
+            )
+        for _, p in named:
+            block = np.empty(p.shape, dtype="<f4")
+            fh.readinto(block)
+            p.data = block.astype(dt, copy=False)
     return params

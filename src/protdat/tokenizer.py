@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor
-
 RESIDUES = "ARNDCQEGHILKMFPSTWYVBZXUO"
 MAX_TEXT_TOKENS = 512
 MAX_SEQ_TOKENS = 1024
@@ -101,13 +99,11 @@ def split_words(text: str) -> list[str]:
 
 
 class TrainableTextEncoder:
-    """Word-level encoder with a learned embedding table (row 0 = shared UNK)."""
+    """Word-level encoder: word ids into the model's learned embedding table,
+    whose row 0 is the UNK shared by every out-of-vocabulary word."""
 
-    def __init__(self, words: list[str], table: Tensor):
-        if table.shape[0] != len(words) + 1:
-            raise TokenizerError("embedding table must have one row per word plus UNK")
+    def __init__(self, words: list[str]):
         self.words = list(words)
-        self.table = table
         self.word_to_id = {w: i + 1 for i, w in enumerate(self.words)}
 
     @staticmethod

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nx
-from .data import Batch, ProteinRecord, batches_of, make_batch
+from .data import Batch, ProteinRecord, batches_of, check_types, make_batch
 from .model import ModelConfig, ModelParams, atomic_open, init_params, model_forward, save_checkpoint
 from .tokenizer import AminoVocabulary, TrainableTextEncoder
 
@@ -44,6 +44,7 @@ class TrainingConfig:
     clip_norm: float | None = 1.0
 
     def __post_init__(self):
+        check_types(vars(self), TrainingConfig, TrainingError)
         # each bound is written so that NaN fails it
         if not self.batch_size >= 1:
             raise TrainingError("batch_size must be >= 1")
@@ -216,6 +217,10 @@ def fit(
     batch composition all derive from it.  When ``out_dir`` is given the
     best-validation checkpoint and log files are written there.
     """
+    if epochs < 0:
+        raise TrainingError("epochs must be >= 0")
+    if max_steps is not None and max_steps < 1:
+        raise TrainingError("max_steps must be >= 1")
     if not train_records:
         raise TrainingError("empty training set")
     vocab = AminoVocabulary()

@@ -126,7 +126,7 @@ def test_acceptance_03_mcm_wiring_and_trace_shapes():
     vocab = AminoVocabulary()
     provider = params.text_encoder()
     single = make_batch(records[:1], vocab, provider, cfg.c_size, dtype=np.float64)
-    s, t, c = single.seq_len, single.text_len, cfg.c_size
+    s, t, c = single.seq_ids.shape[1], single.text_mask.shape[1], cfg.c_size
     assert single.ptm_mask.shape == (1, t, t)
     assert single.cim_mask.shape == (1, c, t)
     assert single.psm_mask.shape == (1, s, c + s)

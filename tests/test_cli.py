@@ -1,12 +1,13 @@
+import argparse
 import io
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import yaml
 
-from protdat.cli import run_command
+from protdat.cli import build_parser, run_command
 from protdat.data import synthetic_records, write_jsonl
 from protdat.evaluation import global_sequence_identity, read_fasta
 from protdat.generation import (
@@ -18,8 +19,9 @@ from protdat.generation import (
     write_fasta,
     write_trace,
 )
-from protdat.model import CHECKPOINT_FORMAT, load_checkpoint
+from protdat.model import CHECKPOINT_FORMAT, ModelConfig, load_checkpoint
 from protdat.tokenizer import EMBED_FILE_MAGIC
+from protdat.training import TrainingConfig
 
 TABLE4_TEXT = (
     "FUNCTION: Is involved in the catabolism of quinate. Allows the utilization of "
@@ -193,6 +195,11 @@ def test_generate_nan_setting_is_a_one_line_error(flags, message, trained_ckpt, 
     ("--batch-size", "0", "TrainingError: batch_size must be >= 1"),
     ("--clip-norm", "-1", "TrainingError: clip_norm must be null or finite and > 0"),
     ("--clip-norm", "nan", "TrainingError: clip_norm must be null or finite and > 0"),
+    ("--dtype", "float16", "ModelError: unsupported dtype 'float16'"),
+    ("--text-provider", "frozen", "ModelError: unknown text provider 'frozen'"),
+    ("--max-steps", "0", "TrainingError: max_steps must be >= 1"),
+    ("--epochs", "-1", "TrainingError: epochs must be >= 0"),
+    ("--seed", "-1", "DatasetError: seed must be >= 0"),
 ])
 def test_train_out_of_range_setting_is_a_one_line_error(flag, value, error, tmp_path,
                                                          toy_dataset, capsys):
@@ -249,6 +256,17 @@ def test_eval_kl(tmp_path, capsys):
     assert run_command(["eval", "kl", "--ref", str(path), "--gen", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert float(out[1]) <= 1e-6
+
+
+def test_prepare_data_negative_seed_is_a_one_line_error(tmp_path, toy_dataset, capsys):
+    out = tmp_path / "prep"
+    rc = run_command(["prepare-data", "--data", str(toy_dataset), "--out", str(out),
+                      "--seed", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DatasetError: seed must be >= 0"
+    assert not out.exists()
 
 
 def test_prepare_data_splits_and_reports(tmp_path, toy_dataset):
@@ -430,34 +448,36 @@ def test_unknown_config_key_is_a_one_line_error(tmp_path, toy_dataset, trained_c
 
 
 @pytest.mark.parametrize("bad,message", [
-    pytest.param({"seed": "abc"}, "config file: 'seed' must be int, not str", id="seed-str"),
-    pytest.param({"seed": True}, "config file: 'seed' must be int, not bool", id="seed-bool"),
-    pytest.param({"out_dir": 5}, "config file: 'out_dir' must be str, not int", id="out_dir-int"),
-    pytest.param({"dataset": 5}, "config file: 'dataset' must be str, not int", id="dataset-int"),
+    pytest.param({"seed": "abc"}, "config file: seed must be int, not str", id="seed-str"),
+    pytest.param({"seed": True}, "config file: seed must be int, not bool", id="seed-bool"),
+    pytest.param({"out_dir": 5}, "config file: out_dir must be str, not int", id="out_dir-int"),
+    pytest.param({"dataset": 5}, "config file: dataset must be str, not int", id="dataset-int"),
     pytest.param({"model": {"d_model": "abc"}},
-                 "config section 'model': 'd_model' must be int, not str", id="model-int-str"),
+                 "config section 'model': d_model must be int, not str", id="model-int-str"),
     pytest.param({"model": {"n_layers": True}},
-                 "config section 'model': 'n_layers' must be int, not bool", id="model-int-bool"),
+                 "config section 'model': n_layers must be int, not bool", id="model-int-bool"),
     pytest.param({"model": {"c_size": 2.0}},
-                 "config section 'model': 'c_size' must be int, not float", id="model-int-float"),
+                 "config section 'model': c_size must be int, not float", id="model-int-float"),
     pytest.param({"model": {"dtype": 32}},
-                 "config section 'model': 'dtype' must be str, not int", id="model-str-int"),
+                 "config section 'model': dtype must be str, not int", id="model-str-int"),
     pytest.param({"training": {"lr": "abc"}},
-                 "config section 'training': 'lr' must be float, not str", id="training-float-str"),
+                 "config section 'training': lr must be float, not str", id="training-float-str"),
     pytest.param({"training": {"weight_decay": False}},
-                 "config section 'training': 'weight_decay' must be float, not bool",
+                 "config section 'training': weight_decay must be float, not bool",
                  id="training-float-bool"),
     pytest.param({"training": {"batch_size": None}},
-                 "config section 'training': 'batch_size' must be int, not NoneType",
+                 "config section 'training': batch_size must be int, not NoneType",
                  id="training-int-null"),
     pytest.param({"training": {"clip_norm": "x"}},
-                 "config section 'training': 'clip_norm' must be float, not str",
+                 "config section 'training': clip_norm must be float, not str",
                  id="training-clip_norm-str"),
     pytest.param({"generation": {"max_len": 12.5}},
-                 "config section 'generation': 'max_len' must be int, not float",
+                 "config section 'generation': max_len must be int, not float",
                  id="generation-int-float"),
+    pytest.param({"model": [16]}, "config file: model must be dict, not list",
+                 id="section-list"),
     pytest.param({"generation": {"top_p": [0.5]}},
-                 "config section 'generation': 'top_p' must be float, not list",
+                 "config section 'generation': top_p must be float, not list",
                  id="generation-float-list"),
 ])
 def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, toy_dataset, capsys,
@@ -552,3 +572,26 @@ def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, t
                          "text_words must be null or a list of strings")
     else:
         assert error.startswith("ModelError: checkpoint manifest has no valid model config")
+
+
+# a flag value of each annotated field type, and the type it must parse to
+FLAG_SAMPLES = {"int": ("3", int), "float": ("0.5", float), "str": ("x", str)}
+
+
+@pytest.mark.parametrize("command,config_classes,required", [
+    ("train", (ModelConfig, TrainingConfig), []),
+    ("generate", (GenerationParams,), ["--ckpt", "m.ckpt", "--text", "x"]),
+])
+def test_settings_flags_are_the_config_fields(command, config_classes, required):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser = subparsers.choices[command]
+    settable = [f for cls in config_classes for f in fields(cls) if f.name != "seed"]
+    for f in settable:
+        flag = "--" + f.name.replace("_", "-")
+        assert [a.option_strings for a in parser._actions if a.dest == f.name] == [[flag]]
+        text, kind = FLAG_SAMPLES[f.type.partition(" | ")[0]]
+        value = getattr(parser.parse_args([*required, flag, text]), f.name)
+        assert type(value) is kind and value == kind(text), f.name
+    # the seed is set at the top level only
+    assert [a.option_strings for a in parser._actions if a.dest == "seed"] == [["--seed"]]

@@ -18,7 +18,6 @@ from protdat.data import (
     write_jsonl,
 )
 from protdat.tokenizer import AminoVocabulary, TrainableTextEncoder
-from protdat.numerics import Tensor
 
 from conftest import small_records
 
@@ -33,9 +32,7 @@ MGF_TEXT = (
 
 
 def _provider(records):
-    words = TrainableTextEncoder.build_vocabulary([r.text for r in records])
-    table = Tensor(np.random.default_rng(0).normal(size=(len(words) + 1, 8)))
-    return TrainableTextEncoder(words, table)
+    return TrainableTextEncoder(TrainableTextEncoder.build_vocabulary([r.text for r in records]))
 
 
 # -- loading -------------------------------------------------------------------
@@ -195,9 +192,9 @@ def test_batch_pads_and_blocks_short_record():
     ]
     vocab = AminoVocabulary()
     batch = make_batch(records, vocab, _provider(records), c_size=2)
-    assert batch.seq_len == 5
+    assert batch.seq_ids.shape[1] == 5
     assert (batch.seq_ids[0, 3:] == vocab.pad_id).all()
-    c = batch.c_size
+    c = batch.cross_ids.shape[1]
     # PAD positions of the short record are blocked as keys for every query
     assert not batch.psm_mask[0, :, c + 3].any()
     assert not batch.psm_mask[0, :, c + 4].any()
@@ -209,7 +206,7 @@ def test_batch_causal_mask_matches_definition_exhaustively():
     records = [ProteinRecord("a", "FUNCTION: x.", "MKVW")]  # encoded length 6
     vocab = AminoVocabulary()
     batch = make_batch(records, vocab, _provider(records), c_size=3)
-    s, c = batch.seq_len, batch.c_size
+    s, c = batch.seq_ids.shape[1], batch.cross_ids.shape[1]
     assert s == 6
     for q in range(s):
         for k in range(c + s):
@@ -220,7 +217,7 @@ def test_batch_causal_mask_matches_definition_exhaustively():
 def test_batch_mask_shapes_and_text():
     records = small_records()
     batch = make_batch(records, AminoVocabulary(), _provider(records), c_size=4)
-    t, s = batch.text_len, batch.seq_len
+    t, s = batch.text_mask.shape[1], batch.seq_ids.shape[1]
     assert batch.ptm_mask.shape == (2, t, t)
     assert batch.cim_mask.shape == (2, 4, t)
     assert batch.psm_mask.shape == (2, s, 4 + s)

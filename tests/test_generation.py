@@ -175,10 +175,20 @@ def test_generation_params_reject_nan_and_inf(field, value):
     ("seed", 1.5, "seed must be int, not float"),
     ("seed", True, "seed must be int, not bool"),
     ("seed", -1, "seed must be >= 0"),
+    ("max_len", 0, r"max_len must lie in \[1, 1022\]"),
+    ("max_len", 1023, r"max_len must lie in \[1, 1022\]"),
 ])
 def test_generation_params_reject_a_bad_max_len_or_seed(field, value, message):
     with pytest.raises(GenerationError, match=f"^{message}$"):
         GenerationParams(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("temperature", "1.0"), ("top_p", None)])
+def test_generation_params_check_the_type_of_every_field(field, value):
+    with pytest.raises(GenerationError,
+                       match=f"^{field} must be float, not {type(value).__name__}$"):
+        GenerationParams(**{field: value})
+    GenerationParams(temperature=1, top_p=0)  # an int is a float
 
 
 def test_prompt_spec_validation():

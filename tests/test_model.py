@@ -313,7 +313,7 @@ def test_traced_forward_equals_untraced_bitwise():
     assert [w is None for w, _ in weights] == [False, False, True]
     assert all(w is not None for w, _ in weights_tr)
     assert len(trace.ptm) == len(trace.cim) == len(trace.cca) == cfg.n_layers
-    t = single.text_len
+    t = single.text_mask.shape[1]
     assert trace.ptm[-1].shape == (t, t)
 
 
@@ -370,15 +370,15 @@ def test_batching_invariance():
     rows = []
     for mate in mates:
         both = make_batch([rec, mate], vocab, provider, cfg.c_size, dtype=np.float64)
-        assert both.seq_len > len(rec.sequence) + 2
-        assert both.text_len > provider.encode(rec.text).n_tokens
+        assert both.seq_ids.shape[1] > len(rec.sequence) + 2
+        assert both.text_mask.shape[1] > provider.encode(rec.text).n_tokens
         logits, _ = model_forward(both, params)
         rows.append(logits.data[0])
     assert np.array_equal(rows[0], rows[1])
     # alone, at its natural length: equal to tight tolerance on the real positions
     single = make_batch([rec], vocab, provider, cfg.c_size, dtype=np.float64)
     logits_single, _ = model_forward(single, params)
-    assert np.allclose(rows[0][: single.seq_len], logits_single.data[0], atol=1e-10)
+    assert np.allclose(rows[0][: single.seq_ids.shape[1]], logits_single.data[0], atol=1e-10)
 
 
 def n_parameters(params) -> int:

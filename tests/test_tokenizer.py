@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protdat.numerics import Tensor
 from protdat.tokenizer import (
     MAX_SEQ_TOKENS,
     MAX_TEXT_TOKENS,
@@ -89,12 +88,8 @@ def test_encode_decode_identity(seq):
 # -- trainable text provider ---------------------------------------------------
 
 
-def _encoder(texts, d_text=16, seed=0):
-    words = TrainableTextEncoder.build_vocabulary(texts)
-    table = Tensor(
-        np.random.default_rng(seed).normal(size=(len(words) + 1, d_text)), requires_grad=True
-    )
-    return TrainableTextEncoder(words, table)
+def _encoder(texts):
+    return TrainableTextEncoder(TrainableTextEncoder.build_vocabulary(texts))
 
 
 def test_trainable_shapes_and_mask():
@@ -102,7 +97,7 @@ def test_trainable_shapes_and_mask():
     out = enc.encode("alpha beta gamma delta epsilon")
     assert out.embeddings is None  # the model embeds the ids from its live table
     assert out.n_tokens == 5 and out.word_ids.shape == (5,)
-    assert (out.word_ids > 0).all() and out.word_ids.max() < enc.table.shape[0]
+    assert (out.word_ids > 0).all() and out.word_ids.max() <= len(enc.words)
 
 
 def test_trainable_is_deterministic():

@@ -54,6 +54,10 @@ def test_zero_learning_rate_leaves_params_unchanged():
     ("clip_norm", 0.0),
     ("clip_norm", math.nan),
     ("clip_norm", math.inf),
+    # a value of the wrong type
+    ("batch_size", 2.5),
+    ("lr", True),
+    ("clip_norm", "1"),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(TrainingError, match=f"^{field} must be"):
@@ -361,6 +365,18 @@ def test_fit_memorizes_small_corpus():
 def test_fit_rejects_empty_training_set():
     with pytest.raises(TrainingError):
         fit([], [], tiny_config(), TrainingConfig(), epochs=1, seed=0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"epochs": -2}, "epochs must be >= 0"),
+    ({"epochs": 1, "max_steps": 0}, "max_steps must be >= 1"),
+    ({"epochs": 1, "max_steps": -1}, "max_steps must be >= 1"),
+])
+def test_fit_rejects_a_negative_epoch_count_or_a_step_cap_below_one(kwargs, message, tmp_path):
+    records = synthetic_records(4, seed=1, min_len=8, max_len=12)
+    with pytest.raises(TrainingError, match=f"^{message}$"):
+        fit(records, [], tiny_config(), TrainingConfig(), seed=0, out_dir=tmp_path, **kwargs)
+    assert not list(tmp_path.iterdir())
 
 
 def test_precomputed_provider_pipeline_with_text_projection(tmp_path):
