@@ -18,7 +18,8 @@ the pairs the change won, and whether the claim rule and the metric's
 regression bound hold (also printed, one line per metric, once a
 workload's pairs finish); and, per workload, each side's failed and
 attempted totals, its runs that were not correct, and whether every
-pair's digests were equal.
+pair's digests were equal, and each side's median count of minor page
+faults per run (the ``ru_minflt`` of the run's process tree).
 
 A run that exits non-zero or times out ends the script with a non-zero
 status, after the report is written with the pairs finished before it and
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -48,7 +50,8 @@ METHOD = ("Alternating parent/change pairs (pair 0 runs the parent first, pair 1
           "quartiles are taken over the runs of one side (Python statistics.quantiles, method "
           "'inclusive'). worse_by is the change's median relative to the parent's, signed so that "
           "a positive value is worse; within_bound compares it with the metric's bound in "
-          "BENCHMARK.json.")
+          "BENCHMARK.json. minor_faults is the growth of getrusage(RUSAGE_CHILDREN).ru_minflt "
+          "across the run's subprocess: the minor page faults of its whole process tree.")
 
 
 def parse_run(stdout: str) -> dict:
@@ -120,6 +123,11 @@ def correctness(runs: list[dict]) -> dict:
     return out
 
 
+def fault_medians(runs: list[dict]) -> dict:
+    """Each side's median of its runs' minor page faults."""
+    return {side: statistics.median(r[side]["minor_faults"] for r in runs) for side in SIDES}
+
+
 def _git(root: Path, *args: str) -> bytes:
     return subprocess.run(["git", "-C", str(root), *args], check=True, stdout=subprocess.PIPE).stdout
 
@@ -148,6 +156,7 @@ class RunFailed(Exception):
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     try:
         proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True,
                               timeout=RUN_TIMEOUT_S)
@@ -155,7 +164,8 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RunFailed({"timeout_s": RUN_TIMEOUT_S}) from None
     if proc.returncode != 0:
         raise RunFailed({"exit_code": proc.returncode})
-    return parse_run(proc.stdout)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    return {**parse_run(proc.stdout), "minor_faults": faults}
 
 
 def main(argv=None) -> None:
@@ -205,7 +215,10 @@ def main(argv=None) -> None:
         entry = report["workloads"][workload] = {"seed": args.seed, "pairs_run": len(runs)}
         if runs:
             entry["correctness"] = correctness(runs)
+            entry["minor_faults_median"] = fault_medians(runs)
             entry["summary"] = summarize(runs, end_to_end)
+            print(f"{workload} minor faults, median per run: "
+                  f"{json.dumps(entry['minor_faults_median'])}", flush=True)
             print(f"{workload} correctness: {json.dumps(entry['correctness'])}", flush=True)
             print("\n".join(summary_lines(workload, entry["summary"])), flush=True)
         entry["runs"] = runs

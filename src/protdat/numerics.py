@@ -10,9 +10,13 @@ so a one-row decode token, which writes its key and value rows into a
 preallocated buffer, runs 16 ops per layer.
 
 Every primitive takes Tensors and returns one.  ``_make`` builds each op
-output bare, around the op's own array, and links it to its parents only
+output bare, around the op's own array, and gives it a graph node only
 when it records a graph; the constructor ``Tensor(...)``, the one place
 that coerces (``np.asarray`` and a float dtype), is for leaves and constants.
+The graph is kept apart from the data: a node links to its parents' nodes
+(a parameter is its own leaf), not to their arrays, so a graph keeps only
+the arrays its backward closures read, and an op output's array is freed
+as soon as the forward code drops the output unless a closure saved it.
 
 Each primitive records, through ``_make``, a vector-Jacobian product
 ``backward(g)``: given the gradient ``g`` of the op's output it returns one
@@ -22,11 +26,12 @@ output; ``Tensor.backward()`` walks the graph in reverse topological order
 and is the one place that sums each gradient down to its parent's shape
 and accumulates it, out of place, skipping parents that are not tracked.
 No gradient array is ever written in place, so one array may reach several
-parents (``add`` returns ``g`` twice).  An op output releases its gradient
-once it has been propagated, so after ``backward()`` only parameters hold
-one.  A closure reads only its inputs and arrays saved from the forward
-pass, never the output Tensor, so a graph holds no reference cycle and is
-freed as soon as the loss is dropped.
+parents (``add`` returns ``g`` twice).  ``backward()`` releases each node,
+its gradient, its closure and its links, once it has propagated, so after
+it only parameters hold gradients, and a graph serves one ``backward()``.
+A closure reads only its inputs and arrays saved from the forward pass,
+never the output Tensor, so a graph holds no reference cycle and is freed
+as soon as the loss is dropped.
 
 The elementwise kernels (GELU, layer norm, masked softmax, rotary) write
 their full-size intermediates with ``out=`` and in-place ufuncs, and only
@@ -90,14 +95,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse mode.
 
-    ``requires_grad`` marks leaf parameters; interior nodes inherit it
-    from their parents.  Gradients accumulate into ``.grad`` (None until
-    the first contribution; unused parameters therefore read as zero).
-    An op output's ``.grad`` is dropped again once ``backward()`` has
-    propagated it.
+    ``requires_grad`` marks leaf parameters; gradients accumulate into their
+    ``.grad`` (None until the first contribution; unused parameters therefore
+    read as zero).  An op output that records a graph keeps its place in it
+    in a ``_Node``; ``_parents`` and ``_backward`` read through to it, and
+    assigning ``_backward`` replaces what ``backward()`` calls.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -105,8 +110,7 @@ class Tensor:
             self.data = self.data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,6 +124,18 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], Sequence[np.ndarray]] | None:
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward: Callable[[np.ndarray], Sequence[np.ndarray]]) -> None:
+        self._node._backward = backward
+
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
@@ -129,17 +145,18 @@ class Tensor:
     def grad_or_zeros(self) -> np.ndarray:
         return self.grad if self.grad is not None else np.zeros_like(self.data)
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        g = g.astype(self.data.dtype, copy=False)
-        self.grad = g if self.grad is None else self.grad + g
-
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the recorded graph."""
+        """Backpropagate from a scalar output through the recorded graph,
+        releasing each node, with the arrays its closure saved, once it has
+        propagated; a second call through a released graph raises."""
         if self.data.size != 1:
             raise NumericsError("backward() requires a scalar output")
-        topo: list[Tensor] = []
+        if self._node is None:  # a leaf, or an output that recorded no graph
+            self.grad = np.ones_like(self.data)
+            return
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -147,25 +164,47 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is None:
+                raise NumericsError("backward(): the graph was released by an earlier "
+                                    "backward(); run the forward pass again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if type(p) is _Node and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        self._node.grad = np.ones_like(self.data)
+        while topo:
+            node = topo.pop()
+            parents, backward, g = node._parents, node._backward, node.grad
+            node._parents, node._backward, node.grad = (), None, None
+            if g is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if _tracked(parent):
-                    parent._accumulate(_unbroadcast(g, parent.shape))
-            node.grad = None  # nothing reads it once it has been propagated
+            for parent, pg in zip(parents, backward(g)):
+                if type(parent) is _Node or parent.requires_grad:
+                    pg = _unbroadcast(pg, parent.shape).astype(parent.dtype, copy=False)
+                    # out of place: a gradient array may be shared by several parents
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
+
+
+class _Node:
+    """An op output's place in the graph, without its array: links to its
+    parents (a parent's ``_Node``, or the parent Tensor itself when that is a
+    leaf), its backward closure, its gradient while ``backward()`` runs, its
+    shape and its dtype.  ``backward()`` empties it once it has propagated."""
+
+    __slots__ = ("_parents", "_backward", "grad", "shape", "dtype")
+    requires_grad = False
+
+    def __init__(self, parents: tuple, backward, shape: tuple[int, ...], dtype):
+        self._parents, self._backward, self.grad = parents, backward, None
+        self.shape, self.dtype = shape, dtype
 
 
 def _tracked(t: Tensor) -> bool:
     """Whether gradients flow into ``t``: a parameter, or an op output that
-    recorded its graph."""
-    return t.requires_grad or bool(t._parents)
+    recorded a graph (a released one included, so that a new graph built on
+    it fails in ``backward()`` rather than leaving gradients out)."""
+    return t.requires_grad or t._node is not None
 
 
 def _make(
@@ -173,8 +212,8 @@ def _make(
     parents: Sequence[Tensor],
     backward: Callable[[np.ndarray], Sequence[np.ndarray]],
 ) -> Tensor:
-    """The output of an op: it keeps its parents and ``backward`` only when
-    grad mode is on and some parent is tracked.
+    """The output of an op: it records a ``_Node`` linking to its parents and
+    ``backward`` only when grad mode is on and some parent is tracked.
 
     ``backward(g)`` is the op's vector-Jacobian product: it takes the
     gradient of the output and returns one gradient per parent, in parent
@@ -182,13 +221,20 @@ def _make(
     broadcast to; it may return None for a parent that is not tracked.  It
     must not refer to the output Tensor, which would make the graph a
     reference cycle, and must not write to ``g``, which it may pass on as is.
+
+    The node links to its parents' nodes, not to their arrays, so a graph
+    keeps only the arrays its closures read, and an op output's array is
+    freed when the forward code drops the output.  A closure therefore
+    captures the arrays and shapes it reads, not input Tensors it reads
+    nothing of.
     """
     # built bare: every op yields a float ndarray, so __init__'s asarray and
     # dtype check would do nothing
     out = Tensor.__new__(Tensor)
-    out.data, out.grad, out.requires_grad, out._parents, out._backward = data, None, False, (), None
+    out.data, out.grad, out.requires_grad, out._node = data, None, False, None
     if _grad_enabled and any(_tracked(p) for p in parents):
-        out._parents, out._backward = tuple(parents), backward
+        out._node = _Node(tuple(p if p._node is None else p._node for p in parents), backward,
+                          data.shape, data.dtype)
     return out
 
 
@@ -224,14 +270,16 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
 
     def backward(g):
-        return np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
+        return np.split(g, np.cumsum(sizes)[:-1], axis=axis)
 
     return _make(out_data, tensors, backward)
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -759,7 +760,7 @@ def test_backward_keeps_gradients_only_on_parameters():
     params, _, batch = tiny_model()
     logits, _ = model_forward(batch, params)
     loss = next_token_cross_entropy(logits, batch.targets(), ignore_id=batch.pad_id)
-    loss.backward()
+    # collected before backward(), which releases every link it walks
     nodes, stack, seen = [], [loss], set()
     while stack:
         node = stack.pop()
@@ -767,7 +768,53 @@ def test_backward_keeps_gradients_only_on_parameters():
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
-    assert all(n.grad is None for n in nodes if n._parents)
+    interior = [n for n in nodes if n._parents]
+    loss.backward()
+    assert interior and all(n.grad is None for n in interior)
+    assert all(n._parents == () and n._backward is None for n in interior)
     reached = {id(n) for n in nodes if n.requires_grad}
     with_grad = {id(p) for _, p in params.named_parameters() if p.grad is not None}
     assert with_grad == reached
+
+
+# Whether a primitive's backward reads its input's array (each of the others
+# keeps what it reads from its own forward pass): the graph must keep the
+# array alive for such a backward, and for no other.
+BACKWARD_READS_INPUT = {"add": False, "concat": False, "layer_norm": False,
+                        "masked_softmax": False, "rope_rotate": False, "gelu": True}
+
+
+@pytest.mark.parametrize("name", sorted(BACKWARD_READS_INPUT))
+def test_graph_keeps_an_op_outputs_array_only_for_a_backward_that_reads_it(name, rng):
+    def const(value):
+        return Tensor(np.asarray(value, dtype=np.float64))
+
+    data = rng.normal(size=(2, 4))
+    grads = []
+    for drop in (False, True):
+        x = Tensor(data, requires_grad=True)
+        y = nx.add(x, const(0.5))  # an op output held by this frame alone
+        out = PRIMITIVES[name](y, const)
+        if drop:
+            array = weakref.ref(y.data)
+            del y
+            assert (array() is not None) == BACKWARD_READS_INPUT[name]
+            assert out._parents and out._backward is not None  # out's graph lives
+        total(out).backward()
+        grads.append(x.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_a_second_backward_through_a_released_graph_raises(rng):
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    y = nx.gelu(x)
+    loss, other = total(y), total(nx.layer_norm(y, Tensor(np.ones(4)), Tensor(np.zeros(4))))
+    loss.backward()
+    first = x.grad
+    with pytest.raises(NumericsError, match="released"):
+        loss.backward()
+    with pytest.raises(NumericsError, match="released"):  # a root that shares released nodes
+        other.backward()
+    with pytest.raises(NumericsError, match="released"):  # a graph built on a released output
+        total(nx.add(y, y)).backward()
+    assert x.grad is first  # no gradient added twice

@@ -148,7 +148,7 @@ def test_bench_pairs_writes_the_finished_pairs_and_the_failed_run(tmp_path, monk
         calls.append(workload)
         if len(calls) == 4:  # pair 1's second run, the parent's
             raise bench.RunFailed(failure)
-        return bench.parse_run(CANNED_RUN)
+        return {**bench.parse_run(CANNED_RUN), "minor_faults": 100 * len(calls)}
 
     monkeypatch.setattr(bench, "run_side", run_side)
     out = tmp_path / "bench.json"
@@ -160,6 +160,7 @@ def test_bench_pairs_writes_the_finished_pairs_and_the_failed_run(tmp_path, monk
     assert decode["pairs_run"] == 1 and [r["pair"] for r in decode["runs"]] == [0]
     assert decode["correctness"]["parent"]["attempted"] == 12
     assert decode["failed_run"] == {"side": "parent", "pair": 1, **failure}
+    assert decode["minor_faults_median"] == {"parent": 100, "change": 200}
     assert calls == ["decode"] * 4  # the sweep never ran
 
 
@@ -172,7 +173,8 @@ def test_bench_pairs_prints_one_summary_line_per_metric(tmp_path, monkeypatch, c
     rates = iter([2000.0, 2100.0, 2300.0, 1900.0])  # pair 0 parent, change; pair 1 change, parent
 
     def run_side(tree, workload, seed, seconds):
-        return bench.parse_run(CANNED_RUN.replace("2000.0", str(next(rates))))
+        return {**bench.parse_run(CANNED_RUN.replace("2000.0", str(next(rates)))),
+                "minor_faults": 1}
 
     monkeypatch.setattr(bench, "run_side", run_side)
     bench.main(["--parent", "HEAD", "--workload", "decode", "--seed", "1", "--pairs", "2",
@@ -182,3 +184,22 @@ def test_bench_pairs_prints_one_summary_line_per_metric(tmp_path, monkeypatch, c
     assert lines[-1] == ("decode tokens_per_s: median 1950 -> 2200, change wins 2/2, "
                          "claim_rule_met True, within_bound True")
     assert lines[-2].startswith("decode correctness: ")
+
+
+def test_bench_pairs_counts_the_minor_faults_of_a_run(tmp_path):
+    """A stand-in perfbench/run.py touches 32 MiB, then writes the minor
+    faults it has taken itself to a file before it prints a result."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import resource\n"
+        "touched = bytearray(32 << 20)\n"
+        "for i in range(0, len(touched), 4096):\n"
+        "    touched[i] = 1\n"
+        "with open('own_faults', 'w') as fh:\n"
+        "    fh.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))\n"
+        f"print({CANNED_RUN!r})\n")
+    run = load_script("bench_pairs").run_side(tmp_path, "train", 1, 1.0)
+    assert run["metrics"] == {"setup_s": 0.05, "tokens_per_s": 2000.0}
+    own = int((tmp_path / "own_faults").read_text())
+    # the run's whole process tree: the stand-in, plus the little it faults on after writing
+    assert own <= run["minor_faults"] < own + 1000
