@@ -10,11 +10,16 @@ to a separate sidecar so log files from identical runs compare equal).
 Adam's betas and epsilon are the fixed ``ADAM_BETA1``, ``ADAM_BETA2`` and
 ``ADAM_EPS``; ``TrainingConfig`` holds what a run sets: batch size,
 learning rate, weight decay and the clipping norm.
+
+``fit`` sets glibc's mmap and trim thresholds (``keep_heap``) for the whole
+process, for good: freed step arrays then stay in the heap for the next step.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +39,25 @@ class TrainingError(RuntimeError):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-9
+
+# glibc's mallopt parameters and the values fit sets them to
+M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES = -3, 32 << 20
+M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES = -1, 1 << 30
+
+
+def keep_heap() -> None:
+    """Keep one step's freed arrays in the heap to serve the next step.
+
+    Both thresholds are needed: the trim threshold alone (or M_TOP_PAD) turns
+    off glibc's dynamic mmap threshold at 128 KiB, so every larger array is
+    mmapped and faulted in afresh.  Skipped where the C library has no
+    ``mallopt`` (musl, macOS) and on Windows, which has no ``CDLL(None)``.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 @dataclass(frozen=True)
@@ -223,6 +247,7 @@ def fit(
         raise TrainingError("max_steps must be >= 1")
     if not train_records:
         raise TrainingError("empty training set")
+    keep_heap()
     vocab = AminoVocabulary()
     if model_config.text_provider == "trainable":
         words = TrainableTextEncoder.build_vocabulary([r.text for r in train_records])
