@@ -6,10 +6,12 @@ defaults; the output directory may also come from the PROTDAT_OUT_DIR
 environment variable.  The settings flags of ``train`` and ``generate``
 are the fields of the config dataclasses, which check every value they
 are built with.  The seed is set only at the top level (``--seed`` or
-the file's ``seed``), and generation takes it from there.  Every run
-writes a reproducibility manifest (config snapshot, seed, version) next
-to its outputs, and all randomness flows from the single root seed
-recorded there.
+the file's ``seed``), and generation takes it from there.  Every run but
+``eval`` writes a reproducibility manifest next to its outputs, built by
+one rule (``write_manifest``): the parsed flags, the resolved settings
+the command ran with, and the counts it reports, with the version and
+the single root seed all randomness flows from.  Every output file is
+written through ``atomic_open``, so it appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .generation import (
     write_trace,
 )
 from .model import ModelConfig, load_checkpoint
+from .tokenizer import atomic_open
 from .training import TrainingConfig, TrainingError, fit
 
 # every other protdat error subclasses ValueError
@@ -122,17 +125,34 @@ def resolve_out_dir(flag_value: str | None, cfg: RunConfig) -> Path:
     return Path(cfg.out_dir)
 
 
-def write_manifest(path: Path, command: str, cfg_snapshot: dict, seed: int) -> None:
+def write_manifest(path: Path, args, seed: int, **config) -> None:
     """Reproducibility manifest: ``run_manifest.json`` in an output directory,
-    or a ``<file>.manifest.json`` sidecar for a single-file output."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    or a ``<file>.manifest.json`` sidecar for a single-file output.  Its
+    config is every parsed flag (the namespace minus its handler), then
+    ``config``: the resolved settings objects and the counts the command
+    reports."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": seed,
-        "config": cfg_snapshot,
+        "config": {**flags, **config},
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path, "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def write_output(args, write, seed: int | None = None, **config) -> None:
+    """Hand ``write`` the ``--out`` file, written whole or not at all and
+    given a manifest sidecar when the command has a seed, or else stdout."""
+    if not args.out:
+        write(sys.stdout)
+        return
+    with atomic_open(args.out, "w") as fh:
+        write(fh)
+    if seed is not None:
+        write_manifest(Path(args.out + ".manifest.json"), args, seed, **config)
 
 
 def _overrides(args, config_cls) -> dict:
@@ -153,26 +173,16 @@ def cmd_prepare_data(args) -> int:
     out_dir = resolve_out_dir(args.out, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = read_dataset(args.data, args.format)
-    (out_dir / "errors.txt").write_text(report.error_text + ("\n" if report.errors else ""))
+    with atomic_open(out_dir / "errors.txt", "w") as fh:
+        fh.write(report.error_text + ("\n" if report.errors else ""))
     records = accepted_records(report, args.data)
     spec = SplitSpec(train=args.train, valid=args.valid, test=args.test, seed=cfg.seed)
     train, valid, test = split_records(records, spec)
     write_jsonl(out_dir / "train.jsonl", train)
     write_jsonl(out_dir / "valid.jsonl", valid)
     write_jsonl(out_dir / "test.jsonl", test)
-    write_manifest(
-        out_dir / "run_manifest.json",
-        "prepare-data",
-        {
-            "input": str(args.data),
-            "format": args.format,
-            "split": [args.train, args.valid, args.test],
-            "rows": report.total_rows,
-            "invalid": len(report.errors),
-            "sizes": [len(train), len(valid), len(test)],
-        },
-        cfg.seed,
-    )
+    write_manifest(out_dir / "run_manifest.json", args, cfg.seed, rows=report.total_rows,
+                   invalid=len(report.errors), sizes=[len(train), len(valid), len(test)])
     print(
         f"prepared {len(records)} records -> train/valid/test = "
         f"{len(train)}/{len(valid)}/{len(test)} ({len(report.errors)} invalid rows)"
@@ -203,19 +213,8 @@ def cmd_train(args) -> int:
         embedding_path=args.embeddings,
         max_steps=args.max_steps,
     )
-    write_manifest(
-        out_dir / "run_manifest.json",
-        "train",
-        {
-            "dataset": str(data_path),
-            "valid": str(args.valid) if args.valid else None,
-            "epochs": args.epochs,
-            "max_steps": args.max_steps,
-            "model": asdict(model_config),
-            "training": asdict(train_config),
-        },
-        cfg.seed,
-    )
+    write_manifest(out_dir / "run_manifest.json", args, cfg.seed, dataset=data_path,
+                   model=asdict(model_config), training=asdict(train_config))
     train_losses = log.losses("train")
     last = f"{train_losses[-1]:.4f}" if train_losses else "n/a"
     print(f"trained {len(train_losses)} steps (final loss {last}); checkpoint: {out_dir / 'model.ckpt'}")
@@ -232,20 +231,9 @@ def cmd_generate(args) -> int:
                                   record_id=args.record_id)
     entries = [(fasta_header(f"gen-{i:04d}", prompt, replace(gp, seed=gp.seed + i)), r.sequence)
                for i, r in enumerate(results)]
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_fasta(entries, fh)
-        write_manifest(
-            Path(args.out + ".manifest.json"), "generate",
-            {"ckpt": str(args.ckpt), "mode": prompt.mode, "num": args.num,
-             "temperature": gp.temperature, "top_p": gp.top_p,
-             "repetition_penalty": gp.repetition_penalty, "max_len": gp.max_len},
-            cfg.seed,
-        )
-    else:
-        write_fasta(entries, sys.stdout)
+    write_output(args, lambda fh: write_fasta(entries, fh), cfg.seed, generation=asdict(gp))
     if args.trace:
-        with open(args.trace, "w") as fh:
+        with atomic_open(args.trace, "w") as fh:
             write_trace(results, fh)
     return 0
 
@@ -280,10 +268,7 @@ def cmd_eval(args) -> int:
     else:  # tmalign; argparse restricts the choices
         tm, rmsd = parse_tmalign_output(Path(args.input).read_text())
         output = f"tm_score,rmsd\n{tm},{rmsd}\n"
-    if args.out:
-        Path(args.out).write_text(output)
-    else:
-        sys.stdout.write(output)
+    write_output(args, lambda fh: fh.write(output))
     return 0
 
 
@@ -303,18 +288,7 @@ def cmd_sweep(args) -> int:
         gp=gp,
         text_provider=provider,
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_sweep_csv(cells, fh)
-        write_manifest(
-            Path(args.out + ".manifest.json"), "sweep",
-            {"ckpt": str(args.ckpt), "data": str(args.data), "limit": args.limit,
-             "top_p": args.top_p, "temperature": args.temperature,
-             "max_len": gp.max_len, "repetition_penalty": gp.repetition_penalty},
-            cfg.seed,
-        )
-    else:
-        write_sweep_csv(cells, sys.stdout)
+    write_output(args, lambda fh: write_sweep_csv(cells, fh), cfg.seed, generation=asdict(gp))
     return 0
 
 
@@ -331,13 +305,8 @@ def cmd_export_attention(args) -> int:
     trace = trace_attention(prompt, result.sequence, params, text_provider=provider,
                             record_id=args.record_id)
     entries = export_attention_maps(trace, condense_cross=args.condense, out_dir=out_dir)
-    write_manifest(
-        out_dir / "run_manifest.json",
-        "export-attention",
-        {"ckpt": str(args.ckpt), "mode": args.mode, "condense": args.condense,
-         "max_len": gp.max_len, "generated_length": len(result.sequence)},
-        cfg.seed,
-    )
+    write_manifest(out_dir / "run_manifest.json", args, cfg.seed, generation=asdict(gp),
+                   generated_length=len(result.sequence))
     print(f"wrote {len(entries)} matrices to {out_dir}")
     return 0
 
@@ -381,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=("jsonl", "table"), default="jsonl")
     p.add_argument("--out", default=None)
-    p.add_argument("--train", type=float, default=0.8)
+    p.add_argument("--train", type=float, default=0.8,
+                   help="records to train: --train/--valid/--test are fractions when they sum "
+                        "to 1 or one lies in (0, 1), so 1 0 0 puts all in train; else counts")
     p.add_argument("--valid", type=float, default=0.1)
     p.add_argument("--test", type=float, default=0.1)
     p.set_defaults(func=cmd_prepare_data)

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tokenizer import AminoVocabulary, MAX_SEQ_TOKENS, MAX_TEXT_TOKENS, TextEncoding, TokenizerError
+from .tokenizer import (AminoVocabulary, MAX_SEQ_TOKENS, MAX_TEXT_TOKENS, TextEncoding, TokenizerError,
+                        atomic_open)
 
 SECTION_HEADERS = ("FUNCTION", "SUBCELLULAR LOCATION", "SIMILARITY")
 
@@ -146,7 +147,7 @@ def load_records(path) -> list[ProteinRecord]:
 
 
 def write_jsonl(path, records: list[ProteinRecord]) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps({"id": rec.id, "text": rec.text, "sequence": rec.sequence}) + "\n")
 
@@ -161,12 +162,14 @@ class SplitSpec:
     seed: int = 0
 
     def counts(self, n: int) -> tuple[int, int, int]:
-        """Values in (0, 1) are fractions (must sum to 1); whole numbers are counts."""
+        """Values that sum to 1 or lie in (0, 1) are fractions of ``n`` (they
+        must sum to 1), so (1, 0, 0) sends every record to train; other whole
+        numbers are counts."""
         parts = (self.train, self.valid, self.test)
         for p in parts:
             if not (p >= 0 and (p < 1 or float(p).is_integer())):
                 raise DatasetError(f"split value {p!r} is neither a count nor a fraction in (0, 1)")
-        if any(isinstance(p, float) and 0 < p < 1 for p in parts):
+        if sum(parts) == 1 or any(0 < p < 1 for p in parts):
             if abs(sum(parts) - 1.0) > 1e-9:
                 raise DatasetError("split fractions must sum to 1")
             # rounded one at a time; with no test share, valid takes the rest

@@ -22,7 +22,7 @@ import numpy as np
 from .data import ProteinRecord
 from .generation import GenerationParams, PromptSpec, MODE_TEXT_ONLY, generate
 from .model import AttentionTrace, ModelParams
-from .tokenizer import RESIDUES
+from .tokenizer import RESIDUES, atomic_open
 
 MATCH_SCORE = 2
 MISMATCH_SCORE = -1
@@ -184,7 +184,8 @@ def export_attention_maps(trace: AttentionTrace, condense_cross: bool, out_dir) 
 
     def emit(name: str, layer, matrix: np.ndarray):
         path = out_dir / f"{name}.csv"
-        np.savetxt(path, matrix, delimiter=",")
+        with atomic_open(path, "w") as fh:
+            np.savetxt(fh, matrix, delimiter=",")
         entries.append(
             {"file": path.name, "branch": name.split("_")[0], "layer": layer, "shape": list(matrix.shape)}
         )
@@ -198,7 +199,8 @@ def export_attention_maps(trace: AttentionTrace, condense_cross: bool, out_dir) 
         emit(f"ptm_{suffix}", layer, ptm)
         emit(f"cim_{suffix}", layer, cim)
         emit(f"cca_{suffix}", layer, condense_cca(cca, c_size) if condense_cross else cca)
-    (out_dir / "attention_manifest.json").write_text(json.dumps(entries, indent=2) + "\n")
+    with atomic_open(out_dir / "attention_manifest.json", "w") as fh:
+        fh.write(json.dumps(entries, indent=2) + "\n")
     return entries
 
 

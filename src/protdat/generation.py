@@ -133,11 +133,14 @@ def sample_token(logits: np.ndarray, history: set[int], gp: GenerationParams,
                  rng: np.random.Generator) -> tuple[int, int, int, float]:
     """One token from one row of logits, where -inf blocks a token: the
     repetition penalty over ``history``, then the argmax, or the temperature
-    softmax, the nucleus cut and one draw from ``rng``.  Returns (token id,
+    softmax, the nucleus cut and one draw from ``rng``.  Either way a row
+    with a NaN, a +inf or no finite logit is an error.  Returns (token id,
     nucleus size, the token's rank in the nucleus, its penalized logit)."""
     penalized = apply_repetition_penalty(logits, history, gp.repetition_penalty)
     if gp.argmax_mode:
         token_id, nucleus_size, rank = int(np.argmax(penalized)), 1, 0
+        if not np.isfinite(penalized[token_id]):  # argmax finds a NaN first
+            raise nx.NumericsError("sample_token: NaN, +inf or no finite logit")
     else:
         probs = softmax_with_temperature(penalized, gp.temperature)
         kept, kept_probs = nucleus_filter(probs, gp.top_p)

@@ -33,16 +33,15 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nx
 from .data import Batch, check_types
 from .numerics import Tensor
-from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary, PrecomputedTextEncoder, TrainableTextEncoder
+from .tokenizer import (MAX_SEQ_TOKENS, AminoVocabulary, PrecomputedTextEncoder,
+                        TrainableTextEncoder, atomic_open)
 
 CHECKPOINT_FORMAT = "protdat-ckpt-3"
 
@@ -430,22 +429,6 @@ def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
 
 
 # -- persistence -------------------------------------------------------------
-
-
-@contextmanager
-def atomic_open(path, mode: str):
-    """Write through a sibling temp file that replaces ``path`` only when the
-    block completes, so a write that fails part-way leaves the previous file
-    intact and no temp file behind."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode) as fh:
-            yield fh
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -9,14 +9,20 @@ Text enters the model either as precomputed embedding matrices read from
 a binary container file (mirroring an external biomedical encoder), or
 through a small trainable word-embedding table built from the training
 split.
+
+At the bottom of the import graph, the module also holds ``atomic_open``,
+through which every file the package writes is written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +35,23 @@ EMBED_FILE_MAGIC = "PROTDAT-EMB-1"
 
 class TokenizerError(ValueError):
     pass
+
+
+@contextmanager
+def atomic_open(path, mode: str):
+    """Write through a sibling temp file that replaces ``path`` only when the
+    block completes, so a write that fails part-way leaves the previous file
+    intact and no temp file behind.  Every file the package writes goes
+    through here."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 class AminoVocabulary:
@@ -201,7 +224,7 @@ def write_embedding_file(path, entries: dict[str, np.ndarray]) -> None:
         }
         blobs.append(raw)
         offset += len(raw)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write((EMBED_FILE_MAGIC + "\n").encode("ascii"))
         fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
         for raw in blobs:

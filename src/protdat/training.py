@@ -28,8 +28,8 @@ import numpy as np
 
 from . import numerics as nx
 from .data import Batch, ProteinRecord, batches_of, check_types, make_batch
-from .model import ModelConfig, ModelParams, atomic_open, init_params, model_forward, save_checkpoint
-from .tokenizer import AminoVocabulary, TrainableTextEncoder
+from .model import ModelConfig, ModelParams, init_params, model_forward, save_checkpoint
+from .tokenizer import AminoVocabulary, TrainableTextEncoder, atomic_open
 
 
 class TrainingError(RuntimeError):

@@ -1,3 +1,7 @@
+import builtins
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -62,3 +66,48 @@ def scale_weights(params, factor: float) -> None:
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+class _DiskFillsAfterOneLine:
+    """A file handle whose writes stop with ENOSPC once a line is written."""
+
+    def __init__(self, fh):
+        self._fh, self._full = fh, False
+
+    def write(self, data):
+        if self._full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        end = data.find(b"\n" if isinstance(data, bytes) else "\n") + 1
+        if end:  # the first line ends here, and nothing after it fits
+            self._full = True
+            self._fh.write(data[:end])
+            if end < len(data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data[end:])
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.fixture()
+def disk_fills(monkeypatch):
+    """``disk_fills(name)``: from then on, a file named ``name`` (or its
+    ``.tmp`` sibling) opened for writing takes one line, then its next
+    write fails as on a full disk."""
+    real_open, names = builtins.open, set()
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and not isinstance(file, int) \
+                and os.path.basename(file).removesuffix(".tmp") in names:
+            return _DiskFillsAfterOneLine(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_)
+    return names.add

@@ -1,7 +1,7 @@
 import argparse
 import io
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -124,6 +124,20 @@ def test_generate_same_seed_is_byte_identical(trained_ckpt, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     sidecar = json.loads((tmp_path / "a.fasta.manifest.json").read_text())
     assert sidecar["seed"] == 9 and sidecar["command"] == "generate"
+
+
+def test_generate_manifest_holds_the_prompt_and_the_resolved_settings(trained_ckpt, tmp_path):
+    fasta = tmp_path / "gen.fasta"
+    rc = run_command(
+        ["generate", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT, "--mode", "text+fragment",
+         "--fragment", "MAAR", "--record-id", "P0A6F5", "--max-len", "9", "--seed", "6",
+         "--out", str(fasta)]
+    )
+    assert rc == 0
+    config = json.loads((tmp_path / "gen.fasta.manifest.json").read_text())["config"]
+    assert (config["text"], config["fragment"], config["record_id"], config["embeddings"]) == (
+        TABLE4_TEXT, "MAAR", "P0A6F5", None)
+    assert config["generation"] == asdict(GenerationParams(max_len=9, seed=6))
 
 
 def test_generate_trace_file(trained_ckpt, tmp_path, capsys):
@@ -295,6 +309,52 @@ def test_prepare_data_rejects_bad_file(tmp_path, capsys):
     assert len((tmp_path / "o" / "errors.txt").read_text().splitlines()) == 4
 
 
+# each file a command writes, and the command; {ckpt}, {data}, {bad}, {fasta} and
+# {out} stand for the paths of the test below
+GENERATE = ["generate", "--ckpt", "{ckpt}", "--text", TABLE4_TEXT, "--num", "2", "--max-len", "8"]
+EXPORT = ["export-attention", "--ckpt", "{ckpt}", "--text", TABLE4_TEXT, "--max-len", "4",
+          "--out", "{out}"]
+PREPARE = ["prepare-data", "--data", "{data}", "--out", "{out}"]
+OUTPUT_FILES = [
+    ("errors.txt", ["prepare-data", "--data", "{bad}", "--out", "{out}"]),
+    ("train.jsonl", PREPARE),
+    ("run_manifest.json", PREPARE),
+    ("gen.fasta", [*GENERATE, "--out", "{out}/gen.fasta"]),
+    ("gen.fasta.manifest.json", [*GENERATE, "--out", "{out}/gen.fasta"]),
+    ("steps.jsonl", [*GENERATE, "--trace", "{out}/steps.jsonl"]),
+    ("sweep.csv", ["sweep", "--ckpt", "{ckpt}", "--data", "{data}", "--limit", "1", "--top-p",
+                   "0.85", "--temperature", "1.0", "--max-len", "8", "--out", "{out}/sweep.csv"]),
+    ("kl.csv", ["eval", "kl", "--ref", "{fasta}", "--gen", "{fasta}", "--out", "{out}/kl.csv"]),
+    ("ptm_layer00.csv", EXPORT),
+    ("attention_manifest.json", EXPORT),
+]
+
+
+@pytest.mark.parametrize("previous", [None, b"an earlier run's file\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("name, argv", OUTPUT_FILES, ids=[name for name, _ in OUTPUT_FILES])
+def test_failed_output_write_leaves_no_partial_file(name, argv, previous, trained_ckpt,
+                                                    toy_dataset, tmp_path, disk_fills, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps({"id": f"r{i}", "text": "FUNCTION: ok.", "sequence": "MAV1"})
+                           + "\n" for i in range(4)))
+    fasta = tmp_path / "seqs.fasta"
+    with open(fasta, "w") as fh:
+        write_fasta([("a", "MKVMKV")], fh)
+    out = tmp_path / "out"
+    out.mkdir()
+    if previous:
+        (out / name).write_bytes(previous)
+    disk_fills(name)
+    paths = {"ckpt": trained_ckpt, "data": toy_dataset, "bad": bad, "fasta": fasta, "out": out}
+    with pytest.raises(OSError, match="No space left"):
+        run_command([arg.format(**paths) for arg in argv])
+    capsys.readouterr()
+    assert not (out / f"{name}.tmp").exists()
+    assert (out / name).exists() == bool(previous)
+    if previous:
+        assert (out / name).read_bytes() == previous
+
+
 def test_sweep_writes_csv(trained_ckpt, toy_dataset, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = run_command(
@@ -350,8 +410,23 @@ def test_export_attention_max_len_resolves_flag_then_config_then_64(
     capsys.readouterr()
     assert rc == 0
     manifest = json.loads((out / "run_manifest.json").read_text())["config"]
-    assert manifest["max_len"] == want
+    assert manifest["generation"]["max_len"] == want
     assert manifest["generated_length"] <= want
+
+
+def test_export_attention_manifest_holds_the_resolved_sampling_settings(trained_ckpt, tmp_path,
+                                                                        capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({"seed": 4, "generation": {"temperature": 0.7, "top_p": 0.5}}))
+    out = tmp_path / "maps"
+    rc = run_command(["export-attention", "--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT,
+                      "--config", str(config), "--max-len", "5", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert manifest["generation"] == asdict(GenerationParams(temperature=0.7, top_p=0.5,
+                                                             max_len=5, seed=4))
+    assert manifest["text"] == TABLE4_TEXT
 
 
 @pytest.mark.parametrize("metric, flags, missing", [
@@ -537,7 +612,7 @@ def test_eval_takes_no_config_or_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["unknown-key", "missing", "not-a-mapping", "previous-format",
-                                  "float-size", "bool-size", "words-string"])
+                                  "float-size", "bool-size", "words-string", "renamed-tensor"])
 def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, tmp_path, capsys):
     magic, manifest, blob = trained_ckpt.read_bytes().split(b"\n", 2)
     manifest = json.loads(manifest)
@@ -551,6 +626,8 @@ def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, t
         manifest["config"]["c_size"] = True
     elif case == "words-string":
         manifest["text_words"] = "binds"
+    elif case == "renamed-tensor":
+        manifest["tensors"][0]["name"] = "renamed"
     elif case == "missing":
         del manifest["config"]
     else:
@@ -570,6 +647,8 @@ def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, t
     elif case == "words-string":
         assert error == ("ModelError: checkpoint manifest: "
                          "text_words must be null or a list of strings")
+    elif case == "renamed-tensor":
+        assert error == "ModelError: checkpoint tensor directory does not match the config"
     else:
         assert error.startswith("ModelError: checkpoint manifest has no valid model config")
 

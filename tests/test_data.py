@@ -137,9 +137,19 @@ def test_split_union_is_input_multiset(n, seed):
     ((0.5, 0.5, 0.0), 3, (2, 1, 0)),  # rounded apart, valid would take 2 and test -1
     ((0.5, 0.5, 0.0), 1, (0, 1, 0)),  # the only record stays out of a 0-fraction test split
     ((0.8, 0.1, 0.1), 10, (8, 1, 1)),
+    # whole numbers that sum to 1 are fractions: all records to one split
+    ((1.0, 0.0, 0.0), 12, (12, 0, 0)),
+    ((0.0, 1.0, 0.0), 12, (0, 12, 0)),
+    ((0.0, 0.0, 1.0), 12, (0, 0, 12)),
+    ((8.0, 2.0, 2.0), 12, (8, 2, 2)),  # other whole numbers stay counts
 ])
 def test_split_fractions_give_counts_that_sum_to_n(parts, n, counts):
     assert SplitSpec(*parts).counts(n) == counts
+
+
+def test_split_rejects_fractions_that_do_not_sum_to_one():
+    with pytest.raises(DatasetError, match="split fractions must sum to 1"):
+        SplitSpec(0.8, 0.1, 0.05).counts(12)
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(1, 60))

@@ -25,6 +25,7 @@ from protdat.evaluation import (
 )
 from protdat.generation import (MODE_TEXT_ONLY, GenerationParams, PromptSpec, generate,
                                 trace_attention)
+from protdat.tokenizer import AminoVocabulary
 
 from conftest import tiny_model
 
@@ -305,6 +306,23 @@ def test_read_fasta_round_trip(tmp_path):
     with open(path, "w") as fh:
         write_fasta(entries, fh)
     assert read_fasta(path) == entries
+
+
+def test_read_fasta_rejects_a_sequence_before_any_header(tmp_path):
+    path = tmp_path / "x.fasta"
+    path.write_text("MKV\n>one\nARN\n")
+    with pytest.raises(EvaluationError, match="FASTA body before any header"):
+        read_fasta(path)
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_sweep_cell_whose_every_sample_is_empty():
+    params, records, _ = tiny_model()
+    params.head.b.data[AminoVocabulary.eos_id] = 1e4  # every sample ends at its first token
+    cells = parameter_sweep(params, records, [0.85], [1.0], GenerationParams(max_len=8, seed=3))
+    fh = io.StringIO()
+    write_sweep_csv(cells, fh)
+    assert fh.getvalue().splitlines()[1] == "0.85,1.0,nan,0.000000,2"
 
 
 def test_sweep_single_cell_and_determinism():

@@ -137,6 +137,28 @@ def test_sample_token_reports_the_drawn_rank_and_never_draws_a_blocked_token():
         assert token_id not in (1, 4)
 
 
+def _decode_row(fill: float, token_10: float) -> np.ndarray:
+    """A decode step's row of ``fill``, with ``token_10`` at id 10 and PAD,
+    CLS and the slot id blocked as the decode loop blocks them."""
+    row = np.full(AminoVocabulary.size, fill)
+    row[10] = token_10
+    row[[AminoVocabulary.pad_id, AminoVocabulary.cls_id, AminoVocabulary.cross_id]] = -np.inf
+    return row
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(_decode_row(0.0, np.nan), id="nan"),
+    pytest.param(_decode_row(0.0, np.inf), id="plus-inf"),
+    pytest.param(_decode_row(np.nan, np.nan), id="all-nan"),
+    pytest.param(_decode_row(-np.inf, -np.inf), id="all-blocked"),
+])
+def test_argmax_rejects_a_row_without_a_finite_maximum(row):
+    """The argmax corner raises the nucleus path's error rather than picking
+    a NaN, +inf or blocked id (EOS or PAD, which would end the sample)."""
+    with pytest.raises(nx.NumericsError, match="NaN, \\+inf or no finite logit"):
+        sample_token(row, set(), GenerationParams.argmax(), np.random.default_rng(0))
+
+
 def test_nucleus_rejects_invalid_distribution():
     with pytest.raises(GenerationError):
         nucleus_filter(np.array([0.5, 0.6]), 0.9)

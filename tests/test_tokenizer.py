@@ -166,6 +166,28 @@ def test_precomputed_rejects_missing_record(tmp_path):
         enc.encode("text", record_id=None)
 
 
+def test_precomputed_rejects_a_truncated_blob(tmp_path):
+    path = tmp_path / "emb.bin"
+    write_embedding_file(path, {"a": np.ones((2, 4), dtype=np.float32),
+                                "b": np.ones((3, 4), dtype=np.float32)})
+    path.write_bytes(path.read_bytes()[:-4])
+    enc = PrecomputedTextEncoder(path)
+    assert enc.encode("text", record_id="a").embeddings.shape == (2, 4)
+    with pytest.raises(TokenizerError, match="embedding file truncated for record 'b'"):
+        enc.encode("text", record_id="b")
+
+
+@pytest.mark.parametrize("previous", [None, b"an earlier file\n"], ids=["new", "existing"])
+def test_failed_embedding_file_write_leaves_no_partial_file(tmp_path, disk_fills, previous):
+    path = tmp_path / "emb.bin"
+    if previous:
+        path.write_bytes(previous)
+    disk_fills(path.name)
+    with pytest.raises(OSError, match="No space left"):
+        write_embedding_file(path, {"a": np.ones((2, 4), dtype=np.float32)})
+    assert [p.read_bytes() for p in tmp_path.iterdir()] == ([previous] if previous else [])
+
+
 def test_precomputed_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOT-AN-EMBED-FILE\n{}\n")
