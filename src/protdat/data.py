@@ -5,8 +5,9 @@ fields; a 2-column tab-separated import (sequence, description) is also
 accepted.  Descriptions must carry at least one of the FUNCTION /
 SUBCELLULAR LOCATION / SIMILARITY section headers.
 
-Batch assembly pads to per-batch maxima and builds the three attention
-masks used by the fused decoder layers:
+Batch assembly pads each record's text array, as the text encoder gives
+it (word ids or embedding rows), and its sequence ids to per-batch maxima,
+and builds the three attention masks used by the fused decoder layers:
 
 * text self-attention mask (T, T): real text tokens visible as keys,
 * bottleneck cross-attention mask (c_size, T): same key visibility,
@@ -22,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tokenizer import (AminoVocabulary, MAX_SEQ_TOKENS, MAX_TEXT_TOKENS, TextEncoding, TokenizerError,
-                        atomic_open)
+from .tokenizer import AminoVocabulary, MAX_SEQ_TOKENS, MAX_TEXT_TOKENS, TokenizerError, atomic_open
 
 SECTION_HEADERS = ("FUNCTION", "SUBCELLULAR LOCATION", "SIMILARITY")
 
@@ -203,21 +203,21 @@ def split_records(
 class Batch:
     """Padded model input plus the three attention masks.
 
-    ``seq_ids`` rows are [CLS, residues..., EOS, PAD...].  Exactly one of
-    ``text_embed`` (frozen provider) and ``text_ids`` (trainable provider)
-    is set.  Mask arrays are boolean with True = visible.
+    ``seq_ids`` rows are [CLS, residues..., EOS, PAD...].  ``text`` holds
+    the encoder's arrays, zero-padded: (B, T) int64 word ids, or (B, T,
+    d_text) embedding rows.  Since word id 0 is both UNK and padding,
+    ``text_mask`` marks the real text tokens.  Mask arrays are boolean
+    with True = visible.
     """
 
     pad_id = AminoVocabulary.pad_id
 
     seq_ids: np.ndarray  # (B, S) int64
+    text: np.ndarray  # (B, T) int64 or (B, T, d_text) float
     text_mask: np.ndarray  # (B, T) bool
-    cross_ids: np.ndarray  # (B, c_size) int64
     ptm_mask: np.ndarray  # (B, T, T)
     cim_mask: np.ndarray  # (B, c_size, T)
     psm_mask: np.ndarray  # (B, S, c_size + S)
-    text_embed: np.ndarray | None = None  # (B, T, d_text)
-    text_ids: np.ndarray | None = None  # (B, T) int64, 0 where padded
 
     @property
     def size(self) -> int:
@@ -265,19 +265,15 @@ def make_batch(
 
 def assemble_batch(
     seq_rows: list,
-    texts: list[TextEncoding],
+    texts: list[np.ndarray],
     c_size: int,
     dtype=np.float32,
 ) -> Batch:
-    """Pad and mask token-id rows and their text encodings into one model input.
-
-    The cross-modality slot ids are freshly assembled for every batch
-    (re-embedded from the shared table at forward time, no state carried
-    between batches).
-    """
+    """Pad and mask token-id rows and their encoded texts into one model input;
+    embedding rows are cast to ``dtype``, word ids stay int64."""
     b = len(seq_rows)
     s_max = max(len(e) for e in seq_rows)
-    t_max = max(te.n_tokens for te in texts)
+    t_max = max(len(t) for t in texts)
     if t_max > MAX_TEXT_TOKENS:
         raise DatasetError(f"text length {t_max} exceeds the {MAX_TEXT_TOKENS}-token cap")
 
@@ -285,34 +281,17 @@ def assemble_batch(
     for i, ids in enumerate(seq_rows):
         seq_ids[i, : len(ids)] = ids
 
+    first = texts[0]  # (tokens,) word ids or (tokens, d_text) rows
+    kind = np.int64 if np.issubdtype(first.dtype, np.integer) else dtype
+    text = np.zeros((b, t_max) + first.shape[1:], dtype=kind)
     text_mask = np.zeros((b, t_max), dtype=bool)
-    for i, te in enumerate(texts):
-        text_mask[i, : te.n_tokens] = True
+    for i, row in enumerate(texts):
+        text[i, : len(row)] = row
+        text_mask[i, : len(row)] = True
 
-    trainable = all(te.word_ids is not None for te in texts)
-    text_embed = None
-    text_ids = None
-    if trainable:
-        text_ids = np.zeros((b, t_max), dtype=np.int64)
-        for i, te in enumerate(texts):
-            text_ids[i, : te.n_tokens] = te.word_ids
-    else:
-        text_embed = np.zeros((b, t_max, texts[0].embeddings.shape[1]), dtype=dtype)
-        for i, te in enumerate(texts):
-            text_embed[i, : te.n_tokens, :] = te.embeddings.astype(dtype)
-
-    cross_ids = np.full((b, c_size), AminoVocabulary.cross_id, dtype=np.int64)
     ptm, cim, psm = build_masks(seq_ids, text_mask, c_size)
-    return Batch(
-        seq_ids=seq_ids,
-        text_mask=text_mask,
-        cross_ids=cross_ids,
-        ptm_mask=ptm,
-        cim_mask=cim,
-        psm_mask=psm,
-        text_embed=text_embed,
-        text_ids=text_ids,
-    )
+    return Batch(seq_ids=seq_ids, text=text, text_mask=text_mask, ptm_mask=ptm, cim_mask=cim,
+                 psm_mask=psm)
 
 
 def batches_of(records: list[ProteinRecord], batch_size: int, rng: np.random.Generator):

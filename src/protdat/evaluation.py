@@ -289,8 +289,9 @@ def parameter_sweep(
             else:
                 kls.append(float("nan"))
                 idents.append(0.0)
-        cells.append(SweepCell(top_p, temperature, float(np.nanmean(kls)), float(np.mean(idents)),
-                               len(records)))
+        # the KL mean skips empty samples, and is nan for a cell of only those
+        mean_kl = float("nan") if np.isnan(kls).all() else float(np.nanmean(kls))
+        cells.append(SweepCell(top_p, temperature, mean_kl, float(np.mean(idents)), len(records)))
     return cells
 
 

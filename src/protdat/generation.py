@@ -179,9 +179,9 @@ def trace_attention(prompt: PromptSpec, sequence: str, params: ModelParams,
                     text_provider=None, record_id: str | None = None) -> AttentionTrace:
     """The attention weights of one full forward over ``sequence`` (a
     generated sequence, fragment included) under ``prompt``'s text."""
-    encoding = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
+    text = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
     ids = AminoVocabulary().encode_sequence(sequence, add_eos=False).tolist()
-    final = assemble_batch([ids], [encoding], params.config.c_size, params.config.np_dtype)
+    final = assemble_batch([ids], [text], params.config.c_size, params.config.np_dtype)
     with nx.no_grad():
         return model_forward(final, params, trace=True)[1]
 
@@ -201,7 +201,7 @@ def generate_candidates(
         raise GenerationError("n_samples must be >= 1")
     config = params.config
     vocab = AminoVocabulary()
-    encoding = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
+    text = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
 
     if len(prompt.fragment) > gp.max_len:
         raise GenerationError("fragment longer than max_len")
@@ -213,7 +213,7 @@ def generate_candidates(
     live = list(range(n_samples))  # the sample each batch row decodes
     rows = np.zeros(n_samples, dtype=np.intp)  # each live sample's row of the last pass
     length = len(prefix)  # every live sample has this many ids
-    batch = assemble_batch([prefix], [encoding], config.c_size, config.np_dtype)
+    batch = assemble_batch([prefix], [text], config.c_size, config.np_dtype)
     with nx.no_grad():
         kv = [tuple(np.pad(t.data, [(0, 0), (0, gp.max_len), (0, 0)]) for t in layer_kv)
               for layer_kv in prompt_forward(batch, params)[0]]

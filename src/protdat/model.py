@@ -176,12 +176,24 @@ class ModelParams:
             p.zero_grad()
 
     def text_encoder(self, embedding_path=None):
-        """The text provider matching this model's configuration."""
+        """The text provider matching this model's configuration: the word
+        encoder of the trainable provider, which takes no embedding file, or
+        the precomputed encoder of ``embedding_path``, whose rows must all
+        be ``d_text`` wide."""
         if self.config.text_provider == "trainable":
+            if embedding_path is not None:
+                raise ModelError(f"the trainable text provider reads no embedding file, "
+                                 f"got {embedding_path}")
             return TrainableTextEncoder(self.text_words or [])
         if embedding_path is None:
             raise ModelError("precomputed text provider needs an embedding file path")
-        return PrecomputedTextEncoder(embedding_path)
+        encoder = PrecomputedTextEncoder(embedding_path)
+        d_text = self.config.d_text
+        widths = {encoder.d_text} | {d for _, _, d in encoder.records.values()}
+        if widths != {d_text}:
+            raise ModelError(f"embedding file {embedding_path} has d_text "
+                             f"{'/'.join(map(str, sorted(widths)))}, the model d_text {d_text}")
+        return encoder
 
 
 def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> ModelParams:
@@ -294,8 +306,6 @@ def prompt_mcm_forward(
     """
     ptm, cim = masks
     h, hd = config.n_heads, config.head_dim
-    if c_n.shape[-2] != config.c_size:
-        raise ModelError(f"slot tensor has {c_n.shape[-2]} rows, expected {config.c_size}")
 
     # text branch: rotary self-attention
     k_t = _apply_linear(t_n, layer.wk_t)
@@ -359,19 +369,21 @@ def decoder_layer_forward(
 
 
 def prompt_forward(batch: Batch, params: ModelParams, trace: bool = False):
-    """The prompt pass: the text and slot branches of every layer.  Returns
-    the per-layer (K, V), each the layer's slot keys and values (k_c, v_c),
-    and the per-layer (ptm, cim) attention weights."""
+    """The prompt pass: the text and slot branches of every layer.  The slot
+    stream starts as ``config.c_size`` copies of the CROSS id's row of the
+    shared token table; integer text is looked up in the word table, float
+    text is taken as embedding rows.  Returns the per-layer (K, V), each the
+    layer's slot keys and values (k_c, v_c), and the per-layer (ptm, cim)
+    attention weights."""
     config = params.config
-    e_c = nx.embedding(params.token_embedding, batch.cross_ids)
-    if batch.text_ids is not None:
+    slot_ids = np.full((batch.size, config.c_size), AminoVocabulary.cross_id, dtype=np.int64)
+    e_c = nx.embedding(params.token_embedding, slot_ids)
+    if np.issubdtype(batch.text.dtype, np.integer):  # word ids
         if params.text_word_embedding is None:
             raise ModelError("batch carries text ids but the model has no word table")
-        e_t = nx.embedding(params.text_word_embedding, batch.text_ids)
+        e_t = nx.embedding(params.text_word_embedding, batch.text)
     else:
-        if batch.text_embed is None:
-            raise ModelError("batch carries neither text ids nor text embeddings")
-        e_t = Tensor(batch.text_embed.astype(config.np_dtype))
+        e_t = Tensor(batch.text.astype(config.np_dtype))
     if params.text_projection is not None:
         e_t = _apply_linear(e_t, params.text_projection)
 

@@ -5,10 +5,13 @@ IUPAC alphabet, with four special ids (PAD, CLS, EOS, CROSS) sharing the
 same vocabulary so cross-modality slots can be embedded through the
 shared token table.
 
-Text enters the model either as precomputed embedding matrices read from
-a binary container file (mirroring an external biomedical encoder), or
-through a small trainable word-embedding table built from the training
-split.
+Text enters the model as one array per record, made by ``encode(text,
+record_id=None)`` of either provider: a trainable encoder gives
+``(tokens,)`` int64 word ids into a small word-embedding table built from
+the training split; a precomputed encoder gives ``(tokens, d_text)``
+float64 rows read from a binary container file (mirroring an external
+biomedical encoder).  Either way a text of no tokens is rejected and one
+past ``MAX_TEXT_TOKENS`` is truncated with a warning.
 
 At the bottom of the import graph, the module also holds ``atomic_open``,
 through which every file the package writes is written.
@@ -21,7 +24,6 @@ import os
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,20 +101,6 @@ class AminoVocabulary:
         return "".join(out)
 
 
-@dataclass
-class TextEncoding:
-    """Encoded description text, one entry per real token: word ids from the
-    trainable provider (the model embeds them from its live table), or
-    embedding rows from the precomputed one."""
-
-    embeddings: np.ndarray | None = None  # (m_tokens, d_text), precomputed provider
-    word_ids: np.ndarray | None = None  # (m_tokens,), trainable provider
-
-    @property
-    def n_tokens(self) -> int:
-        return len(self.word_ids if self.word_ids is not None else self.embeddings)
-
-
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -138,7 +126,8 @@ class TrainableTextEncoder:
                 seen.setdefault(w, None)
         return list(seen)
 
-    def tokenize(self, text: str) -> np.ndarray:
+    def encode(self, text: str, record_id: str | None = None) -> np.ndarray:
+        """The (tokens,) int64 word ids of ``text``; 0 is the UNK id."""
         words = split_words(text)
         if not words:
             raise TokenizerError("text produced no tokens")
@@ -149,11 +138,6 @@ class TrainableTextEncoder:
             )
             words = words[:MAX_TEXT_TOKENS]
         return np.asarray([self.word_to_id.get(w, 0) for w in words], dtype=np.int64)
-
-    def encode(self, text: str, record_id: str | None = None) -> TextEncoding:
-        if not text:
-            raise TokenizerError("empty text")
-        return TextEncoding(word_ids=self.tokenize(text))
 
 
 class PrecomputedTextEncoder:
@@ -181,12 +165,15 @@ class PrecomputedTextEncoder:
             raise TokenizerError(f"malformed embedding manifest in {path}: a negative offset, "
                                  "token count or d_text")
 
-    def encode(self, text: str, record_id: str | None = None) -> TextEncoding:
+    def encode(self, text: str, record_id: str | None = None) -> np.ndarray:
+        """The (tokens, d_text) float64 rows stored for ``record_id``."""
         if not text:
             raise TokenizerError("empty text")
         if record_id is None or record_id not in self.records:
             raise TokenizerError(f"no precomputed embedding for record {record_id!r}")
         offset, n, d = self.records[record_id]
+        if n == 0:
+            raise TokenizerError(f"precomputed embedding for record {record_id!r} has no tokens")
         if n > MAX_TEXT_TOKENS:
             warnings.warn(f"embedding of {n} tokens truncated to {MAX_TEXT_TOKENS}", stacklevel=2)
             n = MAX_TEXT_TOKENS
@@ -195,8 +182,7 @@ class PrecomputedTextEncoder:
             raw = fh.read(4 * n * d)
         if len(raw) != 4 * n * d:
             raise TokenizerError(f"embedding file truncated for record {record_id!r}")
-        emb = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
-        return TextEncoding(embeddings=emb)
+        return np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
 
 
 def write_embedding_file(path, entries: dict[str, np.ndarray]) -> None:

@@ -20,7 +20,7 @@ from protdat.generation import (
     write_trace,
 )
 from protdat.model import CHECKPOINT_FORMAT, ModelConfig, load_checkpoint
-from protdat.tokenizer import EMBED_FILE_MAGIC
+from protdat.tokenizer import EMBED_FILE_MAGIC, write_embedding_file
 from protdat.training import TrainingConfig
 
 TABLE4_TEXT = (
@@ -588,6 +588,61 @@ def test_malformed_embedding_manifest_is_a_one_line_error(tmp_path, toy_dataset,
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"].startswith("TokenizerError: malformed embedding manifest")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("provider, d_text, error", [
+    ("trainable", 16, "the trainable text provider reads no embedding file, got {emb}"),
+    ("precomputed", 8, "embedding file {emb} has d_text 8, the model d_text 16"),
+], ids=["trainable", "precomputed"])
+def test_embedding_file_that_does_not_fit_the_model_is_a_one_line_error(
+        tmp_path, toy_dataset, capsys, provider, d_text, error):
+    emb = tmp_path / "emb.bin"
+    write_embedding_file(emb, {r.id: np.ones((3, d_text), dtype=np.float32)
+                               for r in synthetic_records(12, seed=0, min_len=8, max_len=16)})
+    out = tmp_path / "run"
+    assert run_command(["train", "--data", str(toy_dataset), "--text-provider", provider,
+                        "--embeddings", str(emb), "--out", str(out), *TINY_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ModelError: " + error.format(emb=emb)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["- 16\n- 32\n", "just words\n"], ids=["list", "scalar"])
+def test_config_file_that_is_not_a_mapping_is_a_one_line_error(tmp_path, toy_dataset, capsys,
+                                                               text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert run_command(["train", "--config", str(cfg), "--data", str(toy_dataset),
+                        "--out", str(out), *TINY_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"DatasetError: config file {cfg} must be a key-value tree"
+    assert not out.exists()
+
+
+def test_train_without_a_dataset_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default out_dir is relative
+    monkeypatch.delenv("PROTDAT_OUT_DIR", raising=False)
+    assert run_command(["train", "--epochs", "0", *TINY_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DatasetError: train: no dataset given (--data or config)"
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_identity_with_unequal_entry_counts_is_a_one_line_error(tmp_path, capsys):
+    ref_path, gen_path = tmp_path / "ref.fasta", tmp_path / "gen.fasta"
+    with open(ref_path, "w") as fh:
+        write_fasta([("ref-0", "MKV"), ("ref-1", "DDC")], fh)
+    with open(gen_path, "w") as fh:
+        write_fasta([("gen-0", "MKV")], fh)
+    assert run_command(["eval", "identity", "--ref", str(ref_path), "--gen", str(gen_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == ("EvaluationError: entry count mismatch: "
+                                                 "2 ref vs 1 gen")
 
 
 def test_config_takes_an_int_for_a_float_and_null_for_clip_norm(tmp_path, toy_dataset):

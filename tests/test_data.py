@@ -17,7 +17,8 @@ from protdat.data import (
     synthetic_records,
     write_jsonl,
 )
-from protdat.tokenizer import AminoVocabulary, TrainableTextEncoder
+from protdat.tokenizer import (AminoVocabulary, PrecomputedTextEncoder, TrainableTextEncoder,
+                               write_embedding_file)
 
 from conftest import small_records
 
@@ -85,6 +86,34 @@ def test_record_requires_annotation_header():
     rec = ProteinRecord("x", "no headers here", "MAV")
     with pytest.raises(DatasetError, match="lacks"):
         rec.validate()
+
+
+@pytest.mark.parametrize("sequence, message", [
+    ("", "empty sequence"),
+    ("M" * 1023, "sequence exceeds 1022 residues"),
+])
+def test_record_rejects_an_empty_or_overlong_sequence(sequence, message):
+    ProteinRecord("x", "FUNCTION: y.", "M" * 1022).validate()  # the longest that fits
+    with pytest.raises(DatasetError, match=f"^record 'x': {message}$"):
+        ProteinRecord("x", "FUNCTION: y.", sequence).validate()
+
+
+@pytest.mark.parametrize("row", ["MAV", "MAV\tFUNCTION: y.\textra"], ids=["1-column", "3-column"])
+def test_table_rejects_a_row_without_two_columns(tmp_path, row):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"MKV\tFUNCTION: y.\n{row}\n")
+    report = read_dataset(path, "table")
+    assert [r.sequence for r in report.records] == ["MKV"]
+    n = len(row.split("\t"))
+    assert report.errors == [f"line 2: expected 2 tab-separated columns, got {n}"]
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_load_rejects_a_file_with_no_rows(tmp_path, content):
+    path = tmp_path / "data.jsonl"
+    path.write_text(content)
+    with pytest.raises(DatasetError, match="no rows$"):
+        load_records(path)
 
 
 def test_jsonl_requires_fields(tmp_path):
@@ -204,7 +233,7 @@ def test_batch_pads_and_blocks_short_record():
     batch = make_batch(records, vocab, _provider(records), c_size=2)
     assert batch.seq_ids.shape[1] == 5
     assert (batch.seq_ids[0, 3:] == vocab.pad_id).all()
-    c = batch.cross_ids.shape[1]
+    c = batch.cim_mask.shape[1]
     # PAD positions of the short record are blocked as keys for every query
     assert not batch.psm_mask[0, :, c + 3].any()
     assert not batch.psm_mask[0, :, c + 4].any()
@@ -216,7 +245,7 @@ def test_batch_causal_mask_matches_definition_exhaustively():
     records = [ProteinRecord("a", "FUNCTION: x.", "MKVW")]  # encoded length 6
     vocab = AminoVocabulary()
     batch = make_batch(records, vocab, _provider(records), c_size=3)
-    s, c = batch.seq_ids.shape[1], batch.cross_ids.shape[1]
+    s, c = batch.seq_ids.shape[1], batch.cim_mask.shape[1]
     assert s == 6
     for q in range(s):
         for k in range(c + s):
@@ -248,12 +277,25 @@ def test_batch_targets_are_shifted_next_tokens():
     assert contributing.tolist() == [True, True, True, False]
 
 
-def test_batch_cross_ids_use_reserved_token():
+def test_batch_pads_each_text_array_with_zeros(tmp_path):
     records = small_records()
     vocab = AminoVocabulary()
-    batch = make_batch(records, vocab, _provider(records), c_size=5)
-    assert (batch.cross_ids == vocab.cross_id).all()
-    assert batch.cross_ids.shape == (2, 5)
+    provider = _provider(records)
+    batch = make_batch(records, vocab, provider, c_size=2)
+    lengths = [len(provider.encode(r.text)) for r in records]
+    assert batch.text.dtype == np.int64 and batch.text.shape == (2, max(lengths))
+    for row, mask, rec, n in zip(batch.text, batch.text_mask, records, lengths):
+        assert np.array_equal(row[:n], provider.encode(rec.text)) and not row[n:].any()
+        assert mask.tolist() == [True] * n + [False] * (len(row) - n)
+
+    path = tmp_path / "emb.bin"
+    write_embedding_file(path, {"r1": np.full((2, 3), 1.5, dtype=np.float32),
+                                "r2": np.full((4, 3), -2.0, dtype=np.float32)})
+    batch = make_batch(records, vocab, PrecomputedTextEncoder(path), c_size=2, dtype=np.float64)
+    assert batch.text.dtype == np.float64 and batch.text.shape == (2, 4, 3)
+    assert (batch.text[0, :2] == 1.5).all() and not batch.text[0, 2:].any()
+    assert (batch.text[1] == -2.0).all()
+    assert batch.text_mask.tolist() == [[True, True, False, False], [True] * 4]
 
 
 def test_batch_rejects_empty():

@@ -211,6 +211,16 @@ def test_plddt_skips_malformed_lines_with_warning(tmp_path):
     assert values == [42.0]
 
 
+def test_plddt_skips_an_unparsable_b_factor_with_warning(tmp_path):
+    path = tmp_path / "mixed.pdb"
+    bad = _pdb_line(1, 1, 42.0)
+    bad = bad[:60] + "  n/a " + bad[66:]
+    path.write_text(bad + "\n" + _pdb_line(2, 2, 70.0) + "\n")
+    with pytest.warns(UserWarning, match="^line 1: unparsable B-factor, skipped$"):
+        mean, values = plddt_from_pdb(path)
+    assert (mean, values) == (70.0, [70.0])
+
+
 # -- structure-alignment tool output ----------------------------------------------
 
 
@@ -238,6 +248,11 @@ def test_tmalign_single_line_fixture():
 def test_tmalign_rejects_empty_text():
     with pytest.raises(EvaluationError):
         parse_tmalign_output("")
+
+
+def test_tmalign_rejects_text_without_an_rmsd_field():
+    with pytest.raises(EvaluationError, match="no RMSD field found"):
+        parse_tmalign_output("TM-score= 0.60700 (if normalized by length of Chain_2)\n")
 
 
 # -- attention export + reference curve ------------------------------------------
@@ -315,7 +330,6 @@ def test_read_fasta_rejects_a_sequence_before_any_header(tmp_path):
         read_fasta(path)
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 def test_sweep_cell_whose_every_sample_is_empty():
     params, records, _ = tiny_model()
     params.head.b.data[AminoVocabulary.eos_id] = 1e4  # every sample ends at its first token

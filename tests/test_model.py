@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from protdat.model import (
     save_checkpoint,
     sequence_forward,
 )
-from protdat.numerics import Tensor
-from protdat.tokenizer import MAX_SEQ_TOKENS, AminoVocabulary
+from protdat.numerics import NumericsError, Tensor
+from protdat.tokenizer import MAX_SEQ_TOKENS, AminoVocabulary, write_embedding_file
 
 from conftest import tiny_config, tiny_model
 
@@ -226,8 +227,9 @@ def test_model_forward_equals_manual_layer_composition():
     logits, _ = model_forward(batch, params)
 
     # prompt pass
-    e_c = nx.embedding(params.token_embedding, batch.cross_ids)
-    e_t = nx.embedding(params.text_word_embedding, batch.text_ids)
+    slot_ids = np.full((batch.size, cfg.c_size), AminoVocabulary.cross_id)
+    e_c = nx.embedding(params.token_embedding, slot_ids)
+    e_t = nx.embedding(params.text_word_embedding, batch.text)
     kv = []
     for n, layer in enumerate(params.layers):
         c_n = nx.layer_norm(e_c, layer.ln_c.gamma, layer.ln_c.beta)
@@ -371,7 +373,7 @@ def test_batching_invariance():
     for mate in mates:
         both = make_batch([rec, mate], vocab, provider, cfg.c_size, dtype=np.float64)
         assert both.seq_ids.shape[1] > len(rec.sequence) + 2
-        assert both.text_mask.shape[1] > provider.encode(rec.text).n_tokens
+        assert both.text_mask.shape[1] > len(provider.encode(rec.text))
         logits, _ = model_forward(both, params)
         rows.append(logits.data[0])
     assert np.array_equal(rows[0], rows[1])
@@ -459,6 +461,44 @@ def test_forward_rejects_over_cap():
     sequence_forward(ids, MAX_SEQ_TOKENS - 1, kv, None, params)  # the last position: ok
     with pytest.raises(ModelError, match=f"{MAX_SEQ_TOKENS}-token cap"):
         sequence_forward(np.repeat(ids, 2, axis=1), MAX_SEQ_TOKENS - 1, kv, None, params)
+
+
+def test_batch_built_for_another_c_size_is_a_one_line_error():
+    params, records, _ = tiny_model()
+    c = params.config.c_size
+    other = make_batch(records, AminoVocabulary(), params.text_encoder(), c + 1,
+                       dtype=np.float64)
+    with pytest.raises(NumericsError, match=rf"^masked_attention: mask shape \({c + 1}, \d+\) "
+                                            rf"!= \({c}, \d+\)$"):
+        model_forward(other, params)
+
+
+@pytest.mark.parametrize("d_text", [12, 16])  # 16 is d_model: no text projection
+def test_text_encoder_rejects_an_embedding_file_of_another_width(tmp_path, d_text):
+    path = tmp_path / "emb.bin"
+    write_embedding_file(path, {"r1": np.ones((2, 8), dtype=np.float32)})
+    params = init_params(tiny_config(d_text=d_text, text_provider="precomputed"), seed=0)
+    with pytest.raises(ModelError, match=f"^embedding file {re.escape(str(path))} has d_text 8, "
+                                         f"the model d_text {d_text}$"):
+        params.text_encoder(path)
+
+
+def test_text_encoder_rejects_a_record_of_another_width(tmp_path):
+    path = tmp_path / "emb.bin"
+    write_embedding_file(path, {"r1": np.ones((2, 8), dtype=np.float32)})
+    head, manifest, blob = path.read_bytes().split(b"\n", 2)
+    manifest = json.loads(manifest)
+    manifest["records"]["r2"] = {"offset": 0, "tokens": 1, "d_text": 4}
+    path.write_bytes(b"\n".join([head, json.dumps(manifest).encode(), blob]))
+    params = init_params(tiny_config(d_text=8, text_provider="precomputed"), seed=0)
+    with pytest.raises(ModelError, match="has d_text 4/8, the model d_text 8$"):
+        params.text_encoder(path)
+
+
+def test_trainable_text_encoder_takes_no_embedding_file(tmp_path):
+    params, _, _ = tiny_model()
+    with pytest.raises(ModelError, match="the trainable text provider reads no embedding file"):
+        params.text_encoder(tmp_path / "emb.bin")
 
 
 # -- persistence ---------------------------------------------------------------

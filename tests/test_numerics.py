@@ -637,6 +637,12 @@ def test_backward_requires_scalar(rng):
         nx.mul(t, Tensor(2.0)).backward()
 
 
+def test_backward_on_a_leaf_sets_a_unit_gradient():
+    leaf = Tensor(np.array(3.0), requires_grad=True)
+    leaf.backward()
+    assert leaf.grad == 1.0 and leaf.grad.shape == ()
+
+
 def test_unused_parameter_reads_zero_gradient():
     used = Tensor(np.ones(3), requires_grad=True)
     unused = Tensor(np.ones(3), requires_grad=True)

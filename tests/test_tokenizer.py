@@ -94,25 +94,24 @@ def _encoder(texts):
 
 def test_trainable_shapes_and_mask():
     enc = _encoder(["alpha beta gamma delta epsilon"])
-    out = enc.encode("alpha beta gamma delta epsilon")
-    assert out.embeddings is None  # the model embeds the ids from its live table
-    assert out.n_tokens == 5 and out.word_ids.shape == (5,)
-    assert (out.word_ids > 0).all() and out.word_ids.max() <= len(enc.words)
+    out = enc.encode("alpha beta gamma delta epsilon")  # ids the model embeds from its live table
+    assert out.shape == (5,) and out.dtype == np.int64
+    assert (out > 0).all() and out.max() <= len(enc.words)
 
 
 def test_trainable_is_deterministic():
     enc = _encoder(["one two three"])
     a = enc.encode("one two three")
     b = enc.encode("one two three")
-    assert np.array_equal(a.word_ids, b.word_ids)
-    assert a.word_ids.dtype == np.int64
+    assert np.array_equal(a, b)
+    assert a.dtype == np.int64
 
 
 def test_trainable_oov_maps_to_shared_unk():
     enc = _encoder(["known words only"])
     out = enc.encode("known unseen1 unseen2")
-    assert out.word_ids[0] != 0
-    assert out.word_ids[1] == 0 and out.word_ids[2] == 0  # one shared UNK row
+    assert out[0] != 0
+    assert out[1] == 0 and out[2] == 0  # one shared UNK row
 
 
 def test_trainable_truncates_long_text_with_warning():
@@ -120,7 +119,7 @@ def test_trainable_truncates_long_text_with_warning():
     text = " ".join(f"w{i}" for i in range(MAX_TEXT_TOKENS + 10))
     with pytest.warns(UserWarning, match="truncated"):
         out = enc.encode(text)
-    assert out.n_tokens == MAX_TEXT_TOKENS
+    assert out.shape == (MAX_TEXT_TOKENS,)
 
 
 def test_trainable_rejects_empty_text():
@@ -150,10 +149,10 @@ def test_precomputed_round_trips_exact_rows(tmp_path):
     enc = PrecomputedTextEncoder(path)
     assert enc.d_text == 2
     out = enc.encode("anything", record_id="rec-a")
-    assert out.embeddings.shape == (2, 2)
-    assert np.array_equal(out.embeddings, rows["rec-a"].astype(np.float64))
+    assert out.shape == (2, 2) and out.dtype == np.float64
+    assert np.array_equal(out, rows["rec-a"].astype(np.float64))
     out_b = enc.encode("anything", record_id="rec-b")
-    assert np.array_equal(out_b.embeddings, rows["rec-b"].astype(np.float64))
+    assert np.array_equal(out_b, rows["rec-b"].astype(np.float64))
 
 
 def test_precomputed_rejects_missing_record(tmp_path):
@@ -166,13 +165,32 @@ def test_precomputed_rejects_missing_record(tmp_path):
         enc.encode("text", record_id=None)
 
 
+def test_precomputed_rejects_a_record_with_no_tokens(tmp_path):
+    path = tmp_path / "emb.bin"
+    write_embedding_file(path, {"full": np.ones((2, 4), dtype=np.float32),
+                                "hollow": np.ones((0, 4), dtype=np.float32)})
+    enc = PrecomputedTextEncoder(path)
+    assert enc.encode("text", record_id="full").shape == (2, 4)
+    with pytest.raises(TokenizerError, match="record 'hollow' has no tokens"):
+        enc.encode("text", record_id="hollow")
+
+
+def test_precomputed_truncates_long_text_with_warning(tmp_path):
+    path = tmp_path / "emb.bin"
+    rows = np.arange((MAX_TEXT_TOKENS + 3) * 2, dtype=np.float32).reshape(-1, 2)
+    write_embedding_file(path, {"long": rows})
+    with pytest.warns(UserWarning, match=f"{MAX_TEXT_TOKENS + 3} tokens truncated"):
+        out = PrecomputedTextEncoder(path).encode("text", record_id="long")
+    assert np.array_equal(out, rows[:MAX_TEXT_TOKENS])
+
+
 def test_precomputed_rejects_a_truncated_blob(tmp_path):
     path = tmp_path / "emb.bin"
     write_embedding_file(path, {"a": np.ones((2, 4), dtype=np.float32),
                                 "b": np.ones((3, 4), dtype=np.float32)})
     path.write_bytes(path.read_bytes()[:-4])
     enc = PrecomputedTextEncoder(path)
-    assert enc.encode("text", record_id="a").embeddings.shape == (2, 4)
+    assert enc.encode("text", record_id="a").shape == (2, 4)
     with pytest.raises(TokenizerError, match="embedding file truncated for record 'b'"):
         enc.encode("text", record_id="b")
 
