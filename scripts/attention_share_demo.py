@@ -25,11 +25,12 @@ def main():
     ap.add_argument("--max-len", type=int, default=48)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--embeddings", default=None)
+    ap.add_argument("--record-id", default=None, dest="record_id")
     args = ap.parse_args()
 
     params = load_checkpoint(args.ckpt)
     provider = params.text_encoder(args.embeddings)
-    prompt = PromptSpec(mode=MODE_TEXT_ONLY, text=args.text)
+    prompt = PromptSpec(mode=MODE_TEXT_ONLY, text=args.text, record_id=args.record_id)
     result = generate(prompt, params, GenerationParams(max_len=args.max_len, seed=args.seed),
                       text_provider=provider)
     trace = trace_attention(prompt, result.sequence, params, text_provider=provider)

@@ -10,8 +10,10 @@ the file's ``seed``), and generation takes it from there.  Every run but
 ``eval`` writes a reproducibility manifest next to its outputs, built by
 one rule (``write_manifest``): the parsed flags, the resolved settings
 the command ran with, and the counts it reports, with the version and
-the single root seed all randomness flows from.  Every output file is
-written through ``atomic_open``, so it appears whole or not at all.
+the single root seed all randomness flows from.  The manifest is written
+last, and a command with an output directory first removes the one an
+earlier run left there, so a failed rerun leaves none.  Every output file
+is written through ``atomic_open``, so it appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -116,13 +118,12 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-def resolve_out_dir(flag_value: str | None, cfg: RunConfig) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get("PROTDAT_OUT_DIR")
-    if env:
-        return Path(env)
-    return Path(cfg.out_dir)
+def claim_out_dir(flag_value: str | None, cfg: RunConfig) -> Path:
+    """The output directory (the flag, else ``PROTDAT_OUT_DIR``, else the
+    config's), rid of the manifest of any earlier run into it."""
+    out_dir = Path(flag_value or os.environ.get("PROTDAT_OUT_DIR") or cfg.out_dir)
+    (out_dir / "run_manifest.json").unlink(missing_ok=True)
+    return out_dir
 
 
 def write_manifest(path: Path, args, seed: int, **config) -> None:
@@ -170,7 +171,7 @@ def _floats(text: str) -> list[float]:
 
 def cmd_prepare_data(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    out_dir = resolve_out_dir(args.out, cfg)
+    out_dir = claim_out_dir(args.out, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = read_dataset(args.data, args.format)
     with atomic_open(out_dir / "errors.txt", "w") as fh:
@@ -194,7 +195,7 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     cfg.model.update(_overrides(args, ModelConfig))
     cfg.training.update(_overrides(args, TrainingConfig))
-    out_dir = resolve_out_dir(args.out, cfg)
+    out_dir = claim_out_dir(args.out, cfg)
     data_path = args.data or cfg.dataset
     if not data_path:
         raise DatasetError("train: no dataset given (--data or config)")
@@ -225,10 +226,10 @@ def cmd_generate(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     params = load_checkpoint(args.ckpt)
     gp = cfg.generation_params(**_overrides(args, GenerationParams))
-    prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
+    prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "",
+                        record_id=args.record_id)
     provider = params.text_encoder(args.embeddings)
-    results = generate_candidates(prompt, params, gp, args.num, text_provider=provider,
-                                  record_id=args.record_id)
+    results = generate_candidates(prompt, params, gp, args.num, text_provider=provider)
     entries = [(fasta_header(f"gen-{i:04d}", prompt, replace(gp, seed=gp.seed + i)), r.sequence)
                for i, r in enumerate(results)]
     write_output(args, lambda fh: write_fasta(entries, fh), cfg.seed, generation=asdict(gp))
@@ -295,15 +296,15 @@ def cmd_sweep(args) -> int:
 def cmd_export_attention(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     params = load_checkpoint(args.ckpt)
-    out_dir = resolve_out_dir(args.out, cfg)
-    prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "")
+    out_dir = claim_out_dir(args.out, cfg)
+    prompt = PromptSpec(mode=args.mode, text=args.text, fragment=args.fragment or "",
+                        record_id=args.record_id)
     # at most 64 residues unless the flag or the config file says otherwise
     max_len = cfg.generation.get("max_len", 64) if args.max_len is None else args.max_len
     gp = cfg.generation_params(max_len=max_len)
     provider = params.text_encoder(args.embeddings)
-    result = generate(prompt, params, gp, text_provider=provider, record_id=args.record_id)
-    trace = trace_attention(prompt, result.sequence, params, text_provider=provider,
-                            record_id=args.record_id)
+    result = generate(prompt, params, gp, text_provider=provider)
+    trace = trace_attention(prompt, result.sequence, params, text_provider=provider)
     entries = export_attention_maps(trace, condense_cross=args.condense, out_dir=out_dir)
     write_manifest(out_dir / "run_manifest.json", args, cfg.seed, generation=asdict(gp),
                    generated_length=len(result.sequence))

@@ -174,7 +174,8 @@ def export_attention_maps(trace: AttentionTrace, condense_cross: bool, out_dir) 
     """Write head-averaged per-layer maps (plus all-layer means) as CSV.
 
     Returns the manifest entries, which are also written to
-    ``attention_manifest.json`` alongside the matrices.
+    ``attention_manifest.json`` alongside the matrices.  The final layer's
+    ``ptm`` map, also in the mean, has untrained queries (see AttentionTrace).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,8 +280,8 @@ def parameter_sweep(
         for j, rec in enumerate(records):
             cell_gp = replace(gp, temperature=temperature, top_p=top_p,
                               seed=sweep_cell_seed(gp.seed, cell_index, j))
-            result = generate(PromptSpec(mode=MODE_TEXT_ONLY, text=rec.text), params, cell_gp,
-                              text_provider=text_provider, record_id=rec.id)
+            prompt = PromptSpec(mode=MODE_TEXT_ONLY, text=rec.text, record_id=rec.id)
+            result = generate(prompt, params, cell_gp, text_provider=text_provider)
             if result.sequence:
                 gen_dist = ResidueDistribution.from_sequences([result.sequence])
                 ref_dist = ResidueDistribution.from_sequences([rec.sequence])

@@ -79,6 +79,7 @@ class PromptSpec:
     mode: str
     text: str
     fragment: str = ""
+    record_id: str | None = None  # the text's record in an embedding file
 
     def __post_init__(self):
         if self.mode not in (MODE_TEXT_ONLY, MODE_TEXT_FRAGMENT):
@@ -169,17 +170,16 @@ def generate(
     params: ModelParams,
     gp: GenerationParams,
     text_provider=None,
-    record_id: str | None = None,
 ) -> GenerationResult:
     """Decode one sequence for a prompt; deterministic under ``gp.seed``."""
-    return generate_candidates(prompt, params, gp, 1, text_provider, record_id)[0]
+    return generate_candidates(prompt, params, gp, 1, text_provider)[0]
 
 
 def trace_attention(prompt: PromptSpec, sequence: str, params: ModelParams,
-                    text_provider=None, record_id: str | None = None) -> AttentionTrace:
+                    text_provider=None) -> AttentionTrace:
     """The attention weights of one full forward over ``sequence`` (a
     generated sequence, fragment included) under ``prompt``'s text."""
-    text = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
+    text = (text_provider or params.text_encoder()).encode(prompt.text, prompt.record_id)
     ids = AminoVocabulary().encode_sequence(sequence, add_eos=False).tolist()
     final = assemble_batch([ids], [text], params.config.c_size, params.config.np_dtype)
     with nx.no_grad():
@@ -192,7 +192,6 @@ def generate_candidates(
     gp: GenerationParams,
     n_samples: int,
     text_provider=None,
-    record_id: str | None = None,
 ) -> list[GenerationResult]:
     """Draw ``n_samples`` candidates as the rows of one batch; rows never
     attend to each other, so sample i is what ``generate`` draws with seed
@@ -201,7 +200,7 @@ def generate_candidates(
         raise GenerationError("n_samples must be >= 1")
     config = params.config
     vocab = AminoVocabulary()
-    text = (text_provider or params.text_encoder()).encode(prompt.text, record_id=record_id)
+    text = (text_provider or params.text_encoder()).encode(prompt.text, prompt.record_id)
 
     if len(prompt.fragment) > gp.max_len:
         raise GenerationError("fragment longer than max_len")

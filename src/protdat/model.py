@@ -27,6 +27,9 @@ Nothing reads the text or slot stream after the final layer's K/V, so that
 layer has no text output projection and no text or slot residual FFN, and
 its text self-attention, which feeds only the ``ptm`` trace, runs only when
 ``model_forward`` traces.
+
+A model with a word list (``text_words``) reads word ids through its word
+table; a model without one reads the rows of a ``d_text``-wide embedding file.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .numerics import Tensor
 from .tokenizer import (MAX_SEQ_TOKENS, AminoVocabulary, PrecomputedTextEncoder,
                         TrainableTextEncoder, atomic_open)
 
-CHECKPOINT_FORMAT = "protdat-ckpt-3"
+CHECKPOINT_FORMAT = "protdat-ckpt-4"
 
 
 class ModelError(ValueError):
@@ -58,7 +61,6 @@ class ModelConfig:
     c_size: int = 50
     d_text: int = 768
     ffn_dim: int = 0  # 0 -> 4 * d_model
-    text_provider: str = "trainable"
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -72,8 +74,6 @@ class ModelConfig:
             raise ModelError("head dimension must be even for rotary embeddings")
         if self.ffn_dim and self.ffn_dim < self.d_model:
             raise ModelError("ffn_dim must be >= d_model")
-        if self.text_provider not in ("trainable", "precomputed"):
-            raise ModelError(f"unknown text provider {self.text_provider!r}")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"unsupported dtype {self.dtype!r}")
 
@@ -160,7 +160,7 @@ class ModelParams:
 
     config: ModelConfig
     token_embedding: Tensor  # (AminoVocabulary.size, d_model), shared by sequence and slot ids
-    text_word_embedding: Tensor | None  # (n_words + 1, d_text), row 0 = UNK
+    text_word_embedding: Tensor | None  # (n_words + 1, d_text), row 0 = UNK; None: no words
     text_projection: LinearParams | None  # None when d_text == d_model (identity)
     layers: list[DecoderLayerParams]
     head: LinearParams  # (d_model, AminoVocabulary.size)
@@ -176,31 +176,28 @@ class ModelParams:
             p.zero_grad()
 
     def text_encoder(self, embedding_path=None):
-        """The text provider matching this model's configuration: the word
-        encoder of the trainable provider, which takes no embedding file, or
-        the precomputed encoder of ``embedding_path``, whose rows must all
-        be ``d_text`` wide."""
-        if self.config.text_provider == "trainable":
+        """The word encoder of this model's word list, which takes no embedding
+        file, or, without a word list, the precomputed encoder of
+        ``embedding_path``, which must be ``d_text`` wide."""
+        if self.text_words is not None:
             if embedding_path is not None:
-                raise ModelError(f"the trainable text provider reads no embedding file, "
+                raise ModelError(f"a model with a word list reads no embedding file, "
                                  f"got {embedding_path}")
-            return TrainableTextEncoder(self.text_words or [])
+            return TrainableTextEncoder(self.text_words)
         if embedding_path is None:
-            raise ModelError("precomputed text provider needs an embedding file path")
+            raise ModelError("a model without a word list needs an embedding file")
         encoder = PrecomputedTextEncoder(embedding_path)
-        d_text = self.config.d_text
-        widths = {encoder.d_text} | {d for _, _, d in encoder.records.values()}
-        if widths != {d_text}:
-            raise ModelError(f"embedding file {embedding_path} has d_text "
-                             f"{'/'.join(map(str, sorted(widths)))}, the model d_text {d_text}")
+        if encoder.d_text != self.config.d_text:
+            raise ModelError(f"embedding file {embedding_path} has d_text {encoder.d_text}, "
+                             f"the model d_text {self.config.d_text}")
         return encoder
 
 
 def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> ModelParams:
-    """The parameter tree of ``config``.  ``fill(shape, kind)`` makes each
-    array, ``kind`` being "normal", "zeros" or "ones"; it is called in one
-    fixed order, which fixes the random draws of ``init_params``.  The final
-    layer's text and slot tensors past its K/V are made, then dropped."""
+    """The parameter tree of ``config``, with a word table if ``text_words`` is
+    a list.  ``fill(shape, kind)`` makes each array ("normal", "zeros" or
+    "ones"), called in one fixed order, which fixes ``init_params``'s draws.
+    The final layer's text and slot tensors past its K/V are made, then dropped."""
     d, f = config.d_model, config.ffn
 
     def param(shape, kind):
@@ -238,11 +235,8 @@ def _build_params(config: ModelConfig, text_words: list[str] | None, fill) -> Mo
     for last in layers[-1:]:
         last.wo_t = last.ln2_t = last.ffn_t = last.ln2_c = last.ffn_c = None
     head = lin(d, AminoVocabulary.size)
-    text_word_embedding = None
-    if config.text_provider == "trainable":
-        if text_words is None:
-            raise ModelError("trainable text provider needs the training-split word list")
-        text_word_embedding = param((len(text_words) + 1, config.d_text), "normal")
+    text_word_embedding = (None if text_words is None
+                           else param((len(text_words) + 1, config.d_text), "normal"))
     return ModelParams(
         config=config,
         token_embedding=token_embedding,
@@ -271,7 +265,9 @@ def init_params(
 
 @dataclass
 class AttentionTrace:
-    """Per-layer head-averaged attention weights of a single-record forward."""
+    """Per-layer head-averaged attention weights of a single-record forward.
+    The final layer's ``ptm`` queries come from its ``wq_t``, which only a
+    traced forward reads: no gradient reaches it, so it keeps its initial values."""
 
     ptm: list[np.ndarray] = field(default_factory=list)  # (T, T)
     cim: list[np.ndarray] = field(default_factory=list)  # (c_size, T)

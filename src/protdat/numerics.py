@@ -269,11 +269,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out, (a, b) if bias is None else (a, b, bias), backward)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    in_shape = a.shape
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),))
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]

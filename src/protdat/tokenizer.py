@@ -11,7 +11,8 @@ record_id=None)`` of either provider: a trainable encoder gives
 the training split; a precomputed encoder gives ``(tokens, d_text)``
 float64 rows read from a binary container file (mirroring an external
 biomedical encoder).  Either way a text of no tokens is rejected and one
-past ``MAX_TEXT_TOKENS`` is truncated with a warning.
+past ``MAX_TEXT_TOKENS`` is truncated with a warning.  An embedding file
+has one width: its ``d_text``, which every record must share.
 
 At the bottom of the import graph, the module also holds ``atomic_open``,
 through which every file the package writes is written.
@@ -152,16 +153,19 @@ class PrecomputedTextEncoder:
             try:
                 manifest = json.loads(fh.readline().decode("utf-8"))
                 self.d_text = int(manifest["d_text"])
-                # record id -> (offset, tokens, d_text)
-                self.records = {
-                    rec_id: (int(meta["offset"]), int(meta["tokens"]),
-                             int(meta.get("d_text", self.d_text)))
-                    for rec_id, meta in manifest["records"].items()
-                }
+                records = manifest["records"].items()
+                self.records = {rec_id: (int(meta["offset"]), int(meta["tokens"]))
+                                for rec_id, meta in records}  # id -> (offset, tokens)
+                # a record may repeat the file's d_text (earlier writers did), not differ
+                other = [(rec_id, meta["d_text"]) for rec_id, meta in records
+                         if int(meta.get("d_text", self.d_text)) != self.d_text]
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise TokenizerError(f"malformed embedding manifest in {path}: {exc!r}") from exc
             self._blob_start = fh.tell()
-        if any(min(entry) < 0 for entry in self.records.values()):
+        if other:
+            raise TokenizerError(f"embedding file {path}: record {other[0][0]!r} has d_text "
+                                 f"{other[0][1]}, the file d_text {self.d_text}")
+        if self.d_text < 0 or any(min(entry) < 0 for entry in self.records.values()):
             raise TokenizerError(f"malformed embedding manifest in {path}: a negative offset, "
                                  "token count or d_text")
 
@@ -171,7 +175,7 @@ class PrecomputedTextEncoder:
             raise TokenizerError("empty text")
         if record_id is None or record_id not in self.records:
             raise TokenizerError(f"no precomputed embedding for record {record_id!r}")
-        offset, n, d = self.records[record_id]
+        (offset, n), d = self.records[record_id], self.d_text
         if n == 0:
             raise TokenizerError(f"precomputed embedding for record {record_id!r} has no tokens")
         if n > MAX_TEXT_TOKENS:
@@ -188,9 +192,9 @@ class PrecomputedTextEncoder:
 def write_embedding_file(path, entries: dict[str, np.ndarray]) -> None:
     """Write the precomputed-embedding container.
 
-    Layout: magic line, one-line JSON manifest (record id -> offset into
-    the blob, token count, d_text), then row-major little-endian float32
-    blocks in manifest insertion order.
+    Layout: magic line, one-line JSON manifest (the file's d_text, and
+    record id -> offset into the blob and token count), then row-major
+    little-endian float32 blocks in manifest insertion order.
     """
     if not entries:
         raise TokenizerError("no embedding entries to write")
@@ -203,11 +207,7 @@ def write_embedding_file(path, entries: dict[str, np.ndarray]) -> None:
         if matrix.ndim != 2 or matrix.shape[1] != d_text:
             raise TokenizerError(f"entry {rec_id!r} must be (tokens, {d_text})")
         raw = matrix.astype("<f4").tobytes(order="C")
-        manifest["records"][rec_id] = {
-            "offset": offset,
-            "tokens": int(matrix.shape[0]),
-            "d_text": d_text,
-        }
+        manifest["records"][rec_id] = {"offset": offset, "tokens": int(matrix.shape[0])}
         blobs.append(raw)
         offset += len(raw)
     with atomic_open(path, "wb") as fh:

@@ -238,8 +238,11 @@ def fit(
     """Train a fresh model; returns final parameters and the step log.
 
     Deterministic under ``seed``: initialization, epoch shuffles and
-    batch composition all derive from it.  When ``out_dir`` is given the
-    best-validation checkpoint and log files are written there.
+    batch composition all derive from it.  The model reads ``embedding_path``,
+    which must hold rows for every train and valid record, or else gets a
+    word table.
+    When ``out_dir`` is given the best-validation checkpoint and log files
+    are written there.
     """
     if epochs < 0:
         raise TrainingError("epochs must be >= 0")
@@ -249,12 +252,16 @@ def fit(
         raise TrainingError("empty training set")
     keep_heap()
     vocab = AminoVocabulary()
-    if model_config.text_provider == "trainable":
-        words = TrainableTextEncoder.build_vocabulary([r.text for r in train_records])
-        params = init_params(model_config, seed=seed, text_words=words)
-    else:
-        params = init_params(model_config, seed=seed)
+    words = (TrainableTextEncoder.build_vocabulary([r.text for r in train_records])
+             if embedding_path is None else None)
+    params = init_params(model_config, seed=seed, text_words=words)
     provider = params.text_encoder(embedding_path)
+    if embedding_path is not None:  # a record absent or of no rows would fail mid-run
+        missing = [r.id for r in train_records + valid_records
+                   if provider.records.get(r.id, (0, 0))[1] == 0]
+        if missing:
+            raise TrainingError(f"embedding file {embedding_path} has no rows for record "
+                                f"{missing[0]!r}")
     opt = OptimizerState(params, train_config)
     log = TrainLog()
     out_dir = Path(out_dir) if out_dir is not None else None

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from protdat import numerics as nx
 from protdat.data import ProteinRecord, make_batch
 from protdat.model import ModelConfig, init_params
+from protdat.numerics import Tensor
 from protdat.tokenizer import AminoVocabulary, TrainableTextEncoder
 
 
@@ -54,6 +56,18 @@ def tiny_model(config=None, seed=1, records=None):
         records, AminoVocabulary(), params.text_encoder(), config.c_size, dtype=config.np_dtype
     )
     return params, records, batch
+
+
+def total(x: Tensor) -> Tensor:
+    """The sum of the entries of ``x``, as a scalar op output to call backward
+    on: a row view of ``x``, a product with a ones column and a scalar view,
+    each view an op made here through ``numerics._make``."""
+    def view(t, shape):
+        in_shape = t.shape
+        return nx._make(t.data.reshape(shape), (t,), lambda g: (g.reshape(in_shape),))
+
+    row = view(x, (1, -1))
+    return view(nx.matmul(row, Tensor(np.ones((row.shape[1], 1), dtype=x.dtype))), ())
 
 
 def scale_weights(params, factor: float) -> None:

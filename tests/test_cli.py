@@ -210,7 +210,6 @@ def test_generate_nan_setting_is_a_one_line_error(flags, message, trained_ckpt, 
     ("--clip-norm", "-1", "TrainingError: clip_norm must be null or finite and > 0"),
     ("--clip-norm", "nan", "TrainingError: clip_norm must be null or finite and > 0"),
     ("--dtype", "float16", "ModelError: unsupported dtype 'float16'"),
-    ("--text-provider", "frozen", "ModelError: unknown text provider 'frozen'"),
     ("--max-steps", "0", "TrainingError: max_steps must be >= 1"),
     ("--epochs", "-1", "TrainingError: epochs must be >= 0"),
     ("--seed", "-1", "DatasetError: seed must be >= 0"),
@@ -309,6 +308,30 @@ def test_prepare_data_rejects_bad_file(tmp_path, capsys):
     assert len((tmp_path / "o" / "errors.txt").read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("command", ["prepare-data", "train", "export-attention"])
+def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(command, toy_dataset, trained_ckpt,
+                                                            tmp_path, capsys):
+    out = tmp_path / "out"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps({"id": f"r{i}", "text": "FUNCTION: ok.", "sequence": "MAV1"})
+                           + "\n" for i in range(4)))
+    good, rerun = {
+        "prepare-data": (["--data", str(toy_dataset)], ["--data", str(bad)]),
+        "train": (["--data", str(toy_dataset), "--epochs", "0", *TINY_FLAGS],
+                  ["--data", str(toy_dataset), "--max-steps", "0", *TINY_FLAGS]),
+        "export-attention": (["--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT, "--max-len", "4"],
+                             ["--ckpt", str(trained_ckpt), "--text", TABLE4_TEXT,
+                              "--mode", "text+fragment"]),
+    }[command]
+    assert run_command([command, *good, "--out", str(out)]) == 0
+    assert (out / "run_manifest.json").exists()
+    assert run_command([command, *rerun, "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert not (out / "run_manifest.json").exists()
+    if command == "prepare-data":  # the rerun's own output is there
+        assert len((out / "errors.txt").read_text().splitlines()) == 4
+
+
 # each file a command writes, and the command; {ckpt}, {data}, {bad}, {fasta} and
 # {out} stand for the paths of the test below
 GENERATE = ["generate", "--ckpt", "{ckpt}", "--text", TABLE4_TEXT, "--num", "2", "--max-len", "8"]
@@ -350,8 +373,10 @@ def test_failed_output_write_leaves_no_partial_file(name, argv, previous, traine
         run_command([arg.format(**paths) for arg in argv])
     capsys.readouterr()
     assert not (out / f"{name}.tmp").exists()
-    assert (out / name).exists() == bool(previous)
-    if previous:
+    # a run into an output directory first removes the manifest of the run before
+    kept = bool(previous) and name != "run_manifest.json"
+    assert (out / name).exists() == kept
+    if kept:
         assert (out / name).read_bytes() == previous
 
 
@@ -449,9 +474,11 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_unknown_flag_exits_2(toy_dataset, capsys):
-    assert run_command(["train", "--data", str(toy_dataset), "--bogus"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("flag", [["--bogus"], ["--text-provider", "precomputed"]],
+                         ids=["bogus", "text-provider"])
+def test_unknown_flag_exits_2(toy_dataset, capsys, flag):
+    assert run_command(["train", "--data", str(toy_dataset), *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_is_reported_as_error(capsys):
@@ -500,6 +527,8 @@ def test_config_file_with_flag_precedence(tmp_path, toy_dataset):
     # the seed, which is set at the top level only
     pytest.param("model", "vocab_size", id="model.vocab_size"),
     pytest.param("model", "max_seq", id="model.max_seq"),
+    # the text source follows from the embedding file, or its absence
+    pytest.param("model", "text_provider", id="model.text_provider"),
     pytest.param("training", "beta1", id="training.beta1"),
     pytest.param("generation", "seed", id="generation.seed"),
 ])
@@ -579,33 +608,97 @@ def test_malformed_embedding_manifest_is_a_one_line_error(tmp_path, toy_dataset,
                                                           manifest):
     emb = tmp_path / "emb.bin"
     emb.write_bytes(f"{EMBED_FILE_MAGIC}\n{json.dumps(manifest)}\n".encode())
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text(yaml.safe_dump({"model": {"text_provider": "precomputed"}}))
     out = tmp_path / "run"
-    assert run_command(["train", "--config", str(cfg), "--data", str(toy_dataset),
-                        "--embeddings", str(emb), "--out", str(out), *TINY_FLAGS]) == 1
+    assert run_command(["train", "--data", str(toy_dataset), "--embeddings", str(emb),
+                        "--out", str(out), *TINY_FLAGS]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"].startswith("TokenizerError: malformed embedding manifest")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("provider, d_text, error", [
-    ("trainable", 16, "the trainable text provider reads no embedding file, got {emb}"),
-    ("precomputed", 8, "embedding file {emb} has d_text 8, the model d_text 16"),
-], ids=["trainable", "precomputed"])
-def test_embedding_file_that_does_not_fit_the_model_is_a_one_line_error(
-        tmp_path, toy_dataset, capsys, provider, d_text, error):
+@pytest.mark.parametrize("d_text, n_records, error", [
+    (8, 12, "ModelError: embedding file {emb} has d_text 8, the model d_text 16"),
+    (16, 11, "TrainingError: embedding file {emb} has no rows for record 'toy-0011'"),
+], ids=["another-width", "missing-record"])
+def test_embedding_file_that_does_not_fit_the_run_is_a_one_line_error(
+        tmp_path, toy_dataset, capsys, d_text, n_records, error):
     emb = tmp_path / "emb.bin"
-    write_embedding_file(emb, {r.id: np.ones((3, d_text), dtype=np.float32)
-                               for r in synthetic_records(12, seed=0, min_len=8, max_len=16)})
+    records = synthetic_records(12, seed=0, min_len=8, max_len=16)[:n_records]
+    write_embedding_file(emb, {r.id: np.ones((3, d_text), dtype=np.float32) for r in records})
     out = tmp_path / "run"
-    assert run_command(["train", "--data", str(toy_dataset), "--text-provider", provider,
-                        "--embeddings", str(emb), "--out", str(out), *TINY_FLAGS]) == 1
+    assert run_command(["train", "--data", str(toy_dataset), "--embeddings", str(emb),
+                        "--out", str(out), *TINY_FLAGS]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "ModelError: " + error.format(emb=emb)
+    assert json.loads(err)["error"] == error.format(emb=emb)
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def precomputed_run(tmp_path_factory, toy_dataset):
+    """(embedding file, checkpoint) of ``train --embeddings`` on the toy dataset,
+    with d_text 12 against d_model 16."""
+    out = tmp_path_factory.mktemp("precomputed")
+    rng = np.random.default_rng(5)
+    emb = out / "emb.bin"
+    write_embedding_file(emb, {r.id: rng.normal(size=(4, 12)).astype(np.float32)
+                               for r in synthetic_records(12, seed=0, min_len=8, max_len=16)})
+    flags = [*TINY_FLAGS]
+    flags[flags.index("--d-text") + 1] = "12"
+    assert run_command(["train", "--data", str(toy_dataset), "--embeddings", str(emb),
+                        "--out", str(out / "run"), "--epochs", "2", "--seed", "3",
+                        "--lr", "1e-3", *flags]) == 0
+    return emb, out / "run" / "model.ckpt"
+
+
+def test_train_with_an_embedding_file_makes_a_model_without_a_word_list(precomputed_run):
+    emb, ckpt = precomputed_run
+    params = load_checkpoint(ckpt)
+    assert params.text_words is None and params.text_word_embedding is None
+    assert params.text_projection.w.shape == (12, 16)
+    assert b'"text_words": null' in ckpt.read_bytes().split(b"\n", 2)[1]
+
+
+def test_precomputed_checkpoint_generates_sweeps_and_exports_byte_identically(
+        precomputed_run, toy_dataset, tmp_path, capsys):
+    emb, ckpt = precomputed_run
+    record_id = synthetic_records(12, seed=0, min_len=8, max_len=16)[0].id
+    prompt = ["--ckpt", str(ckpt), "--text", TABLE4_TEXT, "--embeddings", str(emb),
+              "--record-id", record_id, "--seed", "4"]
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        commands = [
+            ["generate", *prompt, "--num", "2", "--max-len", "10", "--out", str(out / "gen.fasta")],
+            ["sweep", "--ckpt", str(ckpt), "--data", str(toy_dataset), "--embeddings", str(emb),
+             "--limit", "3", "--top-p", "0.9", "--temperature", "0.7,1.3", "--max-len", "8",
+             "--seed", "4", "--out", str(out / "sweep.csv")],
+            ["export-attention", *prompt, "--max-len", "6", "--out", str(out / "maps")],
+        ]
+        out.mkdir()
+        assert [run_command(argv) for argv in commands] == [0, 0, 0]
+        capsys.readouterr()
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.fasta"))
+                        + sorted(out.rglob("*.csv"))})
+    assert len(outputs[0]) == 8  # FASTA, sweep, and ptm/cim/cca of the one layer and the mean
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("case", ["word-list-with-file", "no-word-list-no-file"])
+def test_checkpoint_and_embedding_file_that_do_not_match_are_a_one_line_error(
+        case, trained_ckpt, precomputed_run, capsys):
+    emb, precomputed_ckpt = precomputed_run
+    if case == "word-list-with-file":
+        argv = ["--ckpt", str(trained_ckpt), "--embeddings", str(emb)]
+        error = f"ModelError: a model with a word list reads no embedding file, got {emb}"
+    else:
+        argv = ["--ckpt", str(precomputed_ckpt)]
+        error = "ModelError: a model without a word list needs an embedding file"
+    assert run_command(["generate", "--text", TABLE4_TEXT, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
 
 
 @pytest.mark.parametrize("text", ["- 16\n- 32\n", "just words\n"], ids=["list", "scalar"])

@@ -4,6 +4,9 @@ The runs are deterministic under their seeds, so an arithmetic change that
 moves a single bit of a loss, a weight or a sampled residue changes one of
 these sha256 digests.  A change that moves a digest on purpose updates the
 constant here and records the old and new values in CHANGES.md.
+``model.ckpt`` is pinned twice: the whole file, whose manifest names the
+checkpoint format, and its tensor blob alone (the bytes after the two
+header lines), which only the trained weights move.
 
 The digests depend on numpy's BLAS and the CPU.  They were pinned on
 numpy 2.4.6 with scipy-openblas 0.3.31 (DYNAMIC_ARCH), Python 3.11, x86-64;
@@ -22,14 +25,15 @@ TINY_FLAGS = [
 
 EXPECTED = {
     "train_log.jsonl": "0430f193f85999a18710507e8c3878f4d079150d620ad9609a01740688d09be0",
-    "model.ckpt": "b325c6f190b129a17f8a2780103811992983f18ac7ddc26692d418d8b136f688",
+    "model.ckpt": "88b17fcbeb7ab17597a78a816c81e13aa71f2b95b5f451d78ade80d36bcc5511",
     "gen.fasta": "f36c28257505bd6467b3b98c731a7bb9f0c55e5ead792021b8a1dedb98baec45",
     "sweep.csv": "243a71a58ceadfc58fb55d4c514a79882fdfd3174a8ebb59eea4437e142b7b86",
 }
+CKPT_BLOB = "5d3c1ba3c8771c8a37728932cbcad501bf3ede75038b01e7a011d3974551a11a"
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()
 
 
 def test_tiny_run_outputs_match_pinned_digests(tmp_path):
@@ -54,4 +58,5 @@ def test_tiny_run_outputs_match_pinned_digests(tmp_path):
          "--temperature", "0.7,1.3", "--max-len", "12", "--seed", "7",
          "--out", str(out / "sweep.csv")]
     ) == 0
-    assert {name: _sha256(out / name) for name in EXPECTED} == EXPECTED
+    assert {name: _sha256((out / name).read_bytes()) for name in EXPECTED} == EXPECTED
+    assert _sha256(ckpt.read_bytes().split(b"\n", 2)[2]) == CKPT_BLOB

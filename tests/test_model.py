@@ -35,8 +35,6 @@ def test_config_validation():
     ModelConfig(d_model=16, n_heads=4)  # head_dim 4, even: ok
     with pytest.raises(ModelError):
         ModelConfig(ffn_dim=10)
-    with pytest.raises(ModelError):
-        ModelConfig(text_provider="bert")
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -389,8 +387,7 @@ def n_parameters(params) -> int:
 
 def test_count_parameters_closed_form():
     cfg = ModelConfig(
-        d_model=8, n_layers=2, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
-        text_provider="precomputed", dtype="float64",
+        d_model=8, n_layers=2, n_heads=2, c_size=2, d_text=8, ffn_dim=16, dtype="float64",
     )
     params = init_params(cfg, seed=0)
     d, f, v = 8, 16, 29
@@ -404,8 +401,7 @@ def test_count_parameters_closed_form():
 
 
 def test_count_parameters_layer_additivity():
-    base = dict(d_model=8, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
-                text_provider="precomputed", dtype="float64")
+    base = dict(d_model=8, n_heads=2, c_size=2, d_text=8, ffn_dim=16, dtype="float64")
     one = n_parameters(init_params(ModelConfig(n_layers=1, **base), seed=0))
     two = n_parameters(init_params(ModelConfig(n_layers=2, **base), seed=0))
     three = n_parameters(init_params(ModelConfig(n_layers=3, **base), seed=0))
@@ -414,7 +410,7 @@ def test_count_parameters_layer_additivity():
 
 def test_shared_embedding_counted_once():
     cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, c_size=2, d_text=8, ffn_dim=16,
-                      text_provider="precomputed", dtype="float64")
+                      dtype="float64")
     params = init_params(cfg, seed=0)
     names = [n for n, _ in params.named_parameters()]
     assert names.count("token_embedding") == 1
@@ -477,28 +473,29 @@ def test_batch_built_for_another_c_size_is_a_one_line_error():
 def test_text_encoder_rejects_an_embedding_file_of_another_width(tmp_path, d_text):
     path = tmp_path / "emb.bin"
     write_embedding_file(path, {"r1": np.ones((2, 8), dtype=np.float32)})
-    params = init_params(tiny_config(d_text=d_text, text_provider="precomputed"), seed=0)
+    params = init_params(tiny_config(d_text=d_text), seed=0)
     with pytest.raises(ModelError, match=f"^embedding file {re.escape(str(path))} has d_text 8, "
                                          f"the model d_text {d_text}$"):
         params.text_encoder(path)
 
 
-def test_text_encoder_rejects_a_record_of_another_width(tmp_path):
-    path = tmp_path / "emb.bin"
-    write_embedding_file(path, {"r1": np.ones((2, 8), dtype=np.float32)})
-    head, manifest, blob = path.read_bytes().split(b"\n", 2)
-    manifest = json.loads(manifest)
-    manifest["records"]["r2"] = {"offset": 0, "tokens": 1, "d_text": 4}
-    path.write_bytes(b"\n".join([head, json.dumps(manifest).encode(), blob]))
-    params = init_params(tiny_config(d_text=8, text_provider="precomputed"), seed=0)
-    with pytest.raises(ModelError, match="has d_text 4/8, the model d_text 8$"):
-        params.text_encoder(path)
-
-
-def test_trainable_text_encoder_takes_no_embedding_file(tmp_path):
+def test_a_model_with_a_word_list_takes_no_embedding_file(tmp_path):
     params, _, _ = tiny_model()
-    with pytest.raises(ModelError, match="the trainable text provider reads no embedding file"):
+    with pytest.raises(ModelError, match="^a model with a word list reads no embedding file"):
         params.text_encoder(tmp_path / "emb.bin")
+
+
+@pytest.mark.parametrize("words", [None, []], ids=["no-word-list", "empty-word-list"])
+def test_the_word_list_decides_the_word_table(words):
+    params = init_params(tiny_config(), seed=0, text_words=words)
+    if words is None:
+        assert params.text_word_embedding is None
+        with pytest.raises(ModelError, match="^a model without a word list needs an embedding "
+                                             "file$"):
+            params.text_encoder()
+    else:  # only the UNK row
+        assert params.text_word_embedding.shape == (1, 16)
+        assert params.text_encoder().encode("any words").tolist() == [0, 0]
 
 
 # -- persistence ---------------------------------------------------------------

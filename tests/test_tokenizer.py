@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +156,26 @@ def test_precomputed_round_trips_exact_rows(tmp_path):
     assert np.array_equal(out, rows["rec-a"].astype(np.float64))
     out_b = enc.encode("anything", record_id="rec-b")
     assert np.array_equal(out_b, rows["rec-b"].astype(np.float64))
+
+
+def test_precomputed_file_has_one_width(tmp_path):
+    path = tmp_path / "emb.bin"
+    write_embedding_file(path, {"r1": np.ones((2, 8), dtype=np.float32),
+                                "r2": np.ones((1, 8), dtype=np.float32)})
+    head, manifest, blob = path.read_bytes().split(b"\n", 2)
+    manifest = json.loads(manifest)
+    assert manifest == {"d_text": 8, "records": {"r1": {"offset": 0, "tokens": 2},
+                                                 "r2": {"offset": 64, "tokens": 1}}}
+    assert PrecomputedTextEncoder(path).records == {"r1": (0, 2), "r2": (64, 1)}
+    # a record may repeat the file's width, as files of earlier writers do
+    manifest["records"]["r1"]["d_text"] = 8
+    path.write_bytes(b"\n".join([head, json.dumps(manifest).encode(), blob]))
+    assert PrecomputedTextEncoder(path).encode("text", record_id="r1").shape == (2, 8)
+    manifest["records"]["r2"]["d_text"] = 4
+    path.write_bytes(b"\n".join([head, json.dumps(manifest).encode(), blob]))
+    with pytest.raises(TokenizerError, match=f"^embedding file {re.escape(str(path))}: record "
+                                             "'r2' has d_text 4, the file d_text 8$"):
+        PrecomputedTextEncoder(path)
 
 
 def test_precomputed_rejects_missing_record(tmp_path):

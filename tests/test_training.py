@@ -1,16 +1,18 @@
 import gc
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from protdat import numerics as nx
+from protdat import training
 from protdat.data import make_batch, synthetic_records
 from protdat.model import init_params
 from protdat.numerics import Tensor
-from protdat.tokenizer import AminoVocabulary
+from protdat.tokenizer import AminoVocabulary, write_embedding_file
 from protdat.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -26,7 +28,7 @@ from protdat.training import (
     training_step,
 )
 
-from conftest import tiny_config, tiny_model
+from conftest import tiny_config, tiny_model, total
 
 
 def _snapshot(params):
@@ -296,7 +298,7 @@ def test_clip_gradients_scales_to_max_norm():
 def test_clip_gradients_scales_a_shared_gradient_array_once():
     p = Tensor(np.ones(4), requires_grad=True)
     q = Tensor(np.ones(4), requires_grad=True)
-    nx.matmul(nx.reshape(nx.add(p, q), (1, 4)), Tensor(np.ones((4, 1)))).backward()
+    total(nx.add(p, q)).backward()
     assert np.shares_memory(p.grad, q.grad)  # add handed both parameters one array
     params = SimpleNamespace(named_parameters=lambda: [("p", p), ("q", q)])
     norm = clip_gradients(params, 1.0)
@@ -391,16 +393,36 @@ def test_precomputed_provider_pipeline_with_text_projection(tmp_path):
         emb_path,
         {r.id: rng.normal(size=(6, 8)).astype(np.float32) for r in records},
     )
-    cfg = tiny_config(d_text=8, text_provider="precomputed", dtype="float32")
+    cfg = tiny_config(d_text=8, dtype="float32")
     params, log = fit(records, [], cfg, TrainingConfig(batch_size=2, lr=1e-3),
                       epochs=2, seed=1, embedding_path=emb_path)
-    assert params.text_projection is not None
+    assert params.text_projection is not None and params.text_words is None
     assert len(log.losses("train")) == 4
     result = generate(
-        PromptSpec(mode=MODE_TEXT_ONLY, text=records[0].text),
+        PromptSpec(mode=MODE_TEXT_ONLY, text=records[0].text, record_id=records[0].id),
         params,
         GenerationParams(max_len=6, seed=0),
         text_provider=params.text_encoder(emb_path),
-        record_id=records[0].id,
     )
     assert len(result.sequence) <= 6
+
+
+@pytest.mark.parametrize("split, rows", [("train", None), ("valid", None), ("train", 0)],
+                         ids=["train-missing", "valid-missing", "train-no-rows"])
+def test_fit_rejects_an_embedding_file_missing_a_record_before_any_step(split, rows, tmp_path,
+                                                                         monkeypatch):
+    records = synthetic_records(6, seed=2, min_len=8, max_len=12)
+    train, valid = records[:4], records[4:]
+    absent = (train if split == "train" else valid)[-1].id
+    emb_path = tmp_path / "emb.bin"
+    write_embedding_file(emb_path, {r.id: np.ones((3 if r.id != absent else rows, 16),
+                                                  dtype=np.float32)
+                                    for r in records if r.id != absent or rows is not None})
+    steps = []
+    monkeypatch.setattr(training, "training_step", lambda *args: steps.append(args))
+    out = tmp_path / "run"
+    with pytest.raises(TrainingError, match=f"^embedding file {re.escape(str(emb_path))} has no "
+                                            f"rows for record {absent!r}$"):
+        fit(train, valid, tiny_config(), TrainingConfig(batch_size=2), epochs=1, seed=0,
+            out_dir=out, embedding_path=emb_path)
+    assert steps == [] and not out.exists()
