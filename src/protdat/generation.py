@@ -28,7 +28,6 @@ import numpy as np
 from . import numerics as nx
 from .data import assemble_batch, check_types
 from .model import AttentionTrace, ModelParams, model_forward, prompt_forward, sequence_forward
-from .numerics import softmax_with_temperature
 from .tokenizer import MAX_SEQ_TOKENS, AminoVocabulary
 
 MODE_TEXT_ONLY = "text-only"
@@ -128,6 +127,24 @@ def nucleus_filter(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndar
     kept = order[:cut]
     kept_probs = sorted_probs[:cut]
     return kept, kept_probs / kept_probs.sum()
+
+
+def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """Stable softmax of a vector of logits scaled by 1/temperature.
+
+    A -inf logit is a blocked token: its probability is exactly 0.  NaN,
+    +inf and a vector with no finite logit are rejected."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 1 or logits.size == 0:
+        raise nx.NumericsError("softmax_with_temperature: need a non-empty vector")
+    if not (temperature > 0):
+        raise nx.NumericsError("softmax_with_temperature: temperature must be > 0")
+    z = logits / temperature
+    top = z.max()  # NaN if any logit is NaN
+    if not np.isfinite(top):
+        raise nx.NumericsError("softmax_with_temperature: NaN, +inf or no finite logit")
+    e = np.exp(z - top)
+    return e / e.sum()
 
 
 def sample_token(logits: np.ndarray, history: set[int], gp: GenerationParams,

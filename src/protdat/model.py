@@ -252,6 +252,8 @@ def init_params(
     config: ModelConfig, seed: int = 0, text_words: list[str] | None = None
 ) -> ModelParams:
     """Fresh parameters: normal(0, 0.02) weights, zero biases, unit norms."""
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     dt = config.np_dtype
 

@@ -40,6 +40,9 @@ into an input's ``.data`` (an unmasked softmax's scores are another op's
 output) or into an array saved for the backward pass.  Each applies the
 same operations to the same operands in the same order as the plain
 expression it replaces, so its results equal that expression's bit for bit.
+A closure re-forms, rather than keeps, an intermediate that its kept arrays
+give back bit for bit through the forward's own calls: layer norm's ``xhat``
+from ``xc`` and ``inv``, GELU's tanh term from its input.
 
 Precision is carried by the underlying arrays: float32 for training speed,
 float64 for gradient checks.  Integer powers of float32 arrays are written
@@ -299,18 +302,23 @@ def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (as in GPT-style stacks)."""
     c = math.sqrt(2.0 / math.pi)
     xd = x.data
-    # t = tanh(c * (x + 0.044715 * (x * x * x)))
-    t = np.multiply(xd, xd)
-    t *= xd
-    t *= 0.044715
-    np.add(xd, t, out=t)
-    t *= c
-    np.tanh(t, out=t)
-    out = np.add(t, 1.0)  # 0.5 * x * (1 + t)
+
+    def tanh_term() -> np.ndarray:
+        # t = tanh(c * (x + 0.044715 * (x * x * x)))
+        t = np.multiply(xd, xd)
+        t *= xd
+        t *= 0.044715
+        np.add(xd, t, out=t)
+        t *= c
+        return np.tanh(t, out=t)
+
+    out = tanh_term()
+    out += 1.0  # 0.5 * x * (1 + t)
     out *= np.multiply(xd, 0.5)
 
     def backward(g):
         # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3 * 0.044715 * (x * x)))
+        t = tanh_term()
         dx = np.multiply(xd, 0.5)
         tmp = np.multiply(t, t)
         np.subtract(1.0, tmp, out=tmp)
@@ -343,8 +351,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xc = np.subtract(x.data, x.data.sum(axis=-1, keepdims=True) / d)
     sq = np.multiply(xc, xc)
     inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
-    xhat = np.multiply(xc, inv, out=sq)
-    out = np.multiply(gamma.data, xhat)
+    out = np.multiply(gamma.data, np.multiply(xc, inv, out=sq))  # gamma * xhat
     out += beta.data
 
     def backward(g):
@@ -358,7 +365,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dx += dxhat
         dx += dmu / d
         lead = tuple(range(g.ndim - 1))
-        return dx, np.multiply(g, xhat, out=dxhat).sum(axis=lead), g.sum(axis=lead)
+        xhat = np.multiply(xc, inv, out=dxhat)  # the forward's xhat, bit for bit
+        return dx, np.multiply(g, xhat, out=xhat).sum(axis=lead), g.sum(axis=lead)
 
     return _make(out, (x, gamma, beta), backward)
 
@@ -373,10 +381,10 @@ def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
     if visible is None:
         p = scores.data - scores.data.max(axis=-1, keepdims=True)
     else:
-        vis = np.broadcast_to(np.asarray(visible, dtype=bool), scores.shape)
-        if not vis.any(axis=-1).all():
+        vis = np.asarray(visible, dtype=bool)
+        if not vis.any(axis=-1).all():  # before the broadcast, which repeats rows
             raise NumericsError("masked_softmax: a query row has no visible key")
-        p = np.where(vis, scores.data, -np.inf)
+        p = np.where(np.broadcast_to(vis, scores.shape), scores.data, -np.inf)
         p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
@@ -498,25 +506,6 @@ def masked_attention(
 
 
 # -- losses and standalone kernels ------------------------------------------
-
-
-def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Stable softmax of a vector of logits scaled by 1/temperature.
-
-    A -inf logit is a blocked token: its probability is exactly 0.  NaN,
-    +inf and a vector with no finite logit are rejected."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise NumericsError("softmax_with_temperature: need a non-empty vector")
-    if not (temperature > 0):
-        raise NumericsError("softmax_with_temperature: temperature must be > 0")
-    z = logits / temperature
-    top = z.max()  # NaN if any logit is NaN
-    if not np.isfinite(top):
-        raise NumericsError("softmax_with_temperature: NaN, +inf or no finite logit")
-    z = z - top
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def next_token_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int) -> Tensor:

@@ -246,6 +246,8 @@ def fit(
     """
     if epochs < 0:
         raise TrainingError("epochs must be >= 0")
+    if seed < 0:
+        raise TrainingError(f"seed must be >= 0, got {seed}")
     if max_steps is not None and max_steps < 1:
         raise TrainingError("max_steps must be >= 1")
     if not train_records:

@@ -28,6 +28,7 @@ from protdat.generation import (
     generate,
     nucleus_filter,
     sample_token,
+    softmax_with_temperature,
 )
 from protdat.model import (
     ModelConfig,
@@ -36,7 +37,7 @@ from protdat.model import (
     model_forward,
     save_checkpoint,
 )
-from protdat.numerics import finite_difference_grad_check, softmax_with_temperature
+from protdat.numerics import finite_difference_grad_check
 from protdat.tokenizer import AminoVocabulary, RESIDUES
 from protdat.training import TrainingConfig, fit
 

@@ -22,10 +22,11 @@ from protdat.generation import (
     generate_candidates,
     nucleus_filter,
     sample_token,
+    softmax_with_temperature,
     write_fasta,
 )
 from protdat.model import model_forward, prompt_forward, sequence_forward
-from protdat.numerics import Tensor, softmax_with_temperature
+from protdat.numerics import Tensor
 from protdat.tokenizer import AminoVocabulary
 from protdat.training import TrainingConfig, fit
 

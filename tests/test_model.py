@@ -48,6 +48,11 @@ def test_config_rejects_out_of_range_and_ill_typed_sizes(field, value, message):
         tiny_config(**{field: value})
 
 
+def test_init_params_rejects_a_negative_seed():
+    with pytest.raises(ModelError, match="^seed must be >= 0, got -1$"):
+        init_params(tiny_config(), seed=-1, text_words=["a"])
+
+
 def test_mcm_shapes_and_trace_shapes():
     cfg = tiny_config(d_model=8, n_heads=2, c_size=3, ffn_dim=16, n_layers=2)
     params = init_params(cfg, seed=0, text_words=["a", "b"])

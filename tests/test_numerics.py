@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protdat import numerics as nx
+from protdat.generation import softmax_with_temperature
 from protdat.numerics import (
     ROPE_BASE,
     NumericsError,
@@ -17,7 +18,6 @@ from protdat.numerics import (
     masked_attention,
     next_token_cross_entropy,
     rope_rotate,
-    softmax_with_temperature,
 )
 from protdat.tokenizer import MAX_SEQ_TOKENS
 
@@ -247,6 +247,15 @@ def test_attention_rejects_fully_blocked_row(rng):
         masked_attention(q, kv, kv, visible, 2)
 
 
+def test_masked_softmax_rejects_a_head_broadcast_mask_with_a_row_that_sees_no_key(rng):
+    scores = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    visible = np.ones((2, 1, 4, 5), dtype=bool)  # one mask row for all 3 heads
+    nx.masked_softmax(scores, visible)
+    visible[1, 0, 2] = False
+    with pytest.raises(NumericsError, match="no visible key"):
+        nx.masked_softmax(scores, visible)
+
+
 def test_attention_rejects_bad_shapes(rng):
     q = Tensor(rng.normal(size=(2, 8)))
     k = Tensor(rng.normal(size=(3, 8)))
@@ -397,6 +406,58 @@ def test_buffered_kernel_writes_no_input_gradient_or_saved_array(name, rng):
     _, want_grads = BUFFERED_KERNELS[name][1](*arrays, g)
     for got, want in zip(grads, want_grads):
         assert got.tobytes() == want.tobytes()
+
+
+def _odd_offset_view(a):
+    """A copy of ``a`` that is a view one element into a larger array."""
+    view = np.concatenate([np.zeros(1, dtype=a.dtype), a.ravel()])[1:].reshape(a.shape)
+    assert not view.flags.owndata
+    return view
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+@pytest.mark.parametrize("name", ["gelu", "layer_norm"])
+def test_re_forming_kernel_equals_plain_formula_bitwise_on_views_in_each_backward(name, dtype,
+                                                                                  rng):
+    """GELU's backward re-forms the tanh term and layer norm's re-forms xhat
+    from the arrays their closures keep; with inputs and ``g`` that are views at
+    an odd element offset, two backward passes both give the formula's bits."""
+    shape = (3, 5, 24)
+    arrays = [_odd_offset_view(a) for a in _kernel_inputs(name, shape, dtype, rng)]
+    g = _odd_offset_view(rng.normal(size=shape).astype(dtype))
+    out = _forward(name, arrays)
+    want_out, want_grads = BUFFERED_KERNELS[name][1](*arrays, g)
+    _assert_bitwise([out.data], [want_out], dtype)
+    for _ in range(2):
+        _assert_bitwise(out._backward(g), want_grads, dtype)
+
+
+def _held_arrays(backward) -> list[np.ndarray]:
+    """The distinct arrays a backward closure holds: in its cells, in the
+    cells of the closures it calls and in the Tensors it reads."""
+    held, stack = {}, [backward]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Tensor):
+            obj = obj.data
+        if isinstance(obj, np.ndarray):
+            held[id(obj)] = obj
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(held.values())
+
+
+def test_gelu_and_layer_norm_backward_hold_no_array_they_re_form(rng):
+    x = Tensor(rng.normal(size=(2, 3, 8)).astype(np.float32), requires_grad=True)
+    gamma, beta = (Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
+                   for _ in range(2))
+    held = _held_arrays(nx.gelu(x)._backward)
+    assert len(held) == 1 and held[0] is x.data  # not the tanh term
+    held = _held_arrays(layer_norm(x, gamma, beta)._backward)  # xc, inv and gamma; not xhat
+    assert sorted(a.shape for a in held) == [(2, 3, 1), (2, 3, 8), (8,)]
+    assert any(a is gamma.data for a in held)
+    xc = next(a for a in held if a.shape == x.shape)
+    assert xc.tobytes() == np.subtract(x.data, x.data.sum(axis=-1, keepdims=True) / 8).tobytes()
 
 
 # -- fused primitives against their compositions ----------------------------------
@@ -775,9 +836,11 @@ def test_backward_keeps_gradients_only_on_parameters():
     assert with_grad == reached
 
 
-# Whether a primitive's backward reads its input's array (each of the others
-# keeps what it reads from its own forward pass): the graph must keep the
-# array alive for such a backward, and for no other.
+# Whether a primitive's backward reads its input's array: GELU's re-forms its
+# tanh term from it rather than keep the term.  Each of the others keeps what
+# it reads from its own forward pass; layer norm keeps xc and inv, and re-forms
+# xhat from them.  The graph must keep the input's array alive for a backward
+# that reads it, and for no other.
 BACKWARD_READS_INPUT = {"add": False, "concat": False, "layer_norm": False,
                         "masked_softmax": False, "rope_rotate": False, "gelu": True}
 

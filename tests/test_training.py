@@ -381,6 +381,17 @@ def test_fit_rejects_a_negative_epoch_count_or_a_step_cap_below_one(kwargs, mess
     assert not list(tmp_path.iterdir())
 
 
+def test_fit_rejects_a_negative_seed_before_it_touches_the_heap_or_the_disk(tmp_path,
+                                                                           monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "keep_heap", lambda: calls.append("keep_heap"))
+    out = tmp_path / "run"
+    with pytest.raises(TrainingError, match="^seed must be >= 0, got -1$"):
+        fit(synthetic_records(4, seed=1, min_len=8, max_len=12), [], tiny_config(),
+            TrainingConfig(), epochs=1, seed=-1, out_dir=out)
+    assert calls == [] and not out.exists()
+
+
 def test_precomputed_provider_pipeline_with_text_projection(tmp_path):
     """End to end over the embedding-file path, d_text != d_model."""
     from protdat.generation import MODE_TEXT_ONLY, GenerationParams, PromptSpec, generate
