@@ -46,7 +46,7 @@ from .numerics import Tensor
 from .tokenizer import (MAX_SEQ_TOKENS, AminoVocabulary, PrecomputedTextEncoder,
                         TrainableTextEncoder, atomic_open)
 
-CHECKPOINT_FORMAT = "protdat-ckpt-4"
+CHECKPOINT_FORMAT = "protdat-ckpt-5"
 
 
 class ModelError(ValueError):
@@ -442,8 +442,9 @@ def model_forward(batch: Batch, params: ModelParams, trace: bool = False):
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a checkpoint: format line, JSON manifest, float32 LE blocks."""
+    """Write a checkpoint: format line, JSON manifest, LE blocks in the config's dtype."""
     named = params.named_parameters()
+    block = np.dtype(params.config.np_dtype).newbyteorder("<")
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
@@ -454,7 +455,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write((CHECKPOINT_FORMAT + "\n").encode("ascii"))
         fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
         for _, p in named:
-            fh.write(p.data.astype("<f4").tobytes(order="C"))
+            fh.write(p.data.astype(block, copy=False).tobytes(order="C"))
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -475,7 +476,7 @@ def load_checkpoint(path) -> ModelParams:
         if words is not None and not (isinstance(words, list)
                                       and all(isinstance(w, str) for w in words)):
             raise ModelError("checkpoint manifest: text_words must be null or a list of strings")
-        dt = config.np_dtype
+        dt = np.dtype(config.np_dtype)
         # every array is read from the file below, so each placeholder is a
         # broadcast view of one scalar and allocates nothing
         params = _build_params(config, words,
@@ -486,12 +487,11 @@ def load_checkpoint(path) -> ModelParams:
             raise ModelError("checkpoint tensor directory does not match the config")
         total = sum(int(np.prod(t["shape"])) for t in manifest["tensors"])
         size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != 4 * total:
-            raise ModelError(
-                f"checkpoint blob has {size} bytes, expected {4 * total} (corrupt file?)"
-            )
+        if size != dt.itemsize * total:
+            raise ModelError(f"checkpoint blob has {size} bytes, expected "
+                             f"{dt.itemsize * total} (corrupt file?)")
         for _, p in named:
-            block = np.empty(p.shape, dtype="<f4")
+            block = np.empty(p.shape, dtype=dt.newbyteorder("<"))
             fh.readinto(block)
             p.data = block.astype(dt, copy=False)
     return params

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import os
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -68,6 +69,62 @@ def total(x: Tensor) -> Tensor:
 
     row = view(x, (1, -1))
     return view(nx.matmul(row, Tensor(np.ones((row.shape[1], 1), dtype=x.dtype))), ())
+
+
+GRAD_CHECK_DENOM_FLOOR = 1e-6
+
+
+def finite_difference_grad_check(
+    loss_fn: Callable[[], Tensor],
+    params: dict[str, Tensor],
+    eps: float = 1e-5,
+    max_coords_per_param: int = 8,
+    seed: int = 0,
+) -> float:
+    """Compare analytic gradients against central differences.
+
+    ``loss_fn`` must be a deterministic function of the current parameter
+    values.  Coordinates are sampled per parameter (all of them when the
+    tensor is small).  Returns the worst relative error
+    |analytic - numeric| / max(|analytic| + |numeric|, GRAD_CHECK_DENOM_FLOOR);
+    the floor keeps gradients below the difference quotient's own resolution
+    from registering as spurious disagreement.
+    """
+    if not (1e-6 <= eps <= 1e-4):
+        raise nx.NumericsError("finite_difference_grad_check: eps outside [1e-6, 1e-4]")
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise nx.NumericsError(f"grad check requires float64 parameters ({name} is {p.data.dtype})")
+    for p in params.values():
+        p.zero_grad()
+    loss_fn().backward()
+    analytic_grads = {name: p.grad_or_zeros().copy() for name, p in params.items()}
+    for p in params.values():
+        p.zero_grad()
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name, p in params.items():
+        size = p.data.size
+        if size <= max_coords_per_param:
+            coords = np.arange(size)
+        else:
+            coords = rng.choice(size, size=max_coords_per_param, replace=False)
+        flat = p.data.reshape(-1)
+        for idx in coords:
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            f_plus = float(loss_fn().data)
+            flat[idx] = orig - eps
+            f_minus = float(loss_fn().data)
+            flat[idx] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            analytic = float(analytic_grads[name].reshape(-1)[idx])
+            denom = max(abs(analytic) + abs(numeric), GRAD_CHECK_DENOM_FLOOR)
+            err = abs(analytic - numeric) / denom
+            if err > worst:
+                worst = err
+    return worst
 
 
 def scale_weights(params, factor: float) -> None:

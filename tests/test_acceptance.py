@@ -37,11 +37,10 @@ from protdat.model import (
     model_forward,
     save_checkpoint,
 )
-from protdat.numerics import finite_difference_grad_check
 from protdat.tokenizer import AminoVocabulary, RESIDUES
 from protdat.training import TrainingConfig, fit
 
-from conftest import scale_weights, tiny_config, tiny_model
+from conftest import finite_difference_grad_check, scale_weights, tiny_config, tiny_model
 
 
 def _report(num: int, name: str, t0: float, budget: float) -> None:

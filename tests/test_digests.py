@@ -25,7 +25,7 @@ TINY_FLAGS = [
 
 EXPECTED = {
     "train_log.jsonl": "0430f193f85999a18710507e8c3878f4d079150d620ad9609a01740688d09be0",
-    "model.ckpt": "88b17fcbeb7ab17597a78a816c81e13aa71f2b95b5f451d78ade80d36bcc5511",
+    "model.ckpt": "d0f08660492d9e18ae0584425fd23b708be5051ae26092b61d083305ffb6e810",
     "gen.fasta": "f36c28257505bd6467b3b98c731a7bb9f0c55e5ead792021b8a1dedb98baec45",
     "sweep.csv": "243a71a58ceadfc58fb55d4c514a79882fdfd3174a8ebb59eea4437e142b7b86",
 }

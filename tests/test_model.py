@@ -522,6 +522,18 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_float64_checkpoint_round_trip_is_bit_exact(tmp_path):
+    params, _, _ = tiny_model()  # float64
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config.np_dtype == np.float64
+    for (name, p), (_, q) in zip(params.named_parameters(), loaded.named_parameters()):
+        assert q.data.dtype == np.float64 and q.data.tobytes() == p.data.tobytes(), name
+    blob = path.read_bytes().split(b"\n", 2)[2]
+    assert len(blob) == 8 * sum(p.data.size for _, p in params.named_parameters())
+
+
 def test_checkpoint_truncation_is_rejected(tmp_path):
     params, _, path = _f32_model(tmp_path)
     save_checkpoint(params, path)

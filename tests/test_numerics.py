@@ -13,7 +13,6 @@ from protdat.numerics import (
     ROPE_BASE,
     NumericsError,
     Tensor,
-    finite_difference_grad_check,
     layer_norm,
     masked_attention,
     next_token_cross_entropy,
@@ -21,7 +20,7 @@ from protdat.numerics import (
 )
 from protdat.tokenizer import MAX_SEQ_TOKENS
 
-from conftest import scale_weights, tiny_model, total
+from conftest import finite_difference_grad_check, scale_weights, tiny_model, total
 
 
 # -- softmax with temperature -------------------------------------------------
@@ -839,10 +838,12 @@ def test_backward_keeps_gradients_only_on_parameters():
 # Whether a primitive's backward reads its input's array: GELU's re-forms its
 # tanh term from it rather than keep the term.  Each of the others keeps what
 # it reads from its own forward pass; layer norm keeps xc and inv, and re-forms
-# xhat from them.  The graph must keep the input's array alive for a backward
-# that reads it, and for no other.
+# xhat from them.  A matmul reads its left operand only for the gradient of its
+# right one, here a constant.  The graph must keep the input's array alive for
+# a backward that reads it, and for no other.
 BACKWARD_READS_INPUT = {"add": False, "concat": False, "layer_norm": False,
-                        "masked_softmax": False, "rope_rotate": False, "gelu": True}
+                        "masked_softmax": False, "rope_rotate": False, "gelu": True,
+                        "matmul": False, "matmul-bias": False}
 
 
 @pytest.mark.parametrize("name", sorted(BACKWARD_READS_INPUT))
@@ -864,6 +865,64 @@ def test_graph_keeps_an_op_outputs_array_only_for_a_backward_that_reads_it(name,
         total(out).backward()
         grads.append(x.grad)
     assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def _gelu_or_layer_norm(name, x, dtype=np.float64):
+    if name == "gelu":
+        return nx.gelu(x), ()
+    d = x.shape[-1]
+    # views at an odd offset, as x may be
+    gamma = Tensor(np.linspace(0.5, 1.5, d + 1).astype(dtype)[1:], requires_grad=True)
+    beta = Tensor(np.linspace(-0.2, 0.3, d + 1).astype(dtype)[1:], requires_grad=True)
+    return layer_norm(x, gamma, beta), (gamma, beta)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["gelu", "layer_norm"])
+def test_a_reformed_gelu_or_layer_norm_output_equals_the_forwards_bitwise(name, dtype, rng):
+    base = (3.0 * rng.normal(size=3 * 5 * 37 + 1)).astype(dtype)
+    x = Tensor(base[1:].reshape(3, 5, 37), requires_grad=True)  # a view at an odd offset
+    y, _ = _gelu_or_layer_norm(name, x, dtype)
+    reformed = y._node.output()
+    assert reformed is not y.data and reformed.dtype == dtype
+    assert reformed.tobytes() == y.data.tobytes()
+    assert y._node.output() is reformed  # one re-form serves every consumer
+
+
+@pytest.mark.parametrize("name", ["gelu", "layer_norm"])
+def test_graph_keeps_no_gelu_or_layer_norm_output_for_the_matmuls_that_read_it(
+        name, rng, monkeypatch):
+    data, w_data = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+    tanh, tanh_calls = np.tanh, []
+    monkeypatch.setattr(np, "tanh", lambda *a, **k: tanh_calls.append(1) or tanh(*a, **k))
+    grads = []
+    for keep in (True, False):
+        x = Tensor(data, requires_grad=True)
+        w, b = Tensor(w_data, requires_grad=True), Tensor(np.ones(5), requires_grad=True)
+        y, norm = _gelu_or_layer_norm(name, x)
+        reform, reforms = y._node._reform, []
+        # keep: the matmuls keep y's array, as they keep any other op's output
+        y._node._reform = None if keep else (lambda: reforms.append(1) or reform())
+        out = nx.add(nx.matmul(y, w, b), nx.matmul(y, w))  # two consumers, as q/k/v share one
+        array = weakref.ref(y.data)
+        del y
+        assert (array() is not None) == keep
+        tanh_calls.clear()
+        total(out).backward()
+        assert len(reforms) == (0 if keep else 1)
+        # GELU's backward takes the tanh term its re-form formed, or forms it itself
+        assert len(tanh_calls) == (name == "gelu")
+        grads.append([p.grad.tobytes() for p in (x, w, b, *norm)])
+    assert grads[0] == grads[1]
+
+
+def test_matmul_records_a_closure_that_holds_no_input_tensor(rng):
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    for a in (x, nx.add(x, x), nx.gelu(x)):
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = nx.matmul(a, w, Tensor(np.ones(3), requires_grad=True))
+        assert not any(isinstance(cell.cell_contents, Tensor) for cell in out._backward.__closure__)
+        total(out).backward()
 
 
 def test_a_second_backward_through_a_released_graph_raises(rng):

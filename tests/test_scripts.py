@@ -203,3 +203,26 @@ def test_bench_pairs_counts_the_minor_faults_of_a_run(tmp_path):
     own = int((tmp_path / "own_faults").read_text())
     # the run's whole process tree: the stand-in, plus the little it faults on after writing
     assert own <= run["minor_faults"] < own + 1000
+
+
+def test_census_prints_each_figure_of_the_parent_and_the_change(tmp_path, monkeypatch, capsys):
+    census = load_script("census")
+    monkeypatch.setattr(census, "_git", lambda root, *args: b"abc1234\n")
+    monkeypatch.setattr(census, "build_trees",
+                        lambda root, rev: {side: tmp_path / side for side in census.SIDES})
+    figures = {"parent": {"train": {"ops": 178, "step_peak": 100}, "decode": {"peak": 10}},
+               "change": {"train": {"ops": 178, "step_peak": 80}, "decode": {"peak": 12}}}
+    rows = []
+
+    def run_row(src, row):
+        rows.append((src.relative_to(tmp_path).as_posix(), row))
+        return figures[src.parent.name][row]
+
+    monkeypatch.setattr(census, "run_row", run_row)
+    census.main(["--parent", "HEAD"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["train ops: 178 -> 178 (+0)", "train step_peak: 100 -> 80 (-20)",
+                       "decode peak: 10 -> 12 (+2)"]
+    assert json.loads("\n".join(out[3:])) == {**figures, "parent_commit": "abc1234"}
+    assert rows == [("parent/src", "train"), ("parent/src", "decode"),
+                    ("change/src", "train"), ("change/src", "decode")]
