@@ -5,9 +5,11 @@ fields; a 2-column tab-separated import (sequence, description) is also
 accepted.  Descriptions must carry at least one of the FUNCTION /
 SUBCELLULAR LOCATION / SIMILARITY section headers.
 
-Batch assembly pads each record's text array, as the text encoder gives
-it (word ids or embedding rows), and its sequence ids to per-batch maxima,
-and builds the three attention masks used by the fused decoder layers:
+Batch assembly only pads and masks.  It pads each record's text array, in
+the dtype the text encoder gives it (int64 word ids or float32 embedding
+rows; the model casts rows to its own dtype), and its sequence ids to
+per-batch maxima, and builds the three attention masks used by the fused
+decoder layers:
 
 * text self-attention mask (T, T): real text tokens visible as keys,
 * bottleneck cross-attention mask (c_size, T): same key visibility,
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tokenizer import AminoVocabulary, MAX_SEQ_TOKENS, MAX_TEXT_TOKENS, TokenizerError, atomic_open
+from .tokenizer import AminoVocabulary, MAX_SEQ_TOKENS, TokenizerError, atomic_open
 
 SECTION_HEADERS = ("FUNCTION", "SUBCELLULAR LOCATION", "SIMILARITY")
 
@@ -204,16 +206,17 @@ class Batch:
     """Padded model input plus the three attention masks.
 
     ``seq_ids`` rows are [CLS, residues..., EOS, PAD...].  ``text`` holds
-    the encoder's arrays, zero-padded: (B, T) int64 word ids, or (B, T,
-    d_text) embedding rows.  Since word id 0 is both UNK and padding,
-    ``text_mask`` marks the real text tokens.  Mask arrays are boolean
-    with True = visible.
+    the encoder's arrays, zero-padded in the encoder's dtype: (B, T) int64
+    word ids, or (B, T, d_text) float32 embedding rows.  Since word id 0 is
+    both UNK and padding, ``text_mask`` marks the real text tokens.  Mask
+    arrays are boolean with True = visible; ``ptm_mask`` and ``cim_mask``
+    are read-only views of ``text_mask``.
     """
 
     pad_id = AminoVocabulary.pad_id
 
     seq_ids: np.ndarray  # (B, S) int64
-    text: np.ndarray  # (B, T) int64 or (B, T, d_text) float
+    text: np.ndarray  # (B, T) int64 or (B, T, d_text) float32
     text_mask: np.ndarray  # (B, T) bool
     ptm_mask: np.ndarray  # (B, T, T)
     cim_mask: np.ndarray  # (B, c_size, T)
@@ -233,11 +236,12 @@ class Batch:
 def build_masks(
     seq_ids: np.ndarray, text_mask: np.ndarray, c_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three per-record visibility masks from padded ids."""
+    """The three per-record visibility masks from padded ids; the text and
+    bottleneck masks are read-only broadcast views of ``text_mask``."""
     b, s = seq_ids.shape
     t = text_mask.shape[1]
-    ptm = np.broadcast_to(text_mask[:, None, :], (b, t, t)).copy()
-    cim = np.broadcast_to(text_mask[:, None, :], (b, c_size, t)).copy()
+    ptm = np.broadcast_to(text_mask[:, None, :], (b, t, t))
+    cim = np.broadcast_to(text_mask[:, None, :], (b, c_size, t))
     psm = np.zeros((b, s, c_size + s), dtype=bool)
     psm[:, :, :c_size] = True
     causal = np.tril(np.ones((s, s), dtype=bool))
@@ -247,43 +251,29 @@ def build_masks(
 
 
 def make_batch(
-    records: list[ProteinRecord],
-    vocab: AminoVocabulary,
-    text_provider,
-    c_size: int,
-    dtype=np.float32,
+    records: list[ProteinRecord], vocab: AminoVocabulary, text_provider, c_size: int
 ) -> Batch:
     """Encode, pad and mask a list of records into one model input."""
     if not records:
         raise DatasetError("make_batch: empty record list")
-    if c_size < 1:
-        raise DatasetError("make_batch: c_size must be >= 1")
     encoded = [vocab.encode_sequence(r.sequence) for r in records]
     texts = [text_provider.encode(r.text, record_id=r.id) for r in records]
-    return assemble_batch(encoded, texts, c_size, dtype)
+    return assemble_batch(encoded, texts, c_size)
 
 
-def assemble_batch(
-    seq_rows: list,
-    texts: list[np.ndarray],
-    c_size: int,
-    dtype=np.float32,
-) -> Batch:
+def assemble_batch(seq_rows: list, texts: list[np.ndarray], c_size: int) -> Batch:
     """Pad and mask token-id rows and their encoded texts into one model input;
-    embedding rows are cast to ``dtype``, word ids stay int64."""
+    each text array keeps the encoder's dtype."""
     b = len(seq_rows)
     s_max = max(len(e) for e in seq_rows)
     t_max = max(len(t) for t in texts)
-    if t_max > MAX_TEXT_TOKENS:
-        raise DatasetError(f"text length {t_max} exceeds the {MAX_TEXT_TOKENS}-token cap")
 
     seq_ids = np.full((b, s_max), AminoVocabulary.pad_id, dtype=np.int64)
     for i, ids in enumerate(seq_rows):
         seq_ids[i, : len(ids)] = ids
 
-    first = texts[0]  # (tokens,) word ids or (tokens, d_text) rows
-    kind = np.int64 if np.issubdtype(first.dtype, np.integer) else dtype
-    text = np.zeros((b, t_max) + first.shape[1:], dtype=kind)
+    first = texts[0]  # (tokens,) int64 word ids or (tokens, d_text) float32 rows
+    text = np.zeros((b, t_max) + first.shape[1:], dtype=first.dtype)
     text_mask = np.zeros((b, t_max), dtype=bool)
     for i, row in enumerate(texts):
         text[i, : len(row)] = row

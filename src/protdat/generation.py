@@ -198,7 +198,7 @@ def trace_attention(prompt: PromptSpec, sequence: str, params: ModelParams,
     generated sequence, fragment included) under ``prompt``'s text."""
     text = (text_provider or params.text_encoder()).encode(prompt.text, prompt.record_id)
     ids = AminoVocabulary().encode_sequence(sequence, add_eos=False).tolist()
-    final = assemble_batch([ids], [text], params.config.c_size, params.config.np_dtype)
+    final = assemble_batch([ids], [text], params.config.c_size)
     with nx.no_grad():
         return model_forward(final, params, trace=True)[1]
 
@@ -229,7 +229,7 @@ def generate_candidates(
     live = list(range(n_samples))  # the sample each batch row decodes
     rows = np.zeros(n_samples, dtype=np.intp)  # each live sample's row of the last pass
     length = len(prefix)  # every live sample has this many ids
-    batch = assemble_batch([prefix], [text], config.c_size, config.np_dtype)
+    batch = assemble_batch([prefix], [text], config.c_size)
     with nx.no_grad():
         kv = [tuple(np.pad(t.data, [(0, 0), (0, gp.max_len), (0, 0)]) for t in layer_kv)
               for layer_kv in prompt_forward(batch, params)[0]]

@@ -381,7 +381,7 @@ def prompt_forward(batch: Batch, params: ModelParams, trace: bool = False):
             raise ModelError("batch carries text ids but the model has no word table")
         e_t = nx.embedding(params.text_word_embedding, batch.text)
     else:
-        e_t = Tensor(batch.text.astype(config.np_dtype))
+        e_t = Tensor(batch.text.astype(config.np_dtype, copy=False))
     if params.text_projection is not None:
         e_t = _apply_linear(e_t, params.text_projection)
 
@@ -465,7 +465,10 @@ def load_checkpoint(path) -> ModelParams:
         magic = fh.readline().decode("ascii", errors="replace").strip()
         if magic != CHECKPOINT_FORMAT:
             raise ModelError(f"checkpoint format {magic!r} != {CHECKPOINT_FORMAT!r}")
-        manifest = json.loads(fh.readline().decode("utf-8"))
+        try:
+            manifest = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ModelError(f"malformed checkpoint manifest in {path}: {exc!r}") from exc
         if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
             raise ModelError("manifest format mismatch")
         try:

@@ -153,9 +153,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def grad_or_zeros(self) -> np.ndarray:
-        return self.grad if self.grad is not None else np.zeros_like(self.data)
-
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph,
         releasing each node, with the arrays its closure saved, once it has

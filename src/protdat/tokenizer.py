@@ -8,10 +8,11 @@ shared token table.
 Text enters the model as one array per record, made by ``encode(text,
 record_id=None)`` of either provider: a trainable encoder gives
 ``(tokens,)`` int64 word ids into a small word-embedding table built from
-the training split; a precomputed encoder gives ``(tokens, d_text)``
-float64 rows read from a binary container file (mirroring an external
-biomedical encoder).  Either way a text of no tokens is rejected and one
-past ``MAX_TEXT_TOKENS`` is truncated with a warning.  An embedding file
+the training split; a precomputed encoder gives the ``(tokens, d_text)``
+float32 rows of a binary container file (mirroring an external
+biomedical encoder), which the model casts to its own dtype.  Either way
+a text of no tokens is rejected and one past ``MAX_TEXT_TOKENS`` is
+truncated with a warning.  An embedding file
 has one width: its ``d_text``, which every record must share.
 
 At the bottom of the import graph, the module also holds ``atomic_open``,
@@ -147,7 +148,7 @@ class PrecomputedTextEncoder:
     def __init__(self, path):
         self.path = path
         with open(path, "rb") as fh:
-            magic = fh.readline().decode("ascii").strip()
+            magic = fh.readline().decode("ascii", errors="replace").strip()
             if magic != EMBED_FILE_MAGIC:
                 raise TokenizerError(f"not an embedding file (magic {magic!r})")
             try:
@@ -170,9 +171,8 @@ class PrecomputedTextEncoder:
                                  "token count or d_text")
 
     def encode(self, text: str, record_id: str | None = None) -> np.ndarray:
-        """The (tokens, d_text) float64 rows stored for ``record_id``."""
-        if not text:
-            raise TokenizerError("empty text")
+        """The (tokens, d_text) float32 rows stored for ``record_id``, as a
+        read-only array over the bytes read."""
         if record_id is None or record_id not in self.records:
             raise TokenizerError(f"no precomputed embedding for record {record_id!r}")
         (offset, n), d = self.records[record_id], self.d_text
@@ -186,7 +186,7 @@ class PrecomputedTextEncoder:
             raw = fh.read(4 * n * d)
         if len(raw) != 4 * n * d:
             raise TokenizerError(f"embedding file truncated for record {record_id!r}")
-        return np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
+        return np.frombuffer(raw, dtype="<f4").reshape(n, d)
 
 
 def write_embedding_file(path, entries: dict[str, np.ndarray]) -> None:

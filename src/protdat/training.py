@@ -214,8 +214,7 @@ def evaluate_loss(records: list[ProteinRecord], params: ModelParams, provider,
     with nx.no_grad():
         for start in range(0, len(records), batch_size):
             chunk = records[start : start + batch_size]
-            batch = make_batch(chunk, AminoVocabulary(), provider, params.config.c_size,
-                               dtype=params.config.np_dtype)
+            batch = make_batch(chunk, AminoVocabulary(), provider, params.config.c_size)
             loss = compute_loss(batch, params)
             n = int((batch.targets() != batch.pad_id).sum())
             total += float(loss.data) * n
@@ -278,8 +277,7 @@ def fit(
     for _epoch in range(epochs):
         epoch_losses = []
         for chunk in batches_of(train_records, train_config.batch_size, rng):
-            batch = make_batch(chunk, vocab, provider, model_config.c_size,
-                               dtype=model_config.np_dtype)
+            batch = make_batch(chunk, vocab, provider, model_config.c_size)
             loss = training_step(batch, params, opt)
             step += 1
             epoch_losses.append(loss)

@@ -53,9 +53,7 @@ def tiny_model(config=None, seed=1, records=None):
     records = records or small_records()
     words = TrainableTextEncoder.build_vocabulary([r.text for r in records])
     params = init_params(config, seed=seed, text_words=words)
-    batch = make_batch(
-        records, AminoVocabulary(), params.text_encoder(), config.c_size, dtype=config.np_dtype
-    )
+    batch = make_batch(records, AminoVocabulary(), params.text_encoder(), config.c_size)
     return params, records, batch
 
 
@@ -69,6 +67,11 @@ def total(x: Tensor) -> Tensor:
 
     row = view(x, (1, -1))
     return view(nx.matmul(row, Tensor(np.ones((row.shape[1], 1), dtype=x.dtype))), ())
+
+
+def grad_or_zeros(p: Tensor) -> np.ndarray:
+    """``p``'s gradient, or zeros of its shape when no backward reached it."""
+    return p.grad if p.grad is not None else np.zeros_like(p.data)
 
 
 GRAD_CHECK_DENOM_FLOOR = 1e-6
@@ -98,7 +101,7 @@ def finite_difference_grad_check(
     for p in params.values():
         p.zero_grad()
     loss_fn().backward()
-    analytic_grads = {name: p.grad_or_zeros().copy() for name, p in params.items()}
+    analytic_grads = {name: grad_or_zeros(p).copy() for name, p in params.items()}
     for p in params.values():
         p.zero_grad()
 

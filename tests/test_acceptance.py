@@ -92,7 +92,7 @@ def test_acceptance_02_causality_bitwise():
             )
             for i in range(2)
         ]
-        batch = make_batch(records, vocab, provider, cfg.c_size, dtype=np.float64)
+        batch = make_batch(records, vocab, provider, cfg.c_size)
         logits, _ = model_forward(batch, params)
         which = int(rng.integers(2))
         seq = records[which].sequence
@@ -106,7 +106,7 @@ def test_acceptance_02_causality_bitwise():
         mutated = list(records)
         mutated[which] = ProteinRecord(records[which].id, records[which].text,
                                        seq[:pos] + new + seq[pos + 1 :])
-        batch2 = make_batch(mutated, vocab, provider, cfg.c_size, dtype=np.float64)
+        batch2 = make_batch(mutated, vocab, provider, cfg.c_size)
         logits2, _ = model_forward(batch2, params)
         row = pos + 1  # CLS shifts sequence positions by one
         assert np.array_equal(logits.data[which, :row], logits2.data[which, :row]), trial
@@ -125,7 +125,7 @@ def test_acceptance_03_mcm_wiring_and_trace_shapes():
     cfg = params.config
     vocab = AminoVocabulary()
     provider = params.text_encoder()
-    single = make_batch(records[:1], vocab, provider, cfg.c_size, dtype=np.float64)
+    single = make_batch(records[:1], vocab, provider, cfg.c_size)
     s, t, c = single.seq_ids.shape[1], single.text_mask.shape[1], cfg.c_size
     assert single.ptm_mask.shape == (1, t, t)
     assert single.cim_mask.shape == (1, c, t)

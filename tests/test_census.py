@@ -1,11 +1,14 @@
-"""Census of one training step and one decode: the work and memory they take, read without a clock.
+"""Census of a training step, a decode and a sweep: their work and memory, read without a clock.
 
 ``scripts/census.py`` runs each row in a child process and reports, for a
 mid-config training step, the ops that recorded a graph node, their output
 bytes, the bytes tracemalloc holds when ``backward()`` starts and the
-step's tracemalloc peak; and for one fixed-length no-grad
-``generate_candidates`` call, the ops, their output bytes and the call's
-tracemalloc peak.  The script's docstring gives the set-ups.
+step's tracemalloc peak; for one fixed-length no-grad
+``generate_candidates`` call and for one toy-config argmax
+``parameter_sweep`` cell, the ops, their output bytes and the call's
+tracemalloc peak.  Every row also reports the flops of its
+``numerics.matmul`` calls; attention GEMMs are not among them.  The
+script's docstring gives the set-ups.
 
 The figures were taken on numpy 2.4.6 with scipy-openblas 0.3.31
 (DYNAMIC_ARCH), Python 3.11, x86-64.  tracemalloc sees numpy's buffers and
@@ -29,8 +32,9 @@ CENSUS = Path(__file__).resolve().parents[1] / "scripts" / "census.py"
 
 # taken at the builds the module docstring names
 TRAIN = {"ops": 178, "op_bytes": 92_312_244, "kept_after_forward": 44_881_772,
-         "step_peak": 55_375_712}
-DECODE = {"ops": 2_215, "op_bytes": 5_793_004, "peak": 1_113_223}
+         "step_peak": 55_375_712, "matmul_flops": 2_412_559_360}
+DECODE = {"ops": 2_215, "op_bytes": 5_793_004, "peak": 1_112_654, "matmul_flops": 192_267_008}
+SWEEP = {"ops": 8_876, "op_bytes": 3_278_976, "peak": 127_599, "matmul_flops": 41_648_128}
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +50,7 @@ def test_one_training_step_takes_the_pinned_ops_bytes_and_memory(census):
 
 def test_one_decode_takes_the_pinned_ops_bytes_and_memory(census):
     assert census["decode"] == DECODE
+
+
+def test_one_sweep_cell_takes_the_pinned_ops_bytes_and_memory(census):
+    assert census["sweep"] == SWEEP

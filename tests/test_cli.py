@@ -617,6 +617,18 @@ def test_malformed_embedding_manifest_is_a_one_line_error(tmp_path, toy_dataset,
     assert not out.exists()
 
 
+def test_binary_file_given_as_embeddings_is_a_one_line_error(tmp_path, toy_dataset, capsys):
+    emb = tmp_path / "emb.bin"
+    emb.write_bytes(bytes(range(255, -1, -1)))  # its first line is not ASCII
+    out = tmp_path / "run"
+    assert run_command(["train", "--data", str(toy_dataset), "--embeddings", str(emb),
+                        "--out", str(out), *TINY_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith("TokenizerError: not an embedding file (magic ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("d_text, n_records, error", [
     (8, 12, "ModelError: embedding file {emb} has d_text 8, the model d_text 16"),
     (16, 11, "TrainingError: embedding file {emb} has no rows for record 'toy-0011'"),
@@ -799,6 +811,18 @@ def test_malformed_checkpoint_manifest_is_a_one_line_error(case, trained_ckpt, t
         assert error == "ModelError: checkpoint tensor directory does not match the config"
     else:
         assert error.startswith("ModelError: checkpoint manifest has no valid model config")
+
+
+def test_checkpoint_manifest_that_is_not_json_is_a_one_line_error(trained_ckpt, tmp_path,
+                                                                  capsys):
+    magic, _manifest, blob = trained_ckpt.read_bytes().split(b"\n", 2)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"\n".join([magic, b"{not json", blob]))
+    assert run_command(["generate", "--ckpt", str(bad), "--text", TABLE4_TEXT]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith(
+        f"ModelError: malformed checkpoint manifest in {bad}: JSONDecodeError(")
 
 
 # a flag value of each annotated field type, and the type it must parse to

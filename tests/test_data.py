@@ -264,6 +264,9 @@ def test_batch_mask_shapes_and_text():
     pad_cols = ~batch.text_mask[0]
     assert not batch.ptm_mask[0][:, pad_cols].any()
     assert not batch.cim_mask[0][:, pad_cols].any()
+    # the text and bottleneck masks are read-only views of text_mask, not copies
+    for mask in (batch.ptm_mask, batch.cim_mask):
+        assert np.shares_memory(mask, batch.text_mask) and not mask.flags.writeable
 
 
 def test_batch_targets_are_shifted_next_tokens():
@@ -291,8 +294,8 @@ def test_batch_pads_each_text_array_with_zeros(tmp_path):
     path = tmp_path / "emb.bin"
     write_embedding_file(path, {"r1": np.full((2, 3), 1.5, dtype=np.float32),
                                 "r2": np.full((4, 3), -2.0, dtype=np.float32)})
-    batch = make_batch(records, vocab, PrecomputedTextEncoder(path), c_size=2, dtype=np.float64)
-    assert batch.text.dtype == np.float64 and batch.text.shape == (2, 4, 3)
+    batch = make_batch(records, vocab, PrecomputedTextEncoder(path), c_size=2)
+    assert batch.text.dtype == np.float32 and batch.text.shape == (2, 4, 3)
     assert (batch.text[0, :2] == 1.5).all() and not batch.text[0, 2:].any()
     assert (batch.text[1] == -2.0).all()
     assert batch.text_mask.tolist() == [[True, True, False, False], [True] * 4]

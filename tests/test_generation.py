@@ -359,7 +359,7 @@ def prompt_for(mode, records):
 def full_forward_logits(prompt, params, ids):
     """Last-position logits of a full ``model_forward`` over the prefix ``ids``."""
     encoding = params.text_encoder().encode(prompt.text)
-    batch = assemble_batch([ids], [encoding], params.config.c_size, params.config.np_dtype)
+    batch = assemble_batch([ids], [encoding], params.config.c_size)
     with nx.no_grad():
         logits, _ = model_forward(batch, params)
     return logits.data[0, -1]
@@ -503,8 +503,7 @@ def test_buffered_decode_logits_equal_concat_grown_kv_bitwise(mode, dtype, monke
     generate_candidates(prompt, params, GenerationParams(max_len=24, seed=5), n_samples=3)
     assert len(passes) == 24 - len(prompt.fragment) and all(p[-1] for p in passes)
     encoding = params.text_encoder().encode(prompt.text)
-    batch = assemble_batch([prompt_ids(prompt)], [encoding], params.config.c_size,
-                           params.config.np_dtype)
+    batch = assemble_batch([prompt_ids(prompt)], [encoding], params.config.c_size)
     with nx.no_grad():
         kv, _ = prompt_forward(batch, params)
         for seq_ids, start, psm, logits, _ in passes:
@@ -525,8 +524,7 @@ def test_decode_makes_no_concat_and_training_still_does(monkeypatch):
     assert calls == []
     # a grad-mode forward grows each layer's K and V by one concat each
     encoding = params.text_encoder().encode(prompt.text)
-    batch = assemble_batch([prompt_ids(prompt)], [encoding], params.config.c_size,
-                           params.config.np_dtype)
+    batch = assemble_batch([prompt_ids(prompt)], [encoding], params.config.c_size)
     model_forward(batch, params)
     assert len(calls) == 2 * params.config.n_layers
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from protdat.model import (
 from protdat.numerics import NumericsError, Tensor
 from protdat.tokenizer import MAX_SEQ_TOKENS, AminoVocabulary, write_embedding_file
 
-from conftest import tiny_config, tiny_model
+from conftest import grad_or_zeros, small_records, tiny_config, tiny_model
 
 
 def test_config_validation():
@@ -260,8 +261,7 @@ def test_model_forward_equals_manual_layer_composition():
 def test_final_text_attention_runs_only_under_trace(monkeypatch):
     params, records, _ = tiny_model()
     cfg = params.config
-    single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(), cfg.c_size,
-                        dtype=np.float64)
+    single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(), cfg.c_size)
     calls = []
     real = nx.masked_attention
     monkeypatch.setattr(nx, "masked_attention", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -285,7 +285,7 @@ def test_one_row_decode_token_runs_a_fixed_number_of_ops(monkeypatch):
     and the head: 16 * 2 + 2 = 34."""
     params, records, _ = tiny_model()
     single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(),
-                        params.config.c_size, dtype=np.float64)
+                        params.config.c_size)
     n = single.seq_ids.shape[1]
     with nx.no_grad():
         kv, _ = prompt_forward(single, params)
@@ -305,8 +305,7 @@ def test_one_row_decode_token_runs_a_fixed_number_of_ops(monkeypatch):
 def test_traced_forward_equals_untraced_bitwise():
     params, records, _ = tiny_model(config=tiny_config(n_layers=3))
     cfg = params.config
-    single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(), cfg.c_size,
-                        dtype=np.float64)
+    single = make_batch(records[:1], AminoVocabulary(), params.text_encoder(), cfg.c_size)
     logits, none = model_forward(single, params)
     logits_tr, trace = model_forward(single, params, trace=True)
     assert none is None
@@ -326,11 +325,11 @@ def test_causality_is_bitwise():
     params, records, _ = tiny_model()
     vocab = AminoVocabulary()
     provider = params.text_encoder()
-    base = make_batch(records, vocab, provider, params.config.c_size, dtype=np.float64)
+    base = make_batch(records, vocab, provider, params.config.c_size)
     logits_base, _ = model_forward(base, params)
     # mutate the residue at row position 3 of record 2 ("ARNDC" -> CLS A R N D C EOS)
     mutated_records = [records[0], type(records[1])(records[1].id, records[1].text, "ARWDC")]
-    mutated = make_batch(mutated_records, vocab, provider, params.config.c_size, dtype=np.float64)
+    mutated = make_batch(mutated_records, vocab, provider, params.config.c_size)
     logits_mut, _ = model_forward(mutated, params)
     assert np.array_equal(logits_base.data[1, :3], logits_mut.data[1, :3])
     assert (logits_base.data[1, 3:6] != logits_mut.data[1, 3:6]).any()
@@ -345,7 +344,7 @@ def test_text_conditioning_reaches_all_positions():
         type(records[0])(records[0].id, records[1].text, records[0].sequence),
         type(records[1])(records[1].id, records[0].text, records[1].sequence),
     ]
-    batch_b = make_batch(swapped, vocab, provider, params.config.c_size, dtype=np.float64)
+    batch_b = make_batch(swapped, vocab, provider, params.config.c_size)
     logits_b, _ = model_forward(batch_b, params)
     real = batch.seq_ids[0] != vocab.pad_id
     diff = np.abs(logits_a.data[0, real] - logits_b.data[0, real, : logits_a.shape[-1]])
@@ -374,14 +373,14 @@ def test_batching_invariance():
              ProteinRecord("m2", " ".join(reversed(text.split())), "WYPTSEQH")]
     rows = []
     for mate in mates:
-        both = make_batch([rec, mate], vocab, provider, cfg.c_size, dtype=np.float64)
+        both = make_batch([rec, mate], vocab, provider, cfg.c_size)
         assert both.seq_ids.shape[1] > len(rec.sequence) + 2
         assert both.text_mask.shape[1] > len(provider.encode(rec.text))
         logits, _ = model_forward(both, params)
         rows.append(logits.data[0])
     assert np.array_equal(rows[0], rows[1])
     # alone, at its natural length: equal to tight tolerance on the real positions
-    single = make_batch([rec], vocab, provider, cfg.c_size, dtype=np.float64)
+    single = make_batch([rec], vocab, provider, cfg.c_size)
     logits_single, _ = model_forward(single, params)
     assert np.allclose(rows[0][: single.seq_ids.shape[1]], logits_single.data[0], atol=1e-10)
 
@@ -467,8 +466,7 @@ def test_forward_rejects_over_cap():
 def test_batch_built_for_another_c_size_is_a_one_line_error():
     params, records, _ = tiny_model()
     c = params.config.c_size
-    other = make_batch(records, AminoVocabulary(), params.text_encoder(), c + 1,
-                       dtype=np.float64)
+    other = make_batch(records, AminoVocabulary(), params.text_encoder(), c + 1)
     with pytest.raises(NumericsError, match=rf"^masked_attention: mask shape \({c + 1}, \d+\) "
                                             rf"!= \({c}, \d+\)$"):
         model_forward(other, params)
@@ -482,6 +480,31 @@ def test_text_encoder_rejects_an_embedding_file_of_another_width(tmp_path, d_tex
     with pytest.raises(ModelError, match=f"^embedding file {re.escape(str(path))} has d_text 8, "
                                          f"the model d_text {d_text}$"):
         params.text_encoder(path)
+
+
+@pytest.mark.parametrize("d_text", [12, 16])  # 16 is d_model: no text projection
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_model_casts_float32_embedding_rows_to_the_same_bits(tmp_path, dtype, d_text):
+    """A batch carries an embedding file's float32 rows and the model casts
+    them: its logits and every gradient are the bits of a batch whose rows
+    arrive in the model's dtype already."""
+    records = small_records()
+    rng = np.random.default_rng(0)
+    path = tmp_path / "emb.bin"
+    write_embedding_file(path, {r.id: rng.normal(size=(3 + i, d_text)).astype(np.float32)
+                                for i, r in enumerate(records)})
+    params = init_params(tiny_config(d_text=d_text, dtype=dtype), seed=0)
+    batch = make_batch(records, AminoVocabulary(), params.text_encoder(path), params.config.c_size)
+    assert batch.text.dtype == np.float32
+    runs = []
+    for text in (batch.text, batch.text.astype(dtype)):
+        params.zero_grad()
+        logits, _ = model_forward(replace(batch, text=text), params)
+        nx.next_token_cross_entropy(logits, batch.targets(), ignore_id=batch.pad_id).backward()
+        assert logits.dtype == dtype
+        runs.append([logits.data] + [grad_or_zeros(p).copy()
+                                     for _, p in params.named_parameters()])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_a_model_with_a_word_list_takes_no_embedding_file(tmp_path):

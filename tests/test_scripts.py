@@ -210,8 +210,10 @@ def test_census_prints_each_figure_of_the_parent_and_the_change(tmp_path, monkey
     monkeypatch.setattr(census, "_git", lambda root, *args: b"abc1234\n")
     monkeypatch.setattr(census, "build_trees",
                         lambda root, rev: {side: tmp_path / side for side in census.SIDES})
-    figures = {"parent": {"train": {"ops": 178, "step_peak": 100}, "decode": {"peak": 10}},
-               "change": {"train": {"ops": 178, "step_peak": 80}, "decode": {"peak": 12}}}
+    figures = {"parent": {"train": {"ops": 178, "step_peak": 100}, "decode": {"peak": 10},
+                          "sweep": {"matmul_flops": 400}},
+               "change": {"train": {"ops": 178, "step_peak": 80}, "decode": {"peak": 12},
+                          "sweep": {"matmul_flops": 300}}}
     rows = []
 
     def run_row(src, row):
@@ -221,8 +223,8 @@ def test_census_prints_each_figure_of_the_parent_and_the_change(tmp_path, monkey
     monkeypatch.setattr(census, "run_row", run_row)
     census.main(["--parent", "HEAD"])
     out = capsys.readouterr().out.splitlines()
-    assert out[:3] == ["train ops: 178 -> 178 (+0)", "train step_peak: 100 -> 80 (-20)",
-                       "decode peak: 10 -> 12 (+2)"]
-    assert json.loads("\n".join(out[3:])) == {**figures, "parent_commit": "abc1234"}
-    assert rows == [("parent/src", "train"), ("parent/src", "decode"),
-                    ("change/src", "train"), ("change/src", "decode")]
+    assert out[:4] == ["train ops: 178 -> 178 (+0)", "train step_peak: 100 -> 80 (-20)",
+                       "decode peak: 10 -> 12 (+2)", "sweep matmul_flops: 400 -> 300 (-100)"]
+    assert json.loads("\n".join(out[4:])) == {**figures, "parent_commit": "abc1234"}
+    assert rows == [("parent/src", "train"), ("parent/src", "decode"), ("parent/src", "sweep"),
+                    ("change/src", "train"), ("change/src", "decode"), ("change/src", "sweep")]

@@ -152,10 +152,10 @@ def test_precomputed_round_trips_exact_rows(tmp_path):
     enc = PrecomputedTextEncoder(path)
     assert enc.d_text == 2
     out = enc.encode("anything", record_id="rec-a")
-    assert out.shape == (2, 2) and out.dtype == np.float64
-    assert np.array_equal(out, rows["rec-a"].astype(np.float64))
+    assert out.shape == (2, 2) and out.dtype == np.float32
+    assert np.array_equal(out, rows["rec-a"])
     out_b = enc.encode("anything", record_id="rec-b")
-    assert np.array_equal(out_b, rows["rec-b"].astype(np.float64))
+    assert np.array_equal(out_b, rows["rec-b"])
 
 
 def test_precomputed_file_has_one_width(tmp_path):

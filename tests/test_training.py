@@ -28,7 +28,7 @@ from protdat.training import (
     training_step,
 )
 
-from conftest import tiny_config, tiny_model, total
+from conftest import grad_or_zeros, tiny_config, tiny_model, total
 
 
 def _snapshot(params):
@@ -80,7 +80,7 @@ def test_first_step_matches_closed_form_adam():
     before = _snapshot(params)
     params.zero_grad()
     compute_loss(batch, params).backward()
-    grads = {name: p.grad_or_zeros().copy() for name, p in params.named_parameters()}
+    grads = {name: grad_or_zeros(p).copy() for name, p in params.named_parameters()}
     opt = OptimizerState(params, cfg)
     training_step(batch, params, opt)
     # t=1 with bias correction: m_hat = g, v_hat = g^2 -> update = g / (|g| + eps)
@@ -97,7 +97,7 @@ def test_weight_decay_is_decoupled_and_masked():
     before = _snapshot(params)
     params.zero_grad()
     compute_loss(batch, params).backward()
-    grads = {name: p.grad_or_zeros().copy() for name, p in params.named_parameters()}
+    grads = {name: grad_or_zeros(p).copy() for name, p in params.named_parameters()}
     no_grad = {name for name, p in params.named_parameters() if p.grad is None}
     cfg = TrainingConfig(lr=1e-2, weight_decay=wd, clip_norm=None)
     opt = OptimizerState(params, cfg)
@@ -188,7 +188,7 @@ def test_pad_positions_contribute_no_loss():
     c_size = params.config.c_size
 
     def loss_and_tokens(recs):
-        batch = make_batch(recs, vocab, provider, c_size, dtype=np.float64)
+        batch = make_batch(recs, vocab, provider, c_size)
         n_tokens = int((batch.targets() != batch.pad_id).sum())
         return float(compute_loss(batch, params).data), n_tokens, batch
 
@@ -209,7 +209,7 @@ def test_gradients_flow_to_text_and_slot_branches():
                  "layers.0.wq_c.w", "layers.0.w_kc.w", "layers.0.w_vc.w",
                  "layers.1.wq_c.w", "layers.1.wk_t.w"):
         p = dict(params.named_parameters())[name]
-        assert np.abs(p.grad_or_zeros()).sum() > 0, name
+        assert np.abs(grad_or_zeros(p)).sum() > 0, name
     # the final layer's text query feeds only the ptm trace; every other tensor is read
     no_grad = [name for name, p in params.named_parameters() if p.grad is None]
     assert no_grad == ["layers.1.wq_t.w", "layers.1.wq_t.b"]
@@ -219,8 +219,7 @@ def test_fresh_model_loss_is_near_log_vocab():
     records = synthetic_records(12, seed=0, min_len=10, max_len=25)
     params, _, _ = tiny_model(records=records)
     vocab = AminoVocabulary()
-    batch = make_batch(records, vocab, params.text_encoder(), params.config.c_size,
-                       dtype=np.float64)
+    batch = make_batch(records, vocab, params.text_encoder(), params.config.c_size)
     loss = float(compute_loss(batch, params).data)
     assert abs(loss - math.log(vocab.size)) < 0.1 * math.log(vocab.size)
 
