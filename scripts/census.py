@@ -24,9 +24,10 @@ layers, 4 slots, float32); all take seeded weights (seed 3).
   logit is pushed far down, so that every sample runs to max_len; measured
   after one warm-up call.  No op records a node, so ``ops`` and
   ``op_bytes`` count every op output; ``peak`` is tracemalloc's peak over
-  the call.  The samples are argmax: numpy's ``Generator.choice``, which a
-  nucleus draw calls, keeps some 59-byte blocks whose number depends on
-  memory addresses, so a sampled decode's peak varies from run to run.
+  the call.  The samples are argmax: a nucleus decode leaves a few small
+  blocks in a numpy-internal cache, reached through ``np.cumsum``, whose
+  number depends on memory addresses (the cache is bounded, not a leak),
+  so a sampled decode's peak varies from run to run.
 - ``sweep``: one no-grad ``parameter_sweep`` of one argmax cell (top_p
   1.0, temperature 0.0) over 4 synthetic records of 32-128 residues to
   max_len 64, with the EOS logit pushed down as in ``decode``; measured

@@ -12,8 +12,10 @@ full ``model_forward`` over a final sequence.
 Two prompt modes: text only (the sequence starts from CLS) and text plus
 a leading residue fragment (the fragment is emitted verbatim before new
 tokens).  ``sample_token`` draws every token: repetition penalty,
-temperature, softmax, nucleus truncation, draw.  temperature=0 or
-top_p=0 selects the argmax corner.  PAD/CLS/slot ids get a -inf logit, so
+temperature softmax, nucleus truncation, draw.  temperature=0 or top_p=0
+selects the argmax corner.  ``GenerationParams`` owns each setting's
+range, so the sampling helpers check only what a faulty model breaks:
+NaN, +inf or no finite logit.  PAD/CLS/slot ids get a -inf logit, so
 they are never sampled; EOS terminates.
 """
 
@@ -95,10 +97,9 @@ class PromptSpec:
 
 
 def apply_repetition_penalty(logits: np.ndarray, history: set[int], penalty: float) -> np.ndarray:
-    """CTRL-style: divide positive logits of seen tokens, multiply negative."""
-    if penalty < 1:
-        raise GenerationError("repetition penalty must be >= 1")
-    out = np.asarray(logits, dtype=np.float64).copy()
+    """CTRL-style: divide positive logits of seen tokens, multiply negative.
+    Returns a float64 copy; ``GenerationParams`` owns ``penalty >= 1``."""
+    out = np.array(logits, dtype=np.float64)
     for token_id in history:
         if out[token_id] > 0:
             out[token_id] /= penalty
@@ -110,17 +111,12 @@ def apply_repetition_penalty(logits: np.ndarray, history: set[int], penalty: flo
 def nucleus_filter(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
     """Minimal descending-probability prefix with cumulative mass >= top_p.
 
-    Ties in the sort break by token id.  Returns (kept token ids in sort
-    order, renormalized probabilities).
+    ``probs`` is ``softmax_with_temperature``'s output and ``top_p`` lies in
+    (0, 1], which ``GenerationParams`` and ``argmax_mode`` own.  The stable
+    sort breaks ties by token id.  Returns (kept token ids in sort order,
+    renormalized probabilities).
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.size == 0:
-        raise GenerationError("nucleus_filter: need a probability vector")
-    if (probs < -1e-12).any() or abs(probs.sum() - 1.0) > 1e-6:
-        raise GenerationError("nucleus_filter: input is not a distribution")
-    if not (0 < top_p <= 1):
-        raise GenerationError("nucleus_filter: top_p must lie in (0, 1]")
-    order = np.lexsort((np.arange(probs.size), -probs))
+    order = np.argsort(-probs, kind="stable")
     sorted_probs = probs[order]
     cum = np.cumsum(sorted_probs)
     cut = int(np.searchsorted(cum, top_p - 1e-12)) + 1
@@ -130,15 +126,12 @@ def nucleus_filter(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndar
 
 
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Stable softmax of a vector of logits scaled by 1/temperature.
+    """Stable softmax of a float64 vector of logits scaled by 1/temperature,
+    where ``temperature > 0`` (``GenerationParams`` and ``argmax_mode``).
 
     A -inf logit is a blocked token: its probability is exactly 0.  NaN,
-    +inf and a vector with no finite logit are rejected."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise nx.NumericsError("softmax_with_temperature: need a non-empty vector")
-    if not (temperature > 0):
-        raise nx.NumericsError("softmax_with_temperature: temperature must be > 0")
+    +inf and a vector with no finite logit, which only a faulty model
+    gives, are rejected."""
     z = logits / temperature
     top = z.max()  # NaN if any logit is NaN
     if not np.isfinite(top):
@@ -152,8 +145,11 @@ def sample_token(logits: np.ndarray, history: set[int], gp: GenerationParams,
     """One token from one row of logits, where -inf blocks a token: the
     repetition penalty over ``history``, then the argmax, or the temperature
     softmax, the nucleus cut and one draw from ``rng``.  Either way a row
-    with a NaN, a +inf or no finite logit is an error.  Returns (token id,
-    nucleus size, the token's rank in the nucleus, its penalized logit)."""
+    with a NaN, a +inf or no finite logit is an error.  The draw is
+    ``Generator.choice(len(kept), p=kept_probs)``'s arithmetic without its
+    re-check of ``p``: one ``rng.random()`` searched in the normalized
+    cumulative sum.  Returns (token id, nucleus size, the token's rank in
+    the nucleus, its penalized logit)."""
     penalized = apply_repetition_penalty(logits, history, gp.repetition_penalty)
     if gp.argmax_mode:
         token_id, nucleus_size, rank = int(np.argmax(penalized)), 1, 0
@@ -162,7 +158,8 @@ def sample_token(logits: np.ndarray, history: set[int], gp: GenerationParams,
     else:
         probs = softmax_with_temperature(penalized, gp.temperature)
         kept, kept_probs = nucleus_filter(probs, gp.top_p)
-        rank = int(rng.choice(len(kept), p=kept_probs))
+        cdf = np.cumsum(kept_probs)
+        rank = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
         token_id, nucleus_size = int(kept[rank]), len(kept)
     return token_id, nucleus_size, rank, float(penalized[token_id])
 

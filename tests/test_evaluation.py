@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protdat import evaluation
 from protdat.evaluation import (
     EvaluationError,
     ResidueDistribution,
@@ -373,6 +374,29 @@ def test_sweep_decomposition_oracle():
         )
     assert grid[1].mean_identity == pytest.approx(float(np.mean(idents)), abs=1e-12)
     assert grid[1].mean_kl == pytest.approx(float(np.mean(kls)), abs=1e-12)
+
+
+def test_sweep_decodes_once_per_cell_and_prompt_through_evaluation_generate(monkeypatch):
+    """The sweep looks ``generate`` up on the evaluation module, once per
+    (cell, prompt) in row-major order, with the cell's seed and the record's
+    id, so a wrapper there sees every sample (perfbench counts them so)."""
+    params, records, _ = tiny_model()
+    gp = GenerationParams(max_len=8, seed=5)
+    top_ps, temperatures = [0.5, 1.0], [0.7, 0.0]
+    plain = parameter_sweep(params, records, top_ps, temperatures, gp)
+    calls = []
+
+    def recorded(prompt, params_, cell_gp, **kwargs):
+        calls.append((prompt.record_id, cell_gp.top_p, cell_gp.temperature, cell_gp.seed))
+        return generate(prompt, params_, cell_gp, **kwargs)
+
+    monkeypatch.setattr(evaluation, "generate", recorded)
+    wrapped = parameter_sweep(params, records, top_ps, temperatures, gp)
+    assert calls == [(rec.id, top_p, temperature, sweep_cell_seed(gp.seed, i, j))
+                     for i, (top_p, temperature) in enumerate(itertools.product(top_ps,
+                                                                               temperatures))
+                     for j, rec in enumerate(records)]
+    assert repr(wrapped) == repr(plain)  # repr: a NaN cell equals itself
 
 
 def test_sweep_rejects_empty_grid():

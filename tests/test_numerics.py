@@ -60,10 +60,6 @@ def test_softmax_sums_to_one(logits, temp):
 def test_softmax_rejects_bad_input():
     with pytest.raises(NumericsError):
         softmax_with_temperature(np.array([1.0, np.nan]), 1.0)
-    with pytest.raises(NumericsError):
-        softmax_with_temperature(np.array([1.0, 2.0]), 0.0)
-    with pytest.raises(NumericsError):
-        softmax_with_temperature(np.array([1.0, 2.0]), -1.0)
     for bad in ([1.0, np.inf], [-np.inf, -np.inf]):
         with pytest.raises(NumericsError, match="NaN, \\+inf or no finite logit"):
             softmax_with_temperature(np.array(bad), 1.0)
