@@ -98,15 +98,15 @@ class ResidueDistribution:
     def from_sequences(cls, sequences) -> "ResidueDistribution":
         index = {ch: i for i, ch in enumerate(RESIDUES)}
         counts = np.zeros(len(RESIDUES), dtype=np.float64)
-        total = 0
         for seq in sequences:
             for ch in seq:
                 if ch not in index:
                     raise EvaluationError(f"non-residue symbol {ch!r}")
                 counts[index[ch]] += 1
-                total += 1
-        probs = counts / total if total else counts
-        return cls(probs=probs, count=total)
+        total = int(counts.sum())
+        if not total:
+            raise EvaluationError("no residues to count")
+        return cls(probs=counts / total, count=total)
 
 
 def kl_divergence(p: ResidueDistribution, q: ResidueDistribution) -> float:
@@ -221,7 +221,7 @@ def read_fasta(path) -> list[tuple[str, str]]:
     entries: list[tuple[str, str]] = []
     header = None
     chunks: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -229,6 +229,8 @@ def read_fasta(path) -> list[tuple[str, str]]:
             if header is not None:
                 entries.append((header, "".join(chunks)))
             header = line[1:]
+            if not header:
+                raise EvaluationError(f"{path}: line {line_no}: empty FASTA header")
             chunks = []
         else:
             if header is None:

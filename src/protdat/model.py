@@ -43,8 +43,7 @@ import numpy as np
 from . import numerics as nx
 from .data import Batch, check_types
 from .numerics import Tensor
-from .tokenizer import (MAX_SEQ_TOKENS, AminoVocabulary, PrecomputedTextEncoder,
-                        TrainableTextEncoder, atomic_open)
+from .tokenizer import AminoVocabulary, PrecomputedTextEncoder, TrainableTextEncoder, atomic_open
 
 CHECKPOINT_FORMAT = "protdat-ckpt-5"
 
@@ -405,9 +404,6 @@ def sequence_forward(seq_ids: np.ndarray, start: int, kv: list, psm, params: Mod
     ``start..start+n`` against each layer's (K, V).  Returns (B, n, vocab)
     raw logits, the grown per-layer (K, V) and the per-layer weights."""
     config = params.config
-    end = start + seq_ids.shape[1]
-    if end > MAX_SEQ_TOKENS:
-        raise ModelError(f"sequence length {end} exceeds the {MAX_SEQ_TOKENS}-token cap")
     e_s = nx.embedding(params.token_embedding, seq_ids)
     grown, weights = [], []
     for layer, layer_kv in zip(params.layers, kv):

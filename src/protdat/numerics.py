@@ -13,6 +13,9 @@ Every primitive takes Tensors and returns one.  ``_make`` builds each op
 output bare, around the op's own array, and gives it a graph node only
 when it records a graph; the constructor ``Tensor(...)``, the one place
 that coerces (``np.asarray`` and a float dtype), is for leaves and constants.
+No op re-checks a shape or range rule that ``ModelConfig``, the parameter
+tree, the encoders or batch assembly own where values enter; attention
+checks only that its mask fits its queries and keys.
 The graph is kept apart from the data: a node links to its parents' nodes
 (a parameter is its own leaf), not to their arrays, so a graph keeps only
 the arrays its backward closures read, and an op output's array is freed
@@ -74,7 +77,7 @@ LAYER_NORM_EPS = 1e-5
 
 
 class NumericsError(ValueError):
-    """Raised when an operation's preconditions are violated."""
+    """Raised for a mask of another shape, a misused ``backward()`` or non-finite logits."""
 
 
 _grad_enabled = True
@@ -314,12 +317,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of a 2D table; gradient scatter-adds back into the rows."""
-    ids = np.asarray(ids)
-    if table.ndim != 2:
-        raise NumericsError("embedding table must be 2D")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise NumericsError("embedding ids out of range")
+    """Gather rows of a 2D table by ids in [0, rows); gradient scatter-adds into the rows."""
 
     def backward(g):
         dtable = np.zeros_like(table.data)
@@ -382,12 +380,8 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    d = x.shape[-1] if x.ndim else 0
-    if d == 0:
-        raise NumericsError("layer_norm: empty vector")
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise NumericsError("layer_norm: gamma/beta must match the last axis")
+    """Normalize the non-empty last axis to mean 0, variance 1; scale+shift by its gamma, beta."""
+    d = x.shape[-1]
     # sum / d rather than mean: bitwise equal, without numpy's Python-level _mean
     xc = np.subtract(x.data, x.data.sum(axis=-1, keepdims=True) / d)
     sq = np.multiply(xc, xc)
@@ -421,16 +415,13 @@ def masked_softmax(scores: Tensor, visible: np.ndarray | None) -> Tensor:
     """Softmax over the last axis; blocked entries get exactly-zero weight.
 
     ``visible`` is a boolean array broadcastable to ``scores.shape`` (True
-    means the key may be attended to).  A row with no visible key is a
-    degenerate softmax and is rejected.
+    means the key may be attended to); every row shows a key, since the encoders
+    reject an empty text and ``build_masks`` always shows the slot columns.
     """
     if visible is None:
         p = scores.data - scores.data.max(axis=-1, keepdims=True)
     else:
-        vis = np.asarray(visible, dtype=bool)
-        if not vis.any(axis=-1).all():  # before the broadcast, which repeats rows
-            raise NumericsError("masked_softmax: a query row has no visible key")
-        p = np.where(np.broadcast_to(vis, scores.shape), scores.data, -np.inf)
+        p = np.where(np.broadcast_to(visible, scores.shape), scores.data, -np.inf)
         p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
@@ -462,14 +453,9 @@ def rope_rotate(x: Tensor, start: int, head_dim: int) -> Tensor:
     Pairs dimension i with i + head_dim/2 inside each chunk and rotates the
     pair in row r by ``(start + r) * base**(-2i/head_dim)``.  Row norms are
     preserved; query/key products depend only on position differences.
+    ``head_dim`` is even and divides the last axis (``ModelConfig``); start >= 0.
     """
-    if head_dim % 2 != 0:
-        raise NumericsError("rope_rotate: head_dim must be even")
     d = x.shape[-1]
-    if d % head_dim != 0:
-        raise NumericsError("rope_rotate: last axis must be a multiple of head_dim")
-    if start < 0:
-        raise NumericsError("rope_rotate: positions must be nonnegative")
     half, end = head_dim // 2, start + x.shape[-2]
     # a power-of-two table length, so that decoding one row at a time reuses few tables
     tables = _rope_tables(head_dim, 1 << int(end).bit_length(), x.dtype)
@@ -498,8 +484,8 @@ def masked_attention(
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled-dot-product attention with visibility masking.
 
-    q: (..., n_q, d), k/v: (..., n_k, d) with d divisible by ``n_heads``;
-    mask None (every key visible) or a boolean array whose last two dims
+    q: (..., n_q, d), k/v: (..., n_k, d), d divisible by ``n_heads``; mask None
+    (every key visible) or a boolean array whose last two dims, checked here,
     are (n_q, n_k) and whose leading dims broadcast against q's.  Returns
     the re-concatenated output (..., n_q, d) and per-head weights
     (..., H, n_q, n_k) as a plain array for tracing: the softmax output
@@ -508,20 +494,11 @@ def masked_attention(
     merged weighted values, equal bit for bit to one op per step.
     """
     d = q.shape[-1]
-    if k.shape[-1] != d or v.shape[-1] != d:
-        raise NumericsError("masked_attention: q/k/v must share d_model")
-    if d % n_heads != 0:
-        raise NumericsError("masked_attention: d_model must be divisible by n_heads")
-    if k.shape[-2] != v.shape[-2]:
-        raise NumericsError("masked_attention: k and v must have equal key counts")
-    visible = None
-    if mask is not None:
-        visible = np.asarray(mask, dtype=bool)
-        if visible.shape[-2:] != (q.shape[-2], k.shape[-2]):
-            raise NumericsError(f"masked_attention: mask shape {visible.shape[-2:]} != "
-                                f"({q.shape[-2]}, {k.shape[-2]})")
-        # insert a head axis so one mask serves all heads
-        visible = np.expand_dims(visible, -3)
+    if mask is not None and mask.shape[-2:] != (q.shape[-2], k.shape[-2]):
+        raise NumericsError(f"masked_attention: mask shape {mask.shape[-2:]} != "
+                            f"({q.shape[-2]}, {k.shape[-2]})")
+    # a head axis, so that one mask serves all heads
+    visible = None if mask is None else np.expand_dims(mask, -3)
 
     def heads(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., H, n, d/H), a view
         return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, d // n_heads)), -2, -3)
@@ -557,17 +534,12 @@ def masked_attention(
 def next_token_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int) -> Tensor:
     """Mean -log p(target) over positions whose target is not ``ignore_id``.
 
-    logits: (..., V); targets: integer array matching the leading shape.
+    logits: (..., V); targets: of the leading shape, each row's first not ``ignore_id``.
     """
-    targets = np.asarray(targets)
-    if targets.shape != logits.shape[:-1]:
-        raise NumericsError("next_token_cross_entropy: targets must match logit rows")
     flat = logits.data.reshape(-1, logits.shape[-1])
     tgt = targets.reshape(-1)
     keep = tgt != ignore_id
     n_keep = int(keep.sum())
-    if n_keep == 0:
-        raise NumericsError("next_token_cross_entropy: all positions ignored")
     m = flat.max(axis=-1, keepdims=True)
     z = flat - m
     lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]

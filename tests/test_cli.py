@@ -750,6 +750,24 @@ def test_eval_identity_with_unequal_entry_counts_is_a_one_line_error(tmp_path, c
                                                  "2 ref vs 1 gen")
 
 
+@pytest.mark.parametrize("metric, gen_text, error", [
+    ("identity", ">\nMKV\n", "{gen}: line 1: empty FASTA header"),
+    ("kl", ">gen-0 mode=text-only\nMKV\n>\nDDC\n", "{gen}: line 3: empty FASTA header"),
+    ("kl", "", "no residues to count"),
+    ("kl", ">gen-0\n>gen-1\n", "no residues to count"),
+], ids=["identity-empty-header", "kl-empty-header", "kl-empty-file", "kl-no-residues"])
+def test_eval_of_a_malformed_or_empty_fasta_is_a_one_line_error(metric, gen_text, error, tmp_path,
+                                                                capsys):
+    ref_path, gen_path = tmp_path / "ref.fasta", tmp_path / "gen.fasta"
+    with open(ref_path, "w") as fh:
+        write_fasta([("ref-0", "MKV"), ("ref-1", "DDC")], fh)
+    gen_path.write_text(gen_text)
+    assert run_command(["eval", metric, "--ref", str(ref_path), "--gen", str(gen_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "EvaluationError: " + error.format(gen=gen_path)
+
+
 def test_config_takes_an_int_for_a_float_and_null_for_clip_norm(tmp_path, toy_dataset):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump({"training": {"lr": 0, "clip_norm": None},

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from protdat.data import (
+    Batch,
     DatasetError,
     ProteinRecord,
     SplitSpec,
+    assemble_batch,
     batches_of,
     load_records,
     make_batch,
@@ -17,8 +19,8 @@ from protdat.data import (
     synthetic_records,
     write_jsonl,
 )
-from protdat.tokenizer import (AminoVocabulary, PrecomputedTextEncoder, TrainableTextEncoder,
-                               write_embedding_file)
+from protdat.tokenizer import (RESIDUES, AminoVocabulary, PrecomputedTextEncoder,
+                               TrainableTextEncoder, write_embedding_file)
 
 from conftest import small_records
 
@@ -299,6 +301,41 @@ def test_batch_pads_each_text_array_with_zeros(tmp_path):
     assert (batch.text[0, :2] == 1.5).all() and not batch.text[0, 2:].any()
     assert (batch.text[1] == -2.0).all()
     assert batch.text_mask.tolist() == [[True, True, False, False], [True] * 4]
+
+
+_BATCH_WORDS = ("function", "binds", "heme", "membrane", "kinase", "belongs", "family")
+
+
+@given(
+    st.lists(st.tuples(st.text(RESIDUES, min_size=1, max_size=30),
+                       st.lists(st.sampled_from(_BATCH_WORDS), min_size=1, max_size=10)),
+             min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=30),
+)
+@example([("M", ["heme"])], 1, 0)  # one residue, one word, text-only prompt
+@example([("MK", ["binds"]), ("ACDEFGHIK", ["heme", "family", "kinase"])], 2, 1)
+@settings(max_examples=60, deadline=None)
+def test_batches_give_every_query_a_key_every_id_a_row_and_every_row_a_target(rows, c_size, cut):
+    """What the model's ops rely on without checking it: every mask row shows
+    a key, every id indexes its table, and every training row has a target."""
+    records = [ProteinRecord(f"r{i}", " ".join(words), seq) for i, (seq, words) in enumerate(rows)]
+    # words come from the first record alone, so later records' other words are UNK (id 0)
+    encoder = _provider(records[:1])
+    vocab = AminoVocabulary()
+
+    def check(batch):
+        for mask in (batch.ptm_mask, batch.cim_mask, batch.psm_mask):
+            assert mask.any(axis=-1).all()
+        assert ((batch.seq_ids >= 0) & (batch.seq_ids < AminoVocabulary.size)).all()
+        assert ((batch.text >= 0) & (batch.text <= len(encoder.words))).all()
+
+    batch = make_batch(records, vocab, encoder, c_size)
+    check(batch)
+    assert (batch.targets()[:, 0] != Batch.pad_id).all()  # CLS's target: a residue or EOS
+    for rec in records:  # the one-row prompt batch that generate_candidates decodes from
+        fragment = vocab.encode_sequence(rec.sequence[:cut], add_eos=False).tolist()
+        check(assemble_batch([fragment], [encoder.encode(rec.text)], c_size))
 
 
 def test_batch_rejects_empty():

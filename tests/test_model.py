@@ -23,7 +23,7 @@ from protdat.model import (
     sequence_forward,
 )
 from protdat.numerics import NumericsError, Tensor
-from protdat.tokenizer import MAX_SEQ_TOKENS, AminoVocabulary, write_embedding_file
+from protdat.tokenizer import AminoVocabulary, write_embedding_file
 
 from conftest import grad_or_zeros, small_records, tiny_config, tiny_model
 
@@ -41,6 +41,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field,value,message", [
     ("n_heads", 0, "n_heads must be >= 1"),
     ("n_layers", 0, "n_layers must be >= 1"),
+    ("d_model", 0, "d_model must be >= 1"),
     ("d_model", 16.0, "d_model must be int, not float"),
     ("c_size", True, "c_size must be int, not bool"),
 ])
@@ -452,15 +453,6 @@ def test_trace_requires_single_record_batch():
     params, _, batch = tiny_model()
     with pytest.raises(ModelError):
         model_forward(batch, params, trace=True)
-
-
-def test_forward_rejects_over_cap():
-    params, _, batch = tiny_model()
-    kv, _ = prompt_forward(batch, params)
-    ids = np.full((batch.size, 1), AminoVocabulary.cls_id)
-    sequence_forward(ids, MAX_SEQ_TOKENS - 1, kv, None, params)  # the last position: ok
-    with pytest.raises(ModelError, match=f"{MAX_SEQ_TOKENS}-token cap"):
-        sequence_forward(np.repeat(ids, 2, axis=1), MAX_SEQ_TOKENS - 1, kv, None, params)
 
 
 def test_batch_built_for_another_c_size_is_a_one_line_error():
