@@ -99,7 +99,12 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
     then the ``--seed`` flag."""
     raw = {}
     if path:
-        raw = yaml.safe_load(Path(path).read_text()) or {}
+        try:
+            raw = yaml.safe_load(Path(path).read_text()) or {}
+        except yaml.YAMLError as exc:  # its message quotes the file over several lines
+            mark = getattr(exc, "problem_mark", None)
+            where = "" if mark is None else f" (line {mark.line + 1}: {exc.problem})"
+            raise DatasetError(f"config file {path} is not valid YAML{where}") from None
         if not isinstance(raw, dict):
             raise DatasetError(f"config file {path} must be a key-value tree")
         unknown = [k for k in raw if k not in {f.name for f in fields(RunConfig)}]

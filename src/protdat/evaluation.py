@@ -234,7 +234,7 @@ def read_fasta(path) -> list[tuple[str, str]]:
             chunks = []
         else:
             if header is None:
-                raise EvaluationError("FASTA body before any header")
+                raise EvaluationError(f"{path}: line {line_no}: FASTA body before any header")
             chunks.append(line)
     if header is not None:
         entries.append((header, "".join(chunks)))

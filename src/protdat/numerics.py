@@ -23,11 +23,13 @@ as soon as the forward code drops the output unless a closure saved it.
 
 Each primitive records, through ``_make``, a vector-Jacobian product
 ``backward(g)``: given the gradient ``g`` of the op's output it returns one
-gradient per parent, in parent order, or None for a parent that is not
-tracked.  A returned gradient may still carry the broadcast axes of the
-output; ``Tensor.backward()`` walks the graph in reverse topological order
-and is the one place that sums each gradient down to its parent's shape
-and accumulates it, out of place, skipping parents that are not tracked.
+gradient per parent, in parent order, tracked or not, except that ``matmul``
+returns None for a constant left operand (the precomputed text rows, the only
+constant that reaches a recorded op in the model).  A returned gradient
+may still carry the broadcast axes of the output; ``Tensor.backward()`` walks
+the graph in reverse topological order and is the one place that sums each
+gradient down to its parent's shape and accumulates it, out of place, and
+that drops the gradients of parents that are not tracked.
 No gradient array is ever written in place, so one array may reach several
 parents (``add`` returns ``g`` twice).  ``backward()`` releases each node,
 its gradient, its closure and its links, once it has propagated, so after
@@ -131,10 +133,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -149,9 +147,6 @@ class Tensor:
     @_backward.setter
     def _backward(self, backward: Callable[[np.ndarray], Sequence[np.ndarray]]) -> None:
         self._node._backward = backward
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -243,7 +238,8 @@ def _make(
     ``backward(g)`` is the op's vector-Jacobian product: it takes the
     gradient of the output and returns one gradient per parent, in parent
     order, each of the parent's shape or of the shape the parent was
-    broadcast to; it may return None for a parent that is not tracked.  It
+    broadcast to, for a parent that is not tracked too (``backward()`` drops
+    it); only ``matmul`` returns None, for a constant left operand.  It
     must not refer to the output Tensor, which would make the graph a
     reference cycle, and must not write to ``g``, which it may pass on as is.
 
@@ -273,34 +269,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        # a constant operand gets no gradient
-        return (g * b.data if _tracked(a) else None, g * a.data if _tracked(b) else None)
-
-    return _make(a.data * b.data, (a, b), backward)
+    ad, bd = a.data, b.data
+    return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Batched matrix product ``a @ b`` with numpy broadcasting of batch dims,
     plus ``bias`` (a linear layer's) added into the fresh product in place.
     For ``db = aᵀ @ g`` it keeps ``a``'s array, or, when ``a``'s node can
-    re-form it (a gelu or layer_norm output), the node."""
+    re-form it (a gelu or layer_norm output), the node.  A constant ``a``
+    (the precomputed text rows) gets no gradient, which saves a GEMM."""
     out = a.data @ b.data
     if bias is not None:
         out += bias.data
-    # decided now, so that the closure holds no input Tensor; a constant
-    # operand (the precomputed text embedding) gets no gradient
+    # decided now, so that the closure holds no input Tensor
     a_node, has_bias = a._node, bias is not None
     b_kept = b.data if a.requires_grad or a_node is not None else None
-    a_kept = None
-    if _tracked(b):
-        a_kept = a.data if a_node is None or a_node._reform is None else a_node
+    a_kept = a.data if a_node is None or a_node._reform is None else a_node
 
     def backward(g):
         da = None if b_kept is None else g @ np.swapaxes(b_kept, -1, -2)
-        db = None
-        if a_kept is not None:
-            db = np.swapaxes(a_kept.output() if type(a_kept) is _Node else a_kept, -1, -2) @ g
+        db = np.swapaxes(a_kept.output() if type(a_kept) is _Node else a_kept, -1, -2) @ g
         return (da, db, g) if has_bias else (da, db)
 
     return _make(out, (a, b) if bias is None else (a, b, bias), backward)
@@ -513,17 +502,14 @@ def masked_attention(
 
     def scores_backward(g):
         g = g * scale
-        dq = merge(g @ kh) if _tracked(q) else None
-        dk = merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ g, -1, -2)) if _tracked(k) else None
-        return dq, dk
+        return merge(g @ kh), merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ g, -1, -2))
 
     weights = masked_softmax(_make(scores, (q, k), scores_backward), visible)
     p = weights.data
 
     def out_backward(g):
         gh = heads(g)
-        dp = gh @ np.swapaxes(vh, -1, -2) if _tracked(weights) else None
-        return dp, merge(np.swapaxes(p, -1, -2) @ gh) if _tracked(v) else None
+        return gh @ np.swapaxes(vh, -1, -2), merge(np.swapaxes(p, -1, -2) @ gh)
 
     return _make(merge(p @ vh), (weights, v), out_backward), p
 

@@ -597,6 +597,19 @@ def test_config_value_of_the_wrong_type_is_a_one_line_error(tmp_path, toy_datase
     assert not list(tmp_path.rglob("model.ckpt"))
 
 
+def test_config_file_that_is_not_yaml_is_a_one_line_error(tmp_path, toy_dataset, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("seed: [1, 2\n")
+    out = tmp_path / "run"
+    assert run_command(["train", "--config", str(cfg), "--data", str(toy_dataset),
+                        "--out", str(out), *TINY_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == (f"DatasetError: config file {cfg} is not valid YAML "
+                                        "(line 2: expected ',' or ']', but got '<stream end>')")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("manifest", [
     pytest.param({}, id="no-d_text"),
     pytest.param({"d_text": 16, "records": {"r1": {"tokens": 1, "d_text": 16}}}, id="no-offset"),

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -327,7 +328,8 @@ def test_read_fasta_round_trip(tmp_path):
 def test_read_fasta_rejects_a_sequence_before_any_header(tmp_path):
     path = tmp_path / "x.fasta"
     path.write_text("MKV\n>one\nARN\n")
-    with pytest.raises(EvaluationError, match="FASTA body before any header"):
+    with pytest.raises(EvaluationError,
+                       match=f"^{re.escape(str(path))}: line 1: FASTA body before any header$"):
         read_fasta(path)
 
 

@@ -779,39 +779,44 @@ def test_op_output_records_graph_only_for_tracked_inputs_in_grad_mode(name, rng)
     assert out._parents == () and out._backward is None
 
 
-def test_mul_computes_no_gradient_for_a_constant(rng):
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_op_backward_returns_a_gradient_for_every_parent_constants_included(name, rng):
+    # backward() alone drops a constant's gradient; only a constant left
+    # operand of matmul, which no primitive here makes, gets None
+    constants = []
+
+    def const(value):
+        constants.append(Tensor(np.asarray(value, dtype=np.float64)))
+        return constants[-1]
+
     x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    out = PRIMITIVES["mul"](x, lambda value: Tensor(np.asarray(value, dtype=np.float64)))
-    dx, dconst = out._backward(np.ones((2, 4)))
-    assert dconst is None
-    assert np.array_equal(dx, np.full((2, 4), 2.0))
+    out = PRIMITIVES[name](x, const)
+    nodes = [out._node]  # attention records three
+    for node in nodes:
+        nodes.extend(p for p in node._parents if type(p) is nx._Node)
+        grads = node._backward(np.ones(node.shape))
+        assert len(grads) == len(node._parents)
+        for parent, grad in zip(node._parents, grads):
+            assert type(grad) is np.ndarray
+            assert nx._unbroadcast(grad, parent.shape).shape == parent.shape
+    total(out).backward()
+    assert x.grad is not None and all(c.grad is None for c in constants)
 
 
-def test_attention_computes_no_gradient_for_constant_keys_and_values(rng):
+def test_attention_with_constant_keys_and_values_records_three_nodes(rng):
     x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     out = PRIMITIVES["masked_attention"](x, lambda value: Tensor(np.asarray(value)))
     weights, _ = out._parents
     (scores,) = weights._parents
     assert len(scores._parents) == 2 and scores._parents[0] is x
-    dweights, dv = out._backward(np.ones((2, 4)))
-    assert dv is None and dweights.shape == (2, 2, 3)
-    dq, dk = scores._backward(np.ones((2, 2, 3)))
-    assert dk is None and dq.shape == (2, 4)
 
 
 def test_matmul_computes_no_gradient_for_a_constant(rng):
-    def const(value):
-        return Tensor(np.asarray(value, dtype=np.float64))
-
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    out = nx.matmul(const(np.ones((2, 4))), w)
+    out = nx.matmul(Tensor(np.ones((2, 4))), w)
     dconst, dw = out._backward(np.ones((2, 3)))
     assert dconst is None
     assert np.array_equal(dw, np.full((4, 3), 2.0))
-    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    dx, dconst = PRIMITIVES["matmul"](x, const)._backward(np.ones((2, 3)))
-    assert dconst is None
-    assert np.array_equal(dx, np.full((2, 4), 3.0))
 
 
 def test_backward_keeps_gradients_only_on_parameters():
@@ -840,12 +845,12 @@ def test_backward_keeps_gradients_only_on_parameters():
 # Whether a primitive's backward reads its input's array: GELU's re-forms its
 # tanh term from it rather than keep the term.  Each of the others keeps what
 # it reads from its own forward pass; layer norm keeps xc and inv, and re-forms
-# xhat from them.  A matmul reads its left operand only for the gradient of its
-# right one, here a constant.  The graph must keep the input's array alive for
-# a backward that reads it, and for no other.
+# xhat from them.  A matmul reads its left operand for the gradient of its
+# right one, which it computes for a constant too.  The graph must keep the
+# input's array alive for a backward that reads it, and for no other.
 BACKWARD_READS_INPUT = {"add": False, "concat": False, "layer_norm": False,
                         "masked_softmax": False, "rope_rotate": False, "gelu": True,
-                        "matmul": False, "matmul-bias": False}
+                        "matmul": True, "matmul-bias": True}
 
 
 @pytest.mark.parametrize("name", sorted(BACKWARD_READS_INPUT))
