@@ -15,15 +15,15 @@ layers, 4 slots, float32); all take seeded weights (seed 3).
 - ``train``: a batch of 10 synthetic records of 96-128 residues, one
   warm-up step, then a second step of the same batch with
   ``numerics._make`` wrapped by a counter and ``tracemalloc`` on.  ``ops``
-  and ``op_bytes`` count the op outputs that recorded a graph node and
+  and ``op_bytes`` count the op outputs (each records a graph node) and
   their arrays' bytes; ``kept_after_forward`` is what tracemalloc holds
   when ``backward()`` starts, that is, what the forward pass keeps for the
   backward pass; ``step_peak`` is tracemalloc's peak over the step.
 - ``decode``: one no-grad ``generate_candidates`` call, 2 argmax samples
   from a 32-residue fragment to max_len 64, on seeded weights whose EOS
   logit is pushed far down, so that every sample runs to max_len; measured
-  after one warm-up call.  No op records a node, so ``ops`` and
-  ``op_bytes`` count every op output; ``peak`` is tracemalloc's peak over
+  after one warm-up call.  ``ops`` and ``op_bytes`` count the op outputs,
+  none of which records a node; ``peak`` is tracemalloc's peak over
   the call.  The samples are argmax: a nucleus decode leaves a few small
   blocks in a numpy-internal cache, reached through ``np.cumsum``, whose
   number depends on memory addresses (the cache is bounded, not a leak),
@@ -108,20 +108,18 @@ def _counting_flops(census: dict):
         nx.matmul = matmul
 
 
-def _count_ops(census: dict, recorded_only: bool) -> None:
-    """Wrap ``numerics._make`` so that ``census`` counts its outputs: those
-    that recorded a graph node, or all of them."""
+def _count_ops(census: dict) -> None:
+    """Wrap ``numerics._make`` so that ``census`` counts its outputs and
+    their arrays' bytes."""
     from protdat import numerics as nx
 
     census.update(ops=0, op_bytes=0)
     make = nx._make
 
     def counted_make(data, *args):
-        out = make(data, *args)
-        if out._node is not None or not recorded_only:
-            census["ops"] += 1
-            census["op_bytes"] += data.nbytes
-        return out
+        census["ops"] += 1
+        census["op_bytes"] += data.nbytes
+        return make(data, *args)
 
     nx._make = counted_make
 
@@ -140,7 +138,7 @@ def train_row() -> dict:
     with _counting_flops(census):
         training_step(batch, params, opt)  # warm-up: caches and optimizer moments
 
-    _count_ops(census, recorded_only=True)
+    _count_ops(census)
     run_backward = nx.Tensor.backward
 
     def measured_backward(self):
@@ -195,7 +193,7 @@ def sweep_row() -> dict:
 def _measure_call(census: dict, fn, *args):
     """``fn(*args)`` with every op counted and tracemalloc's peak over the
     call put in ``census["peak"]``."""
-    _count_ops(census, recorded_only=False)
+    _count_ops(census)
     gc.collect()  # so that no collection left due by the set-up falls inside the call
     tracemalloc.start()
     result = fn(*args)

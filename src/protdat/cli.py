@@ -58,8 +58,8 @@ from .model import ModelConfig, load_checkpoint
 from .tokenizer import atomic_open
 from .training import TrainingConfig, TrainingError, fit
 
-# every other protdat error subclasses ValueError
-KNOWN_ERRORS = (ValueError, TrainingError, FileNotFoundError)
+# every other protdat error subclasses ValueError; OSError covers bad paths and full disks
+KNOWN_ERRORS = (ValueError, TrainingError, OSError)
 
 
 @dataclass

@@ -233,7 +233,7 @@ def generate_candidates(
         new_ids, psm = batch.seq_ids, batch.psm_mask  # prefill CLS and the fragment once
         while live and length - 1 < gp.max_len:
             logits, kv, _ = sequence_forward(new_ids, length - new_ids.shape[1], kv, psm, params)
-            last = logits.data[rows, -1].astype(np.float64)
+            last = logits.data[rows, -1]  # a copy; the penalty makes each row float64
             last[:, [vocab.pad_id, vocab.cls_id, vocab.cross_id]] = -np.inf  # never sampled
             for sample, row_logits in zip(live, last):
                 token_id, *draw = sample_token(row_logits, histories[sample], gp, rngs[sample])

@@ -9,10 +9,11 @@ records three ops (scaled scores, masked softmax, merged weighted values),
 so a one-row decode token, which writes its key and value rows into a
 preallocated buffer, runs 16 ops per layer.
 
-Every primitive takes Tensors and returns one.  ``_make`` builds each op
-output bare, around the op's own array, and gives it a graph node only
-when it records a graph; the constructor ``Tensor(...)``, the one place
-that coerces (``np.asarray`` and a float dtype), is for leaves and constants.
+Every primitive takes Tensors and returns one.  A Tensor wraps the float
+ndarray it is given, without a copy or a cast: the parameter tree, the
+model's cast text rows and the K/V cache views are float arrays, and
+``_make`` wraps each op output's own array, giving it a graph node only
+when it records a graph; ``backward()`` runs only from such an output.
 No op re-checks a shape or range rule that ``ModelConfig``, the parameter
 tree, the encoders or batch assembly own where values enter; attention
 checks only that its mask fits its queries and keys.
@@ -114,16 +115,14 @@ class Tensor:
     ``requires_grad`` marks leaf parameters; gradients accumulate into their
     ``.grad`` (None until the first contribution; unused parameters therefore
     read as zero).  An op output that records a graph keeps its place in it
-    in a ``_Node``; ``_parents`` and ``_backward`` read through to it, and
-    assigning ``_backward`` replaces what ``backward()`` calls.
+    in a ``_Node``, the one handle to the graph; ``_backward`` reads through
+    to it, and assigning ``_backward`` replaces what ``backward()`` calls.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data)
-        if self.data.dtype.kind != "f":
-            self.data = self.data.astype(np.float64)
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
@@ -135,10 +134,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
 
     @property
     def _backward(self) -> Callable[[np.ndarray], Sequence[np.ndarray]] | None:
@@ -157,9 +152,9 @@ class Tensor:
         propagated; a second call through a released graph raises."""
         if self.data.size != 1:
             raise NumericsError("backward() requires a scalar output")
-        if self._node is None:  # a leaf, or an output that recorded no graph
-            self.grad = np.ones_like(self.data)
-            return
+        if self._node is None:
+            raise NumericsError("backward() requires an output that recorded a graph, "
+                                "not a leaf, a constant or an output computed under no_grad")
         topo: list[_Node] = []
         seen: set[int] = set()
         stack: list[tuple[_Node, bool]] = [(self._node, False)]
@@ -202,7 +197,6 @@ class _Node:
     ``backward()`` empties it once it has propagated."""
 
     __slots__ = ("_parents", "_backward", "grad", "shape", "dtype", "_reform", "_reformed")
-    requires_grad = False
 
     def __init__(self, parents: tuple, backward, shape: tuple[int, ...], dtype, reform=None):
         self._parents, self._backward, self.grad = parents, backward, None
@@ -218,22 +212,15 @@ class _Node:
         return self._reformed
 
 
-def _tracked(t: Tensor) -> bool:
-    """Whether gradients flow into ``t``: a parameter, or an op output that
-    recorded a graph (a released one included, so that a new graph built on
-    it fails in ``backward()`` rather than leaving gradients out)."""
-    return t.requires_grad or t._node is not None
-
-
 def _make(
     data: np.ndarray,
     parents: Sequence[Tensor],
     backward: Callable[[np.ndarray], Sequence[np.ndarray]],
     reform: Callable[[], np.ndarray] | None = None,
 ) -> Tensor:
-    """The output of an op: it records a ``_Node`` linking to its parents,
-    ``backward`` and ``reform`` only when grad mode is on and some parent is
-    tracked.
+    """The output of an op, ``Tensor(data)`` around the op's own array: it
+    records a ``_Node`` linking to its parents, ``backward`` and ``reform``
+    only when grad mode is on and some parent is tracked.
 
     ``backward(g)`` is the op's vector-Jacobian product: it takes the
     gradient of the output and returns one gradient per parent, in parent
@@ -251,11 +238,10 @@ def _make(
     to ``data``, built from what ``backward`` keeps, so that a consumer
     (``matmul``) need not keep ``data`` itself.
     """
-    # built bare: every op yields a float ndarray, so __init__'s asarray and
-    # dtype check would do nothing
-    out = Tensor.__new__(Tensor)
-    out.data, out.grad, out.requires_grad, out._node = data, None, False, None
-    if _grad_enabled and any(_tracked(p) for p in parents):
+    out = Tensor(data)
+    # a parent is tracked if it is a parameter or has a node; a released node
+    # counts, so that backward() through it fails rather than drop gradients
+    if _grad_enabled and any(p.requires_grad or p._node is not None for p in parents):
         out._node = _Node(tuple(p if p._node is None else p._node for p in parents), backward,
                           data.shape, data.dtype, reform)
     return out

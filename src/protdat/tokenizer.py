@@ -44,18 +44,18 @@ class TokenizerError(ValueError):
 @contextmanager
 def atomic_open(path, mode: str):
     """Write through a sibling temp file that replaces ``path`` only when the
-    block completes, so a write that fails part-way leaves the previous file
-    intact and no temp file behind.  Every file the package writes goes
+    block completes, so a write or a rename that fails leaves the previous
+    file intact and no temp file behind.  Every file the package writes goes
     through here."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode) as fh:
             yield fh
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 class AminoVocabulary:

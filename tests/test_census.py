@@ -1,7 +1,7 @@
 """Census of a training step, a decode and a sweep: their work and memory, read without a clock.
 
 ``scripts/census.py`` runs each row in a child process and reports, for a
-mid-config training step, the ops that recorded a graph node, their output
+mid-config training step, its ops (each records a graph node), their output
 bytes, the bytes tracemalloc holds when ``backward()`` starts and the
 step's tracemalloc peak; for one fixed-length no-grad
 ``generate_candidates`` call and for one toy-config argmax
@@ -33,8 +33,8 @@ CENSUS = Path(__file__).resolve().parents[1] / "scripts" / "census.py"
 # taken at the builds the module docstring names
 TRAIN = {"ops": 178, "op_bytes": 92_312_244, "kept_after_forward": 44_875_948,
          "step_peak": 55_369_888, "matmul_flops": 2_412_559_360}
-DECODE = {"ops": 2_215, "op_bytes": 5_793_004, "peak": 1_112_566, "matmul_flops": 192_267_008}
-SWEEP = {"ops": 8_876, "op_bytes": 3_278_976, "peak": 127_351, "matmul_flops": 41_648_128}
+DECODE = {"ops": 2_215, "op_bytes": 5_793_004, "peak": 1_112_262, "matmul_flops": 192_267_008}
+SWEEP = {"ops": 8_876, "op_bytes": 3_278_976, "peak": 127_195, "matmul_flops": 41_648_128}
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import json
 from dataclasses import asdict, fields, replace
@@ -262,6 +263,25 @@ def test_eval_plddt_and_tmalign(tmp_path, capsys):
     assert "0.607,3.48" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "tmalign", "--in", "{tm}", "--out", "{dir}"],
+    ["eval", "kl", "--ref", "{dir}", "--gen", "{fasta}"],
+], ids=["output", "input"])
+def test_path_that_is_a_directory_is_a_one_line_error(argv, tmp_path, capsys):
+    tm = tmp_path / "tm.txt"
+    tm.write_text("TM-score= 0.60700 (if normalized by length of Chain_2)\nRMSD=   3.48\n")
+    fasta = tmp_path / "seqs.fasta"
+    with open(fasta, "w") as fh:
+        write_fasta([("a", "MKVMKV")], fh)
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    assert run_command([arg.format(tm=tm, fasta=fasta, dir=directory) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("IsADirectoryError: ")
+    assert directory.is_dir() and not (tmp_path / "dir.tmp").exists()
+
+
 def test_eval_kl(tmp_path, capsys):
     path = tmp_path / "seqs.fasta"
     with open(path, "w") as fh:
@@ -369,9 +389,10 @@ def test_failed_output_write_leaves_no_partial_file(name, argv, previous, traine
         (out / name).write_bytes(previous)
     disk_fills(name)
     paths = {"ckpt": trained_ckpt, "data": toy_dataset, "bad": bad, "fasta": fasta, "out": out}
-    with pytest.raises(OSError, match="No space left"):
-        run_command([arg.format(**paths) for arg in argv])
-    capsys.readouterr()
+    assert run_command([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"OSError: [Errno {errno.ENOSPC}] No space left on device"
     assert not (out / f"{name}.tmp").exists()
     # a run into an output directory first removes the manifest of the run before
     kept = bool(previous) and name != "run_manifest.json"

@@ -578,7 +578,7 @@ def test_no_grad_op_output_is_a_bare_tensor_of_the_op_array(rng):
     with nx.no_grad():
         for out in (nx.gelu(x), nx.matmul(x, w, b), masked_attention(x, x, x, None, 2)[0]):
             assert out.grad is None and out.requires_grad is False
-            assert out._parents == () and out._backward is None
+            assert out._node is None
             assert type(out.data) is np.ndarray and out.dtype == np.float32
         data = np.ones(3, dtype=np.float32)
         assert nx._make(data, (x,), lambda g: (g,)).data is data
@@ -638,7 +638,7 @@ def test_grad_check_quadratic_is_exact():
     theta = Tensor(np.array([0.5, -1.5, 2.0, 3.0]), requires_grad=True)
 
     def loss_fn():
-        return nx.mul(total(nx.mul(theta, theta)), Tensor(0.5))
+        return nx.mul(total(nx.mul(theta, theta)), Tensor(np.array(0.5)))
 
     err = finite_difference_grad_check(loss_fn, {"theta": theta}, eps=1e-5)
     assert err < 1e-8
@@ -671,7 +671,7 @@ def test_grad_check_detects_corrupted_gradient():
         return nx._make(x.data * x.data, (x,), backward)
 
     def loss_fn():
-        return nx.mul(total(corrupted_square(theta)), Tensor(0.5))
+        return nx.mul(total(corrupted_square(theta)), Tensor(np.array(0.5)))
 
     err = finite_difference_grad_check(loss_fn, {"theta": theta}, eps=1e-5)
     assert err > 1e-2
@@ -689,13 +689,18 @@ def test_grad_check_rejects_bad_eps():
 def test_backward_requires_scalar(rng):
     t = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with pytest.raises(NumericsError):
-        nx.mul(t, Tensor(2.0)).backward()
+        nx.mul(t, Tensor(np.array(2.0))).backward()
 
 
-def test_backward_on_a_leaf_sets_a_unit_gradient():
+def test_backward_on_an_output_that_recorded_no_graph_raises():
     leaf = Tensor(np.array(3.0), requires_grad=True)
-    leaf.backward()
-    assert leaf.grad == 1.0 and leaf.grad.shape == ()
+    with nx.no_grad():
+        no_grad_out = nx.mul(leaf, leaf)
+    constant_out = nx.mul(Tensor(np.array(3.0)), Tensor(np.array(2.0)))
+    for t in (leaf, no_grad_out, constant_out):
+        with pytest.raises(NumericsError, match="recorded a graph"):
+            t.backward()
+        assert t.grad is None
 
 
 def test_unused_parameter_reads_zero_gradient():
@@ -727,7 +732,7 @@ def test_no_grad_skips_graph(rng):
     t = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with nx.no_grad():
         out = total(nx.mul(t, t))
-    assert out._parents == ()
+    assert out._node is None
 
 
 def test_embedding_rejects_out_of_range():
@@ -768,15 +773,15 @@ def test_op_output_records_graph_only_for_tracked_inputs_in_grad_mode(name, rng)
     data = rng.normal(size=(2, 4))
     x = Tensor(data, requires_grad=True)
     out = op(x, const)
-    assert out._parents and out._backward is not None
+    assert out._node._parents and out._backward is not None
     total(out).backward()  # the recorded closure reaches this very output's grad
     assert x.grad is not None and x.grad.shape == (2, 4)
     assert all(c.grad is None for c in constants)  # untracked inputs get no gradient
     with nx.no_grad():
         out = op(Tensor(data, requires_grad=True), const)
-    assert out._parents == () and out._backward is None
+    assert out._node is None
     out = op(Tensor(data), const)
-    assert out._parents == () and out._backward is None
+    assert out._node is None
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
@@ -806,7 +811,7 @@ def test_op_backward_returns_a_gradient_for_every_parent_constants_included(name
 def test_attention_with_constant_keys_and_values_records_three_nodes(rng):
     x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     out = PRIMITIVES["masked_attention"](x, lambda value: Tensor(np.asarray(value)))
-    weights, _ = out._parents
+    weights, _ = out._node._parents
     (scores,) = weights._parents
     assert len(scores._parents) == 2 and scores._parents[0] is x
 
@@ -826,18 +831,20 @@ def test_backward_keeps_gradients_only_on_parameters():
     logits, _ = model_forward(batch, params)
     loss = next_token_cross_entropy(logits, batch.targets(), ignore_id=batch.pad_id)
     # collected before backward(), which releases every link it walks
-    nodes, stack, seen = [], [loss], set()
+    interior, leaves, stack, seen = [], [], [loss._node], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    interior = [n for n in nodes if n._parents]
+            if type(node) is nx._Node:
+                interior.append(node)
+                stack.extend(node._parents)
+            else:
+                leaves.append(node)
     loss.backward()
     assert interior and all(n.grad is None for n in interior)
     assert all(n._parents == () and n._backward is None for n in interior)
-    reached = {id(n) for n in nodes if n.requires_grad}
+    reached = {id(n) for n in leaves if n.requires_grad}
     with_grad = {id(p) for _, p in params.named_parameters() if p.grad is not None}
     assert with_grad == reached
 
@@ -868,7 +875,7 @@ def test_graph_keeps_an_op_outputs_array_only_for_a_backward_that_reads_it(name,
             array = weakref.ref(y.data)
             del y
             assert (array() is not None) == BACKWARD_READS_INPUT[name]
-            assert out._parents and out._backward is not None  # out's graph lives
+            assert out._node._parents and out._backward is not None  # out's graph lives
         total(out).backward()
         grads.append(x.grad)
     assert grads[0].tobytes() == grads[1].tobytes()

@@ -240,12 +240,13 @@ def test_training_step_leaves_no_reference_cycles():
 def test_training_loss_graph_computes_in_model_dtype(dtype):
     params, _, batch = tiny_model(tiny_config(dtype=dtype))
     loss = compute_loss(batch, params)
-    nodes, stack = {}, [loss]
+    nodes, stack = {}, [loss._node]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
-            stack.extend(node._parents)
+            if type(node) is nx._Node:
+                stack.extend(node._parents)
     assert len(nodes) > 100
     assert {node.dtype.name for node in nodes.values()} == {dtype}
 
